@@ -1,10 +1,19 @@
-"""First-order descent over orbit parameters ``(Q, c)``.
+"""First-order descent over orbit parameters ``(Q, c)``, for a batch of restarts.
 
-``Q`` is represented as the matrix exponential of a skew-symmetric parameter
-``K`` (scaling-and-squaring via scipy), so every evaluated point is exactly
-orthogonal; ``c`` lives in the logarithmic domain and is clamped to a compact
-interval after each update. Updates use adaptive-moment (Adam) steps on
-subgradients, with global gradient-norm clipping.
+``Q`` is the matrix exponential of a skew-symmetric parameter ``K``, so every
+evaluated point is exactly orthogonal; ``c`` lives in the logarithmic domain and
+is clamped to a compact interval after each update. Updates use adaptive-moment
+(Adam) steps on subgradients, with global gradient-norm clipping.
+
+Each step makes one Hermitian eigendecomposition ``1j K = U diag(w) U^H``. It
+gives ``Q = Re(U diag(e^{-iw}) U^H)`` and, through the Daleckii-Krein divided
+differences (Higham, *Functions of Matrices*, 2008, §3.2), the adjoint Fréchet
+derivative of the exponential that maps the ``Q``-gradient to the ``K``-gradient.
+
+Independent restarts are stacked as ``(R, p, p)`` arrays and stepped together;
+a restart that stops leaves the batch. Every per-restart quantity is computed
+slice by slice (batched LAPACK/BLAS calls, elementwise updates, row-wise
+reductions), so a restart's iterates are bitwise the same alone or in a batch.
 
 The objective family covers both the sparse-representative selection and the
 plain diagonal-normalization search:
@@ -12,7 +21,6 @@ plain diagonal-normalization search:
     f(Q, c) = w_off * c * ||offdiag(Q G)||_1
             + w_lag * c * ||Q H||_1
             + w_diag * ||diag(c Q G) - 1||_2^2
-            + w_recon * c^2 * recon_const
 
 Note ``||offdiag(I - c Q G)||_1 == c * ||offdiag(Q G)||_1`` for ``c > 0``, so
 the first term equals the off-diagonal penalty on the contemporaneous matrix.
@@ -20,10 +28,9 @@ the first term equals the off-diagonal penalty on the contemporaneous matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from .errors import OptimizerDivergedError
 
@@ -38,71 +45,132 @@ ANNEAL_EVERY = 100
 ANNEAL_FACTOR = 0.3
 
 
+def _sum2(x: np.ndarray) -> np.ndarray:
+    """Sum over the trailing two axes, one contiguous row-wise sum per matrix."""
+    return x.reshape(*x.shape[:-2], -1).sum(axis=-1)
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    return np.diagonal(m, axis1=-2, axis2=-1)
+
+
+def _offdiag(m: np.ndarray) -> np.ndarray:
+    """Copy of each matrix in a stack with its diagonal set to zero."""
+    off = m.copy()
+    idx = np.arange(m.shape[-1])
+    off[..., idx, idx] = 0.0
+    return off
+
+
+def _ht(u: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return np.conj(np.swapaxes(u, -1, -2))
+
+
 @dataclass(frozen=True)
 class OrbitObjective:
-    """Weights and fixed matrices defining one descent problem."""
+    """Weights and fixed matrices defining the descent problem of each restart.
+
+    ``g_mat`` and ``h_mat`` are ``(p, p)`` matrices or ``(R, p, p)`` stacks with
+    one matrix per restart; the weights are shared by all restarts.
+    """
 
     g_mat: np.ndarray
     h_mat: np.ndarray
     w_off: float = 0.0
     w_lag: float = 0.0
     w_diag: float = 0.0
-    w_recon: float = 0.0
-    recon_const: float = 0.0
 
-    def value(self, q: np.ndarray, c: float) -> float:
+    def take(self, rows) -> OrbitObjective:
+        """The objective of a subset of the restarts."""
+        return replace(self, g_mat=self.g_mat[rows], h_mat=self.h_mat[rows])
+
+    def value(self, q: np.ndarray, c) -> np.ndarray:
+        """Objective of ``q`` (``(..., p, p)``) at scales ``c`` (shape ``q.shape[:-2]``)."""
+        c = np.asarray(c, dtype=float)
         m = q @ self.g_mat
-        total = 0.0
+        total = np.zeros(q.shape[:-2])
         if self.w_off:
-            off = m - np.diag(np.diag(m))
-            total += self.w_off * c * float(np.abs(off).sum())
+            total += self.w_off * c * _sum2(np.abs(_offdiag(m)))
         if self.w_lag:
-            total += self.w_lag * c * float(np.abs(q @ self.h_mat).sum())
+            total += self.w_lag * c * _sum2(np.abs(q @ self.h_mat))
         if self.w_diag:
-            d = c * np.diag(m) - 1.0
-            total += self.w_diag * float(d @ d)
-        if self.w_recon:
-            total += self.w_recon * c * c * self.recon_const
+            d = c[..., None] * _diagonal(m) - 1.0
+            total += self.w_diag * (d * d).sum(axis=-1)
         return total
 
-    def value_and_grads(self, q: np.ndarray, c: float):
-        """Objective with subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0)."""
-        p = q.shape[0]
+    def value_and_grads(self, q: np.ndarray, c):
+        """Objective with subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
+
+        Returns the values and ``c``-gradients, of shape ``q.shape[:-2]``, and
+        the ``Q``-gradient stack, of the shape of ``q``.
+        """
+        c = np.asarray(c, dtype=float)
         m = q @ self.g_mat
-        grad_m = np.zeros((p, p))
+        grad_m = np.zeros_like(m)
         grad_n = None
-        grad_c = 0.0
-        total = 0.0
+        grad_c = np.zeros(q.shape[:-2])
+        total = np.zeros(q.shape[:-2])
         if self.w_off:
-            off = m - np.diag(np.diag(m))
-            s_off = float(np.abs(off).sum())
+            off = _offdiag(m)
+            s_off = _sum2(np.abs(off))
             total += self.w_off * c * s_off
-            grad_m += self.w_off * c * np.sign(off)
+            grad_m += (self.w_off * c)[..., None, None] * np.sign(off)
             grad_c += self.w_off * s_off
         if self.w_lag:
             n_mat = q @ self.h_mat
-            l1 = float(np.abs(n_mat).sum())
+            l1 = _sum2(np.abs(n_mat))
             total += self.w_lag * c * l1
-            grad_n = self.w_lag * c * np.sign(n_mat)
+            grad_n = (self.w_lag * c)[..., None, None] * np.sign(n_mat)
             grad_c += self.w_lag * l1
         if self.w_diag:
-            diag_m = np.diag(m)
-            d = c * diag_m - 1.0
-            total += self.w_diag * float(d @ d)
-            grad_m += np.diag(2.0 * self.w_diag * c * d)
-            grad_c += 2.0 * self.w_diag * float(d @ diag_m)
-        if self.w_recon:
-            total += self.w_recon * c * c * self.recon_const
-            grad_c += 2.0 * self.w_recon * c * self.recon_const
-        grad_q = grad_m @ self.g_mat.T
+            diag_m = _diagonal(m)
+            d = c[..., None] * diag_m - 1.0
+            total += self.w_diag * (d * d).sum(axis=-1)
+            idx = np.arange(q.shape[-1])
+            grad_m[..., idx, idx] += 2.0 * self.w_diag * c[..., None] * d
+            grad_c += 2.0 * self.w_diag * (d * diag_m).sum(axis=-1)
+        grad_q = grad_m @ np.swapaxes(self.g_mat, -1, -2)
         if grad_n is not None:
-            grad_q += grad_n @ self.h_mat.T
+            grad_q += grad_n @ np.swapaxes(self.h_mat, -1, -2)
         return total, grad_q, grad_c
+
+
+def skew_eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral form of a stack of real skew-symmetric ``K``: ``1j K = U diag(w) U^H``."""
+    return np.linalg.eigh(1j * k)
+
+
+def expm_from_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``expm(K) = Re(U diag(e^{-iw}) U^H)`` from the spectral form of ``K``."""
+    return ((u * np.exp(-1j * w)[..., None, :]) @ _ht(u)).real
+
+
+def expm_adjoint_from_eig(w: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint Fréchet derivative of ``expm`` at ``K`` applied to ``G``.
+
+    Equals ``expm_frechet(K.T, G)``. With the eigenvalues ``i w`` of ``K.T`` it
+    is ``Re(U (Phi o (U^H G U)) U^H)``, where the divided differences
+    ``Phi_jk = (e^{i w_j} - e^{i w_k}) / (i (w_j - w_k))`` are evaluated in the
+    product form ``e^{i (w_j + w_k) / 2} sinc((w_j - w_k) / 2)``, which has no
+    cancellation when ``w_j`` and ``w_k`` are close or equal.
+    """
+    uh = _ht(u)
+    half = np.exp(0.5j * w)
+    gap = w[..., :, None] - w[..., None, :]
+    phi = half[..., :, None] * half[..., None, :] * np.sinc(gap / (2.0 * np.pi))
+    return (u @ (phi * (uh @ g @ u)) @ uh).real
 
 
 @dataclass(frozen=True)
 class DescentResult:
-    """Best iterate found by one descent run."""
+    """Best iterate of one restart, with why and when its descent stopped.
+
+    ``stop_reason`` is ``"patience"`` (no improvement by the tolerance for
+    ``patience`` steps) or ``"budget"`` (``max_steps`` reached); ``best_step``
+    is the step that evaluated the best iterate; ``anneals`` counts the
+    step-size decays.
+    """
 
     q: np.ndarray
     c: float
@@ -110,10 +178,12 @@ class DescentResult:
     trace: tuple[float, ...]
     steps: int
     best_step: int
+    stop_reason: str
+    anneals: int
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
-    return 0.5 * (w - w.T)
+    return 0.5 * (w - np.swapaxes(w, -1, -2))
 
 
 def minimize_orbit_objective(
@@ -127,66 +197,106 @@ def minimize_orbit_objective(
     convergence_tol: float,
     patience: int,
     c_bounds: tuple[float, float],
-) -> DescentResult:
-    """Run Adam on ``(K, log c)`` and return the best iterate seen.
+) -> list[DescentResult]:
+    """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
 
-    Stops after ``max_steps`` or once the best objective has not improved by
-    ``convergence_tol`` over ``patience`` consecutive steps. During a plateau
-    the step size decays every ``ANNEAL_EVERY`` stalled steps so the iterate
-    can settle below the fixed-rate noise floor.
+    ``k0`` is an ``(R, p, p)`` stack of starts and ``objective`` holds the
+    matching ``(R, p, p)`` stacks; results come back in restart order. A
+    restart stops after ``max_steps`` or once its best objective has not
+    improved by ``convergence_tol`` over ``patience`` consecutive steps. During
+    a plateau its step size decays every ``ANNEAL_EVERY`` stalled steps so the
+    iterate can settle below the fixed-rate noise floor.
+
+    Raises ``OptimizerDivergedError`` naming the lowest-index restart whose
+    objective or gradient became non-finite, with that restart's trace.
     """
     log_lo, log_hi = np.log(c_bounds[0]), np.log(c_bounds[1])
-    k = _skew(np.asarray(k0, dtype=float).copy())
-    log_c = float(np.clip(log_c0, log_lo, log_hi))
-
+    k = _skew(np.array(k0, dtype=float))
+    n_restarts = k.shape[0]
+    log_c = np.clip(np.full(n_restarts, float(log_c0)), log_lo, log_hi)
+    lr = np.full(n_restarts, float(learn_rate))
     m_k = np.zeros_like(k)
     v_k = np.zeros_like(k)
-    m_c = 0.0
-    v_c = 0.0
+    m_c = np.zeros(n_restarts)
+    v_c = np.zeros(n_restarts)
+    # batch row -> restart index; rows stay in restart order as restarts leave
+    ids = np.arange(n_restarts)
 
-    trace: list[float] = []
-    best_obj = np.inf
-    best_k = k.copy()
-    best_logc = log_c
-    best_step = 0
-    last_improve = 0
-    lr = learn_rate
+    trace = np.empty((n_restarts, max_steps))
+    best_obj = np.full(n_restarts, np.inf)
+    best_q = np.empty_like(k)
+    best_logc = np.empty(n_restarts)
+    best_step = np.zeros(n_restarts, dtype=int)
+    last_improve = np.zeros(n_restarts, dtype=int)
+    anneals = np.zeros(n_restarts, dtype=int)
+    results: list[DescentResult | None] = [None] * n_restarts
 
-    step = 0
+    def diverged(rows: np.ndarray, what: str, step: int, steps_kept: int):
+        r = int(ids[rows][0])
+        return OptimizerDivergedError(
+            f"restart {r}: {what} became non-finite at step {step}",
+            trace=trace[r, :steps_kept].tolist(),
+        )
+
     for step in range(1, max_steps + 1):
-        q = expm(k)
-        c = float(np.exp(log_c))
-        value, grad_q, grad_c = objective.value_and_grads(q, c)
-        if not np.isfinite(value):
-            raise OptimizerDivergedError(
-                f"objective became non-finite at step {step}", trace=trace
-            )
-        trace.append(value)
-        if value < best_obj - convergence_tol:
-            last_improve = step
-        if value < best_obj:
-            best_obj = value
-            best_k = k.copy()
-            best_logc = log_c
-            best_step = step
-        stalled = step - last_improve
-        if stalled >= patience:
-            break
-        if stalled > 0 and stalled % ANNEAL_EVERY == 0:
-            lr *= ANNEAL_FACTOR
+        w, u = skew_eig(k)
+        q = expm_from_eig(w, u)
+        c = np.exp(log_c)
+        values, grad_q, grad_c = objective.value_and_grads(q, c)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise diverged(~finite, "objective", step, step - 1)
+        trace[ids, step - 1] = values
+        best_so_far = best_obj[ids]
+        last_improve[ids[values < best_so_far - convergence_tol]] = step
+        better = values < best_so_far
+        rows = ids[better]
+        best_obj[rows] = values[better]
+        best_q[rows] = q[better]
+        best_logc[rows] = log_c[better]
+        best_step[rows] = step
+        stalled = step - last_improve[ids]
 
-        grad_k = _skew(expm_frechet(k.T, grad_q, compute_expm=False))
+        patient = stalled >= patience
+        stop = patient | (step == max_steps)
+        if stop.any():
+            for row in np.flatnonzero(stop):
+                r = int(ids[row])
+                results[r] = DescentResult(
+                    q=best_q[r].copy(),
+                    c=float(np.exp(best_logc[r])),
+                    objective=float(best_obj[r]),
+                    trace=tuple(trace[r, :step].tolist()),
+                    steps=step,
+                    best_step=int(best_step[r]),
+                    stop_reason="patience" if patient[row] else "budget",
+                    anneals=int(anneals[r]),
+                )
+            if stop.all():
+                break
+            keep = ~stop
+            ids, k, log_c, lr, m_k, v_k, m_c, v_c = (
+                a[keep] for a in (ids, k, log_c, lr, m_k, v_k, m_c, v_c)
+            )
+            w, u, grad_q, grad_c, c, stalled = (
+                a[keep] for a in (w, u, grad_q, grad_c, c, stalled)
+            )
+            objective = objective.take(keep)
+
+        anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
+        lr = np.where(anneal, lr * ANNEAL_FACTOR, lr)
+        anneals[ids[anneal]] += 1
+
+        grad_k = _skew(expm_adjoint_from_eig(w, u, grad_q))
         grad_logc = grad_c * c
-        if not (np.isfinite(grad_k).all() and np.isfinite(grad_logc)):
-            raise OptimizerDivergedError(
-                f"gradient became non-finite at step {step}", trace=trace
-            )
+        finite = np.isfinite(grad_k).all(axis=(1, 2)) & np.isfinite(grad_logc)
+        if not finite.all():
+            raise diverged(~finite, "gradient", step, step)
 
-        total_norm = float(np.sqrt(np.sum(grad_k**2) + grad_logc**2))
-        if total_norm > grad_clip:
-            scale = grad_clip / total_norm
-            grad_k = grad_k * scale
-            grad_logc = grad_logc * scale
+        total_norm = np.sqrt(_sum2(grad_k**2) + grad_logc**2)
+        scale = grad_clip / np.maximum(total_norm, grad_clip)
+        grad_k = grad_k * scale[:, None, None]
+        grad_logc = grad_logc * scale
 
         m_k = ADAM_BETA1 * m_k + (1.0 - ADAM_BETA1) * grad_k
         v_k = ADAM_BETA2 * v_k + (1.0 - ADAM_BETA2) * grad_k**2
@@ -194,18 +304,11 @@ def minimize_orbit_objective(
         v_c = ADAM_BETA2 * v_c + (1.0 - ADAM_BETA2) * grad_logc**2
         bias1 = 1.0 - ADAM_BETA1**step
         bias2 = 1.0 - ADAM_BETA2**step
-        k = k - lr * (m_k / bias1) / (np.sqrt(v_k / bias2) + ADAM_EPS)
+        k = k - lr[:, None, None] * (m_k / bias1) / (np.sqrt(v_k / bias2) + ADAM_EPS)
         log_c = log_c - lr * (m_c / bias1) / (np.sqrt(v_c / bias2) + ADAM_EPS)
-        log_c = float(np.clip(log_c, log_lo, log_hi))
+        log_c = np.clip(log_c, log_lo, log_hi)
 
-    return DescentResult(
-        q=expm(best_k),
-        c=float(np.exp(best_logc)),
-        objective=float(best_obj),
-        trace=tuple(trace),
-        steps=step,
-        best_step=best_step,
-    )
+    return results
 
 
 def random_skew(p: int, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:

@@ -123,7 +123,7 @@ def _fit_method(
         if envar_cfg is None:
             envar_cfg = default_config(fit.p)
         cr = canonical_representative(fit)
-        solution = solve_envar(cr, envar_cfg, series=ts)
+        solution = solve_envar(cr, envar_cfg)
         model = solution.model
         report.update(
             objective=solution.objective,

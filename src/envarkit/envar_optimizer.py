@@ -9,8 +9,10 @@ diagonal of ``cQ b_can`` is softly pulled to one:
             + (mu/2) ||diag(cQ b_can) - 1||_2^2 / norm_hollow
 
 over orthogonal ``Q`` and ``c`` in a wide compact interval. ``Q`` is the matrix
-exponential of a skew-symmetric parameter so it is exactly orthogonal at every
-step; ``c`` is optimized in the log domain. The three normalization constants
+exponential of a skew-symmetric parameter, evaluated with its adjoint derivative
+from one Hermitian eigendecomposition per step (see ``_descent``), so it is
+exactly orthogonal at every step; ``c`` is optimized in the log domain. All
+restarts descend together as one batch. The three normalization constants
 are the raw term values at a fixed random orthogonal baseline and ``c = 1``.
 Because every iterate is an orbit member, every candidate (and the returned
 solution) induces the fitted reduced form exactly.
@@ -19,11 +21,12 @@ solution) induces the fitted reduced form exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._descent import (
+    DescentResult,
     OrbitObjective,
     minimize_orbit_objective,
     random_signs,
@@ -31,7 +34,7 @@ from ._descent import (
 )
 from ._seeding import sub_rng
 from .errors import DimensionError
-from .model_core import StructuralModel, TimeSeries
+from .model_core import StructuralModel
 from .reduced_estimation import CanonicalRepresentative
 
 _NORM_FLOOR = 1e-12
@@ -54,10 +57,9 @@ class EnvarConfig:
     seed: int = 0
     restarts: int = 4
     convergence_tol: float = 1e-9
-    w_recons: float = 0.0
 
     def __post_init__(self):
-        if self.lambda0 < 0 or self.lambda1 < 0 or self.mu < 0 or self.w_recons < 0:
+        if self.lambda0 < 0 or self.lambda1 < 0 or self.mu < 0:
             raise DimensionError("penalty weights must be nonnegative")
         if not (0.0 < self.c_min < self.c_max):
             raise DimensionError(
@@ -118,23 +120,15 @@ class ObjectiveBreakdown:
     raw_offdiag: float
     raw_lag: float
     raw_hollow: float
-    raw_recon: float
     term_offdiag: float
     term_lag: float
     term_hollow: float
-    term_recon: float
     norms: NormConstants
 
 
-@dataclass(frozen=True)
-class RestartOutcome:
-    """Best iterate of one restart."""
-
-    q: np.ndarray
-    c: float
-    objective: float
-    steps: int
-    trace: tuple[float, ...]
+# Best iterate of one restart, with its stopping telemetry; ``q`` has the
+# restart's sign matrix folded in.
+RestartOutcome = DescentResult
 
 
 @dataclass(frozen=True)
@@ -185,23 +179,12 @@ def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstan
     )
 
 
-def _recon_const(cr: CanonicalRepresentative, series: TimeSeries | None) -> float:
-    """Mean squared one-step reconstruction residual at ``c = 1``, orthogonally invariant."""
-    if series is None:
-        return 0.0
-    y = series.values[:, 1:]
-    z = series.values[:, :-1]
-    resid = cr.b_can @ y - cr.gamma_can @ z
-    return float(np.sum(resid**2) / y.shape[1])
-
-
 def envar_objective(
     q: np.ndarray,
     c: float,
     cr: CanonicalRepresentative,
     cfg: EnvarConfig,
     norms: NormConstants | None = None,
-    series: TimeSeries | None = None,
 ) -> tuple[float, ObjectiveBreakdown]:
     """Evaluate the penalized selection objective at ``(Q, c)``.
 
@@ -218,77 +201,58 @@ def envar_objective(
     offdiag_l1 = c * float(np.abs(off).sum())
     lag_l1 = c * float(np.abs(np.asarray(q) @ cr.gamma_can).sum())
     hollow_sq = float(np.sum((c * np.diag(m) - 1.0) ** 2))
-    recon = c * c * _recon_const(cr, series)
     breakdown = ObjectiveBreakdown(
         raw_offdiag=cfg.lambda0 * offdiag_l1,
         raw_lag=cfg.lambda1 * lag_l1,
         raw_hollow=0.5 * cfg.mu * hollow_sq,
-        raw_recon=cfg.w_recons * recon,
         term_offdiag=cfg.lambda0 * offdiag_l1 / norms.offdiag,
         term_lag=cfg.lambda1 * lag_l1 / norms.lag,
         term_hollow=0.5 * cfg.mu * hollow_sq / norms.hollow,
-        term_recon=cfg.w_recons * recon,
         norms=norms,
     )
-    total = (
-        breakdown.term_offdiag
-        + breakdown.term_lag
-        + breakdown.term_hollow
-        + breakdown.term_recon
-    )
+    total = breakdown.term_offdiag + breakdown.term_lag + breakdown.term_hollow
     return total, breakdown
 
 
-def solve_envar(
-    cr: CanonicalRepresentative,
-    cfg: EnvarConfig,
-    series: TimeSeries | None = None,
-) -> EnvarSolution:
+def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
     """Minimize the penalized objective over the empirical orbit.
 
-    Runs ``cfg.restarts`` independent descents from random skew starts (the
-    first restart searches the rotation component directly; later restarts fold
-    a random diagonal sign matrix into the base so reflections are reachable)
-    and returns the lowest-objective solution, ties broken by restart index.
-    The assembled model is ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
+    Runs ``cfg.restarts`` independent descents from random skew starts, stepped
+    together as one batch (the first restart searches the rotation component
+    directly; later restarts fold a random diagonal sign matrix into the base so
+    reflections are reachable) and returns the lowest-objective solution, ties
+    broken by restart index. The assembled model is
+    ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
     """
     p = cr.p
     norms = norm_constants(cr, cfg)
-    recon_const = _recon_const(cr, series) if cfg.w_recons > 0 else 0.0
-    learn_rate = cfg.learn_rate_base * (5.0 / p)
-    outcomes: list[RestartOutcome] = []
+    signs, starts = [], []
     for r in range(cfg.restarts):
         rng = sub_rng(cfg.seed, 0x656E7672, r)
-        signs = np.ones(p) if r == 0 else random_signs(p, rng)
-        objective = OrbitObjective(
-            g_mat=signs[:, None] * cr.b_can,
-            h_mat=signs[:, None] * cr.gamma_can,
-            w_off=cfg.lambda0 / norms.offdiag,
-            w_lag=cfg.lambda1 / norms.lag,
-            w_diag=0.5 * cfg.mu / norms.hollow,
-            w_recon=cfg.w_recons,
-            recon_const=recon_const,
-        )
-        result = minimize_orbit_objective(
-            objective,
-            k0=random_skew(p, rng, _INIT_SCALE),
-            log_c0=0.0,
-            learn_rate=learn_rate,
-            max_steps=cfg.max_steps,
-            grad_clip=cfg.grad_clip,
-            convergence_tol=cfg.convergence_tol,
-            patience=_PATIENCE,
-            c_bounds=(cfg.c_min, cfg.c_max),
-        )
-        outcomes.append(
-            RestartOutcome(
-                q=result.q @ np.diag(signs),
-                c=result.c,
-                objective=result.objective,
-                steps=result.steps,
-                trace=result.trace,
-            )
-        )
+        signs.append(np.ones(p) if r == 0 else random_signs(p, rng))
+        starts.append(random_skew(p, rng, _INIT_SCALE))
+    signs = np.array(signs)
+    objective = OrbitObjective(
+        g_mat=signs[:, :, None] * cr.b_can,
+        h_mat=signs[:, :, None] * cr.gamma_can,
+        w_off=cfg.lambda0 / norms.offdiag,
+        w_lag=cfg.lambda1 / norms.lag,
+        w_diag=0.5 * cfg.mu / norms.hollow,
+    )
+    results = minimize_orbit_objective(
+        objective,
+        k0=np.array(starts),
+        log_c0=0.0,
+        learn_rate=cfg.learn_rate_base * (5.0 / p),
+        max_steps=cfg.max_steps,
+        grad_clip=cfg.grad_clip,
+        convergence_tol=cfg.convergence_tol,
+        patience=_PATIENCE,
+        c_bounds=(cfg.c_min, cfg.c_max),
+    )
+    outcomes = [
+        replace(result, q=result.q @ np.diag(s)) for result, s in zip(results, signs)
+    ]
     best_index = min(range(len(outcomes)), key=lambda i: (outcomes[i].objective, i))
     best = outcomes[best_index]
     cqb = best.c * (best.q @ cr.b_can)

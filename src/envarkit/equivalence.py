@@ -267,30 +267,34 @@ def normalized_orbit_search(
         raise DimensionError(f"restarts must be >= 1, got {restarts}")
     p = m.p
     b = m.b
-    found: list[StructuralModel] = []
+    signs, starts = [], []
     for r in range(restarts):
         rng = sub_rng(seed, 0x6F72626E, r)
         # restart 0 descends from the identity element so exact or pure-scale
         # normalizations are recovered as themselves; later restarts are random
-        signs = np.ones(p) if r == 0 else random_signs(p, rng)
-        k0 = np.zeros((p, p)) if r == 0 else random_skew(p, rng)
-        base = signs[:, None] * b
-        objective = OrbitObjective(g_mat=base, h_mat=np.zeros((p, p)), w_diag=1.0)
-        result = minimize_orbit_objective(
-            objective,
-            k0=k0,
-            log_c0=0.0,
-            learn_rate=_SEARCH_LEARN_RATE * (5.0 / p),
-            max_steps=_SEARCH_MAX_STEPS,
-            grad_clip=_SEARCH_GRAD_CLIP,
-            convergence_tol=1e-12,
-            patience=_SEARCH_PATIENCE,
-            c_bounds=(1e-6, 1e6),
-        )
+        signs.append(np.ones(p) if r == 0 else random_signs(p, rng))
+        starts.append(np.zeros((p, p)) if r == 0 else random_skew(p, rng))
+    signs = np.array(signs)
+    objective = OrbitObjective(
+        g_mat=signs[:, :, None] * b, h_mat=np.zeros((restarts, p, p)), w_diag=1.0
+    )
+    results = minimize_orbit_objective(
+        objective,
+        k0=np.array(starts),
+        log_c0=0.0,
+        learn_rate=_SEARCH_LEARN_RATE * (5.0 / p),
+        max_steps=_SEARCH_MAX_STEPS,
+        grad_clip=_SEARCH_GRAD_CLIP,
+        convergence_tol=1e-12,
+        patience=_SEARCH_PATIENCE,
+        c_bounds=(1e-6, 1e6),
+    )
+    found: list[StructuralModel] = []
+    for s, result in zip(signs, results):
         # objective value is the squared 2-norm of the diagonal residual
         if math.sqrt(max(result.objective, 0.0)) > _SEARCH_DIAG_TOL:
             continue
-        q_total = result.q @ np.diag(signs)
+        q_total = result.q @ np.diag(s)
         candidate = orbit_transform(m, OrbitElement(q=q_total, c=result.c))
         if any(
             np.max(np.abs(candidate.a0 - other.a0)) <= _SEARCH_DISTINCT_TOL

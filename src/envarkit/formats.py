@@ -240,7 +240,7 @@ _GENERATOR_FIELDS = {
 }
 _ENVAR_FIELDS = {
     "lambda0", "lambda1", "mu", "c_min", "c_max", "learn_rate_base",
-    "max_steps", "grad_clip", "seed", "restarts", "convergence_tol", "w_recons",
+    "max_steps", "grad_clip", "seed", "restarts", "convergence_tol",
 }
 _METRICS_FIELDS = {"eta", "binarize_mass", "alpha", "ridge_tau"}
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,17 @@ from envarkit import (
     solve_envar,
     to_reduced_form,
 )
-from envarkit._descent import OrbitObjective, random_skew
-from envarkit.envar_optimizer import norm_constants
-from envarkit.errors import DimensionError
+from envarkit._descent import (
+    ANNEAL_EVERY,
+    OrbitObjective,
+    expm_adjoint_from_eig,
+    expm_from_eig,
+    minimize_orbit_objective,
+    random_skew,
+    skew_eig,
+)
+from envarkit.envar_optimizer import _PATIENCE, norm_constants
+from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
 from envarkit.synth import GeneratorConfig, generate_instance
 
@@ -130,8 +138,6 @@ class TestDescentGradients:
             w_off=0.7,
             w_lag=0.4,
             w_diag=1.3,
-            w_recon=0.2,
-            recon_const=2.5,
         )
         k = random_skew(p, rng, 0.3)
         log_c = 0.2
@@ -159,7 +165,162 @@ class TestDescentGradients:
         assert fd_c == pytest.approx(grad_c * c, abs=1e-6)
 
 
+def _relative_error(a, b):
+    norm = np.linalg.norm(b)
+    return np.linalg.norm(a - b) / norm if norm > 0 else np.linalg.norm(a)
+
+
+def _skew_part(a):
+    return 0.5 * (a - a.T)
+
+
+class TestDescentKernel:
+    """One eigendecomposition gives expm(K) and its adjoint Frechet derivative."""
+
+    def _check(self, k, g):
+        q = expm_from_eig(*skew_eig(k))
+        adj = expm_adjoint_from_eig(*skew_eig(k), g)
+        for r in range(k.shape[0]):
+            assert _relative_error(q[r], expm(k[r])) <= 1e-12
+            oracle = expm_frechet(k[r].T, g[r], compute_expm=False)
+            assert _relative_error(_skew_part(adj[r]), _skew_part(oracle)) <= 1e-12
+            defect = np.linalg.norm(q[r].T @ q[r] - np.eye(k.shape[-1]), "fro")
+            assert defect <= 1e-12
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 25, 50])
+    def test_matches_scipy_oracle(self, p):
+        rng = np.random.default_rng(100 + p)
+        scales = (0.0, 0.1, 1.0, 3.0)
+        k = np.array([random_skew(p, rng, scale) for scale in scales])
+        g = rng.normal(size=(len(scales), p, p))
+        assert not k[0].any()
+        self._check(k, g)
+
+    def test_repeated_eigenvalue_pairs(self):
+        rng = np.random.default_rng(8)
+        blocks = [np.kron(np.eye(copies), random_skew(size, rng, scale))
+                  for size, copies, scale in ((2, 3, 1.0), (3, 4, 3.0), (5, 5, 0.5))]
+        for k in blocks:
+            g = rng.normal(size=k.shape)
+            self._check(k[None], g[None])
+
+
+def _batch_problem(p, rng):
+    """Four restarts on one fitted representative; restart 2 starts at an exact
+    minimum (value 0, zero gradient) so it stops on patience while the others run."""
+    cr, _ = make_fitted_representative(p, seed=20)
+    norms = norm_constants(cr, default_config(p))
+    signs = np.array([np.ones(p), -np.ones(p), np.ones(p), np.r_[-1.0, np.ones(p - 1)]])
+    g_mat = signs[:, :, None] * cr.b_can
+    h_mat = signs[:, :, None] * cr.gamma_can
+    g_mat[2], h_mat[2] = np.eye(p), np.zeros((p, p))
+    k0 = np.array([random_skew(p, rng) for _ in range(4)])
+    k0[2] = 0.0
+    objective = OrbitObjective(
+        g_mat=g_mat, h_mat=h_mat, w_off=1.0 / norms.offdiag,
+        w_lag=1.0 / norms.lag, w_diag=3.75 / norms.hollow,
+    )
+    return objective, k0
+
+
+_BATCH_KW = dict(learn_rate=5e-3, max_steps=400, grad_clip=1.0,
+                 convergence_tol=1e-9, patience=150, c_bounds=(1e-3, 1e3))
+
+
+@dataclass(frozen=True)
+class _NanAfter(OrbitObjective):
+    """Reports NaN for the flagged restarts from evaluation ``after + 1`` on."""
+
+    flagged: np.ndarray = None
+    after: int = 0
+    calls: list = field(default_factory=list)
+
+    def take(self, rows):
+        return replace(super().take(rows), flagged=self.flagged[rows])
+
+    def value_and_grads(self, q, c):
+        total, grad_q, grad_c = super().value_and_grads(q, c)
+        self.calls.append(None)
+        if len(self.calls) > self.after:
+            total = np.where(self.flagged, np.nan, total)
+        return total, grad_q, grad_c
+
+
+class TestBatchedDescent:
+    def test_restart_is_bitwise_independent_of_batch(self):
+        objective, k0 = _batch_problem(4, np.random.default_rng(21))
+        batch = minimize_orbit_objective(objective, k0, 0.0, **_BATCH_KW)
+        assert batch[2].stop_reason == "patience"
+        assert batch[2].steps == _BATCH_KW["patience"] + 1
+        assert all(batch[r].steps > batch[2].steps for r in (0, 1, 3))
+        for r in range(4):
+            (alone,) = minimize_orbit_objective(
+                objective.take([r]), k0[r:r + 1], 0.0, **_BATCH_KW
+            )
+            assert alone.trace == batch[r].trace
+            assert np.array_equal(alone.q, batch[r].q)
+            assert alone.c == batch[r].c
+            assert alone.steps == batch[r].steps
+            assert alone.best_step == batch[r].best_step
+            assert alone.stop_reason == batch[r].stop_reason
+            assert alone.anneals == batch[r].anneals
+
+    def test_solve_envar_restart_zero_unchanged_by_batch_size(self):
+        cr, _ = make_fitted_representative(3, seed=22)
+        cfg = replace(default_config(3, seed=2), max_steps=300)
+        alone = solve_envar(cr, replace(cfg, restarts=1)).restarts[0]
+        batched = solve_envar(cr, cfg).restarts[0]
+        assert alone.trace == batched.trace
+        assert np.array_equal(alone.q, batched.q)
+        assert alone.c == batched.c
+
+    def test_divergence_names_restart_and_carries_its_trace(self):
+        objective, k0 = _batch_problem(4, np.random.default_rng(23))
+        flagged = np.array([False, False, False, True])
+        poisoned = _NanAfter(**vars(objective), flagged=flagged, after=30)
+        with pytest.raises(OptimizerDivergedError, match="restart 3: objective") as err:
+            minimize_orbit_objective(poisoned, k0, 0.0, **_BATCH_KW)
+        (alone,) = minimize_orbit_objective(
+            objective.take([3]), k0[3:], 0.0, **dict(_BATCH_KW, max_steps=30)
+        )
+        assert err.value.trace == alone.trace
+        assert len(err.value.trace) == 30
+
+
+def _replay_stopping_rule(trace, patience, tol, max_steps):
+    """Stop reason, best step and anneal count implied by an objective trace."""
+    best, best_step, last_improve, anneals = np.inf, 0, 0, 0
+    for step, value in enumerate(trace, start=1):
+        if value < best - tol:
+            last_improve = step
+        if value < best:
+            best, best_step = value, step
+        stalled = step - last_improve
+        if stalled >= patience:
+            return "patience", best_step, anneals, step
+        if step == max_steps:
+            return "budget", best_step, anneals, step
+        if stalled > 0 and stalled % ANNEAL_EVERY == 0:
+            anneals += 1
+    raise AssertionError("trace ended before a stopping rule fired")
+
+
 class TestSolveEnvar:
+    def test_restart_telemetry_matches_trace(self):
+        cr, _ = make_fitted_representative(3, seed=24)
+        reasons = set()
+        for max_steps in (300, 5000):
+            cfg = replace(default_config(3, seed=6), max_steps=max_steps)
+            for outcome in solve_envar(cr, cfg).restarts:
+                expected = _replay_stopping_rule(
+                    outcome.trace, _PATIENCE, cfg.convergence_tol, max_steps
+                )
+                assert (outcome.stop_reason, outcome.best_step,
+                        outcome.anneals, outcome.steps) == expected
+                assert outcome.trace[outcome.best_step - 1] == outcome.objective
+                reasons.add(outcome.stop_reason)
+        assert reasons == {"patience", "budget"}
+
     def test_trivial_instance_reaches_zero(self):
         cr = canonical_from_reduced(np.zeros((4, 4)), np.eye(4))
         solution = solve_envar(cr, default_config(4, seed=2))
@@ -197,7 +358,7 @@ class TestSolveEnvar:
         rng = np.random.default_rng(7)
         for scale in (0.1, 1.0, 3.0):
             k = random_skew(6, rng, scale)
-            q = expm(k)
+            q = expm_from_eig(*skew_eig(k))
             assert np.linalg.norm(q.T @ q - np.eye(6), "fro") <= 1e-8
 
     def test_best_so_far_monotone_and_restart_dominance(self):
@@ -247,17 +408,3 @@ class TestSolveEnvar:
         # a stiff hollowness weight drives the diagonal to one
         stiff = solve_envar(cr, replace(cfg, mu=7.5e3, max_steps=8000))
         assert stiff.diag_residual <= 1e-3
-
-    def test_recon_term_is_scale_only(self):
-        cr, fit = make_fitted_representative(3, seed=14)
-        rng = np.random.default_rng(15)
-        m = random_admissible(3, rng)
-        series = center(simulate(m, 200, seed=16))
-        cfg = replace(default_config(3, seed=7), w_recons=0.5)
-        norms = norm_constants(cr, cfg)
-        v1, b1 = envar_objective(np.eye(3), 1.0, cr, cfg, norms=norms, series=series)
-        q = expm(random_skew(3, rng, 0.5))
-        _, b2 = envar_objective(q, 1.0, cr, cfg, norms=norms, series=series)
-        assert b1.raw_recon == pytest.approx(b2.raw_recon, rel=1e-12)
-        _, b3 = envar_objective(np.eye(3), 2.0, cr, cfg, norms=norms, series=series)
-        assert b3.raw_recon == pytest.approx(4.0 * b1.raw_recon, rel=1e-12)
