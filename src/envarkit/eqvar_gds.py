@@ -5,7 +5,12 @@ conditional variance given the already-selected nodes, each node's
 contemporaneous coefficients are estimated by regressing its residual on its
 predecessors and pruning insignificant coefficients, and the lagged matrix is
 recovered algebraically as ``a1_hat = (I - a0_hat) phi_hat``.
-"""
+
+The greedy order is a Cholesky factorisation of the residual covariance that
+pivots on the smallest remaining diagonal (the top-down equal-variance
+procedure of Chen, Drton and Wang, 2019), and every regression and its
+t-statistics are read from the inverse of that factor, so the whole baseline
+costs O(n p^2 + p^3)."""
 
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from .errors import DimensionError, RankError
 from .model_core import TimeSeries, _freeze
@@ -39,17 +45,6 @@ class GdsResult:
         object.__setattr__(self, "a1_hat", _freeze(self.a1_hat))
 
 
-def _conditional_variance(target: np.ndarray, predictors: np.ndarray | None) -> float:
-    """Residual variance of ``target`` after projecting onto ``predictors`` rows."""
-    n = target.shape[0]
-    if predictors is None or predictors.shape[0] == 0:
-        resid = target
-    else:
-        coef, *_ = np.linalg.lstsq(predictors.T, target, rcond=None)
-        resid = target - predictors.T @ coef
-    return float(resid @ resid) / n
-
-
 def fit_eqvar_gds(ts: TimeSeries, fit: OlsFit, alpha: float = 0.05) -> GdsResult:
     """Estimate ``(ordering, a0_hat, a1_hat)`` from a fitted reduced form.
 
@@ -67,47 +62,48 @@ def fit_eqvar_gds(ts: TimeSeries, fit: OlsFit, alpha: float = 0.05) -> GdsResult
     if ts.p != p:
         raise DimensionError(f"series has {ts.p} rows but fit has {p}")
 
+    # Pivoted Cholesky of S = u u^T / n: the Schur complement's diagonal holds
+    # each remaining node's variance given the nodes already eliminated.
+    schur = u @ u.T / n
+    chol = np.zeros((p, p))
     ordering: list[int] = []
     remaining = list(range(p))
-    while remaining:
-        selected_rows = u[ordering] if ordering else None
-        best_node = -1
-        best_var = np.inf
-        for node in remaining:
-            cond_var = _conditional_variance(u[node], selected_rows)
-            # strict < keeps the smallest node index on ties
-            if cond_var < best_var:
-                best_var = cond_var
-                best_node = node
-        if best_var <= _VARIANCE_FLOOR:
+    for k in range(p):
+        # argmin over the ascending list keeps the smallest node index on ties
+        node = remaining[int(np.argmin(schur[remaining, remaining]))]
+        cond_var = schur[node, node]
+        if cond_var <= _VARIANCE_FLOOR:
             raise RankError(
-                f"conditional variance of node {best_node} is {best_var:.3e}; "
+                f"conditional variance of node {node} is {cond_var:.3e}; "
                 "residuals are numerically degenerate"
             )
-        ordering.append(best_node)
-        remaining.remove(best_node)
+        ordering.append(node)
+        remaining.remove(node)
+        pivot = np.sqrt(cond_var)
+        col = schur[remaining, node] / pivot
+        chol[node, k] = pivot
+        chol[remaining, k] = col
+        schur[np.ix_(remaining, remaining)] -= np.outer(col, col)
 
+    # In elimination order S = L L^T. Row k of M = L^{-1} is the regression of
+    # node k on its predecessors, scaled: coefficients -M[k, :k] / M[k, k] and
+    # residual variance 1 / M[k, k]^2. The predecessors' inverse Gram diagonal
+    # is the column sum of M^2 over rows 0..k-1.
+    order = np.asarray(ordering)
+    inv = solve_triangular(chol[order], np.eye(p), lower=True)
+    inv_gram_diag = np.cumsum(inv**2, axis=0)
     a0_hat = np.zeros((p, p))
     for position in range(1, p):
-        node = ordering[position]
-        parents = ordering[:position]
-        x = u[parents].T
-        target = u[node]
-        coef, *_ = np.linalg.lstsq(x, target, rcond=None)
-        resid = target - x @ coef
         df = n - position - 1
         if df < 1:
             raise RankError(f"too few residual samples (n={n}) for {position} regressors")
-        s2 = float(resid @ resid) / df
-        gram_inv = np.linalg.pinv(x.T @ x)
-        se = np.sqrt(np.maximum(s2 * np.diag(gram_inv), 0.0))
-        for j, parent in enumerate(parents):
-            if se[j] <= 0.0:
-                continue
-            t_stat = coef[j] / se[j]
-            p_value = 2.0 * stats.t.sf(abs(t_stat), df)
-            if p_value < alpha:
-                a0_hat[node, parent] = coef[j]
+        row = inv[position, :position]
+        coef = -row / inv[position, position]
+        # t = coef / se with se^2 = (n resid_var / df) (n S_PP)^{-1}_jj
+        t_stat = -row * np.sqrt(df / inv_gram_diag[position - 1, :position])
+        p_value = 2.0 * stats.t.sf(np.abs(t_stat), df)
+        keep = p_value < alpha
+        a0_hat[order[position], order[:position][keep]] = coef[keep]
 
     a1_hat = (np.eye(p) - a0_hat) @ fit.phi_hat
     return GdsResult(

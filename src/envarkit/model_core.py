@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import (
     AdmissibilityError,
@@ -45,11 +46,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-# Dimension above which the stationary covariance switches from the exact
-# vectorized solve to fixed-point iteration.
-_LYAPUNOV_DIRECT_MAX_DIM = 60
-_LYAPUNOV_MAX_ITER = 10_000
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -265,27 +261,16 @@ def stationary_covariance(
 ) -> StationaryLaw:
     """Solve ``sigma_x = phi sigma_x phi^T + sigma_u`` for the stationary law.
 
-    Uses the exact vectorized linear system up to dimension 60 and fixed-point
-    iteration above that. The returned ``gamma1`` is ``phi @ sigma_x``.
+    Solved exactly by ``scipy.linalg.solve_discrete_lyapunov``: the vectorized
+    linear system below dimension 10, and from 10 up a bilinear transform to a
+    continuous equation solved by Bartels-Stewart on the Schur form, in
+    O(p^3). The returned ``gamma1`` is ``phi @ sigma_x``.
     """
     rho = spectral_radius(rf.phi)
     if rho >= 1.0:
         raise StabilityError(f"phi has spectral radius {rho:.6f} >= 1")
-    p = rf.p
     phi, sigma_u = rf.phi, rf.sigma_u
-    if p <= _LYAPUNOV_DIRECT_MAX_DIM:
-        lhs = np.eye(p * p) - np.kron(phi, phi)
-        vec = np.linalg.solve(lhs, sigma_u.reshape(-1, order="F"))
-        sigma_x = vec.reshape(p, p, order="F")
-    else:
-        sigma_x = sigma_u.copy()
-        bound = tol.lyapunov * (1.0 + np.linalg.norm(sigma_u, "fro"))
-        for _ in range(_LYAPUNOV_MAX_ITER):
-            nxt = phi @ sigma_x @ phi.T + sigma_u
-            if np.linalg.norm(nxt - phi @ nxt @ phi.T - sigma_u, "fro") <= bound:
-                sigma_x = nxt
-                break
-            sigma_x = nxt
+    sigma_x = solve_discrete_lyapunov(phi, sigma_u)
     sigma_x = 0.5 * (sigma_x + sigma_x.T)
     residual = np.linalg.norm(sigma_x - phi @ sigma_x @ phi.T - sigma_u, "fro")
     bound = tol.lyapunov * (1.0 + np.linalg.norm(sigma_u, "fro"))

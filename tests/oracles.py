@@ -2,14 +2,16 @@
 
 Nothing here shares code paths with the library's alignment or stationary-law
 implementations: the alignment oracle scans an explicit rotation/reflection
-grid with exact per-orthogonal scale minimization, the covariance oracle sums
-the defining series, and the sampling-error oracle evaluates the Gaussian
-fourth-moment formula.
+grid with exact per-orthogonal scale minimization, the covariance oracles sum
+the defining series or solve the vectorized Kronecker system, the
+sampling-error oracle evaluates the Gaussian fourth-moment formula, and the
+greedy-baseline oracle runs one least-squares regression per candidate node.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import stats
 
 from envarkit import StructuralModel
 
@@ -64,6 +66,70 @@ def truncated_lyapunov(
         total += power @ sigma_u @ power.T
         power = power @ phi
     return total
+
+
+def kron_lyapunov(phi: np.ndarray, sigma_u: np.ndarray) -> np.ndarray:
+    """Solve (I - phi kron phi) vec(X) = vec(sigma_u), the p^2 x p^2 system."""
+    p = phi.shape[0]
+    lhs = np.eye(p * p) - np.kron(phi, phi)
+    vec = np.linalg.solve(lhs, sigma_u.reshape(-1, order="F"))
+    return vec.reshape(p, p, order="F")
+
+
+def _conditional_variance(target: np.ndarray, predictors: np.ndarray | None) -> float:
+    """Residual variance of ``target`` after projecting onto ``predictors`` rows."""
+    n = target.shape[0]
+    if predictors is None or predictors.shape[0] == 0:
+        resid = target
+    else:
+        coef, *_ = np.linalg.lstsq(predictors.T, target, rcond=None)
+        resid = target - predictors.T @ coef
+    return float(resid @ resid) / n
+
+
+def regression_greedy(u: np.ndarray, alpha: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """Greedy minimum-conditional-variance order and pruned a0 by regressions.
+
+    Each step regresses every remaining residual row on the selected rows and
+    picks the smallest residual variance (strict ``<``, so the smallest index
+    wins ties); each node's coefficients then come from its own least-squares
+    fit, pruned by per-coefficient two-sided t-tests at level ``alpha``.
+    """
+    p, n = u.shape
+    ordering: list[int] = []
+    remaining = list(range(p))
+    while remaining:
+        selected_rows = u[ordering] if ordering else None
+        best_node = -1
+        best_var = np.inf
+        for node in remaining:
+            cond_var = _conditional_variance(u[node], selected_rows)
+            if cond_var < best_var:
+                best_var = cond_var
+                best_node = node
+        ordering.append(best_node)
+        remaining.remove(best_node)
+
+    a0_hat = np.zeros((p, p))
+    for position in range(1, p):
+        node = ordering[position]
+        parents = ordering[:position]
+        x = u[parents].T
+        target = u[node]
+        coef, *_ = np.linalg.lstsq(x, target, rcond=None)
+        resid = target - x @ coef
+        df = n - position - 1
+        s2 = float(resid @ resid) / df
+        gram_inv = np.linalg.pinv(x.T @ x)
+        se = np.sqrt(np.maximum(s2 * np.diag(gram_inv), 0.0))
+        for j, parent in enumerate(parents):
+            if se[j] <= 0.0:
+                continue
+            t_stat = coef[j] / se[j]
+            p_value = 2.0 * stats.t.sf(abs(t_stat), df)
+            if p_value < alpha:
+                a0_hat[node, parent] = coef[j]
+    return tuple(ordering), a0_hat
 
 
 def autocovariances(

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from envarkit import TimeSeries, fit_eqvar_gds
 from envarkit.errors import DimensionError, RankError
-from envarkit.reduced_estimation import OlsFit
+from envarkit.reduced_estimation import OlsFit, center, fit_ols
+from envarkit.synth import GeneratorConfig, generate_instance
+
+from oracles import regression_greedy
 
 
 def make_fit(residuals: np.ndarray, phi_hat: np.ndarray | None = None) -> OlsFit:
@@ -78,6 +82,44 @@ class TestOrdering:
         u = np.random.default_rng(5).standard_normal((2, 100))
         with pytest.raises(DimensionError):
             fit_eqvar_gds(dummy_series(2), make_fit(u), alpha=0.0)
+
+    def test_too_few_samples_raise(self):
+        u = np.random.default_rng(10).standard_normal((5, 5))
+        with pytest.raises(RankError, match=r"\(n=5\) for 4 regressors"):
+            fit_eqvar_gds(dummy_series(5), make_fit(u), alpha=0.05)
+
+    def test_exact_tie_picks_smallest_index(self):
+        # orthogonal +-1 rows: every conditional variance is exactly 1.0 at
+        # every step, under any relabelling
+        u = hadamard(64)[1:7].astype(float)
+        for perm in ([0, 1, 2, 3, 4, 5], [3, 5, 1, 0, 4, 2]):
+            result = fit_eqvar_gds(dummy_series(6), make_fit(u[perm]), alpha=0.05)
+            assert result.ordering == (0, 1, 2, 3, 4, 5)
+            assert not np.any(result.a0_hat)
+
+    @pytest.mark.parametrize("p", [5, 25, 50])
+    def test_matches_regression_reference(self, p):
+        inst = generate_instance(GeneratorConfig(p=p, t_len=1000, seed=3), 0)
+        ts = center(inst.series)
+        fit = fit_ols(ts)
+        result = fit_eqvar_gds(ts, fit, alpha=0.05)
+        ordering, a0_ref = regression_greedy(np.asarray(fit.residuals), alpha=0.05)
+        assert result.ordering == ordering
+        np.testing.assert_array_equal(result.a0_hat != 0.0, a0_ref != 0.0)
+        assert np.max(np.abs(result.a0_hat - a0_ref)) <= 1e-10
+
+    def test_pruning_matches_regression_reference_at_small_n(self):
+        # at n = 30 many t-tests sit near the threshold, so a wrong standard
+        # error flips some pruning decisions
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            b = np.eye(6) - np.tril(rng.uniform(-0.6, 0.6, (6, 6)), k=-1)
+            u = np.linalg.solve(b, rng.standard_normal((6, 30)))
+            result = fit_eqvar_gds(dummy_series(6), make_fit(u), alpha=0.05)
+            ordering, a0_ref = regression_greedy(u, alpha=0.05)
+            assert result.ordering == ordering
+            np.testing.assert_array_equal(result.a0_hat != 0.0, a0_ref != 0.0)
+            assert np.max(np.abs(result.a0_hat - a0_ref)) <= 1e-10
 
 
 class TestResultInvariants:

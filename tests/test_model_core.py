@@ -26,7 +26,7 @@ from envarkit.errors import (
 )
 
 from conftest import random_admissible, random_orthogonal
-from oracles import truncated_lyapunov
+from oracles import kron_lyapunov, truncated_lyapunov
 
 
 class TestSpectralRadius:
@@ -156,20 +156,25 @@ class TestStationaryCovariance:
             )
             assert residual <= 1e-8 * (1.0 + np.linalg.norm(rf.sigma_u, "fro"))
 
-    def test_fixed_point_branch_matches_direct(self):
-        rng = np.random.default_rng(5)
-        m = random_admissible(3, rng)
-        rf = to_reduced_form(m)
-        import envarkit.model_core as mc
+    @pytest.mark.parametrize("p", [1, 3, 12, 40])
+    def test_matches_kron_system(self, p):
+        rng = np.random.default_rng(5 + p)
+        rf = to_reduced_form(random_admissible(p, rng))
+        law = stationary_covariance(rf)
+        oracle = kron_lyapunov(rf.phi, rf.sigma_u)
+        np.testing.assert_allclose(
+            law.sigma_x, oracle, rtol=1e-10, atol=1e-12 * np.max(np.abs(oracle))
+        )
 
-        direct = stationary_covariance(rf).sigma_x
-        original = mc._LYAPUNOV_DIRECT_MAX_DIM
-        mc._LYAPUNOV_DIRECT_MAX_DIM = 0
-        try:
-            iterated = stationary_covariance(rf).sigma_x
-        finally:
-            mc._LYAPUNOV_DIRECT_MAX_DIM = original
-        np.testing.assert_allclose(iterated, direct, rtol=1e-7, atol=1e-10)
+    def test_large_p_matches_truncated_series(self):
+        # spectral radius <= 0.9, so 400 terms of the series are exact to roundoff
+        rng = np.random.default_rng(75)
+        rf = to_reduced_form(random_admissible(75, rng))
+        law = stationary_covariance(rf)
+        oracle = truncated_lyapunov(rf.phi, rf.sigma_u, n_terms=400)
+        np.testing.assert_allclose(
+            law.sigma_x, oracle, rtol=1e-10, atol=1e-12 * np.max(np.abs(oracle))
+        )
 
     def test_unstable_raises(self):
         with pytest.raises(StabilityError):
