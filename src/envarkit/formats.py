@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -32,14 +33,18 @@ def _jsonify(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        # bool, integer and all-finite float arrays need no per-element walk
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+    # bool is a subclass of int, so it is tested first
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
     return obj
 
 
@@ -83,14 +88,19 @@ def _matrix(payload: dict, key: str, path: Path | str) -> np.ndarray:
 
 
 def write_series_csv(path: Path | str, ts: TimeSeries) -> None:
-    """Header ``t,x1,...,xp``; one row per time step, 1-based time index."""
-    values = np.asarray(ts.values)
-    p, t_len = values.shape
+    """Header ``t,x1,...,xp``; one row per time step, 1-based time index.
+
+    Values are written as ``repr`` of a Python float, the shortest text that
+    reads back to the same double.
+    """
+    values = np.asarray(ts.values, dtype=float)
+    p = values.shape[0]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(p)])
-        for t in range(t_len):
-            writer.writerow([t + 1] + [repr(float(v)) for v in values[:, t]])
+        handle.write(",".join(["t"] + [f"x{i + 1}" for i in range(p)]) + "\n")
+        handle.writelines(
+            ",".join((str(t), *map(repr, row))) + "\n"
+            for t, row in enumerate(values.T.tolist(), start=1)
+        )
 
 
 def read_series_csv(path: Path | str) -> TimeSeries:
@@ -118,12 +128,12 @@ def read_series_csv(path: Path | str) -> TimeSeries:
                 )
             try:
                 t_val = float(row[0])
-                vals = [float(v) for v in row[1:]]
+                vals = list(map(float, row[1:]))
             except ValueError:
                 raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
             if prev_t is not None and t_val <= prev_t:
                 raise DataFormatError(f"{path}: line {lineno}: time index must increase")
-            if not all(np.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise DataFormatError(f"{path}: line {lineno}: non-finite value")
             prev_t = t_val
             columns.append(vals)
@@ -302,6 +312,13 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     if not isinstance(output_dir, str) or not output_dir:
         raise DataFormatError(f"{source}: missing or invalid 'output_dir'")
 
+    # earlier files wrote this flag as 0/1
+    fresh_graph = payload.get("fresh_graph", True)
+    if not isinstance(fresh_graph, int) or fresh_graph not in (0, 1):
+        raise DataFormatError(
+            f"{source}: 'fresh_graph' must be true or false, got {fresh_graph!r}"
+        )
+
     return ExperimentManifest(
         generator=generator,
         envar_overrides=dict(envar_raw),
@@ -310,7 +327,7 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
         output_dir=output_dir,
         grid_p=grid_p,
         grid_sigma_std=grid_sigma_std,
-        fresh_graph=bool(payload.get("fresh_graph", True)),
+        fresh_graph=bool(fresh_graph),
     )
 
 

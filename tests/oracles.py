@@ -4,16 +4,22 @@ Nothing here shares code paths with the library's alignment or stationary-law
 implementations: the alignment oracle scans an explicit rotation/reflection
 grid with exact per-orthogonal scale minimization, the covariance oracles sum
 the defining series or solve the vectorized Kronecker system, the
-sampling-error oracle evaluates the Gaussian fourth-moment formula, and the
-greedy-baseline oracle runs one least-squares regression per candidate node.
+sampling-error oracle evaluates the Gaussian fourth-moment formula, the
+greedy-baseline oracle runs one least-squares regression per candidate node,
+and the file-format oracles write, read and convert one value at a time.
 """
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+from typing import Any
+
 import numpy as np
 from scipy import stats
 
-from envarkit import StructuralModel
+from envarkit import StructuralModel, TimeSeries
+from envarkit.errors import DataFormatError
 
 
 def brute_force_alignment(
@@ -165,3 +171,76 @@ def sample_cov_standard_errors(
                 total += g[i, i] * g[j, j] + g[i, j] * g[j, i]
             var[i, j] = total / t_len
     return np.sqrt(var)
+
+
+def reference_jsonify(obj: Any) -> Any:
+    """Element-by-element conversion to plain JSON types, NaN/inf to None.
+
+    Arrays are walked value by value through ``tolist``; booleans are tested
+    before integers, since ``bool`` is a subclass of ``int``.
+    """
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_jsonify(obj.tolist())
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else None
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+def reference_write_series_csv(path: Path | str, ts: TimeSeries) -> None:
+    """Series CSV through ``csv.writer``, one ``repr(float(v))`` per value."""
+    values = np.asarray(ts.values)
+    p, t_len = values.shape
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["t"] + [f"x{i + 1}" for i in range(p)])
+        for t in range(t_len):
+            writer.writerow([t + 1] + [repr(float(v)) for v in values[:, t]])
+
+
+def reference_read_series_csv(path: Path | str) -> TimeSeries:
+    """Series CSV reader with one ``np.isfinite`` call per value."""
+    path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        if not header or header[0] != "t" or len(header) < 2:
+            raise DataFormatError(f"{path}: header must be 't,x1,...,xp', got {header}")
+        expected = ["t"] + [f"x{i + 1}" for i in range(len(header) - 1)]
+        if header != expected:
+            raise DataFormatError(f"{path}: header must be {expected}, got {header}")
+        p = len(header) - 1
+        columns: list[list[float]] = []
+        prev_t = None
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != p + 1:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {p + 1} fields, got {len(row)}"
+                )
+            try:
+                t_val = float(row[0])
+                vals = [float(v) for v in row[1:]]
+            except ValueError:
+                raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
+            if prev_t is not None and t_val <= prev_t:
+                raise DataFormatError(f"{path}: line {lineno}: time index must increase")
+            if not all(np.isfinite(v) for v in vals):
+                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
+            prev_t = t_val
+            columns.append(vals)
+    if len(columns) < 2:
+        raise DataFormatError(f"{path}: need at least 2 time steps, got {len(columns)}")
+    return TimeSeries(values=np.asarray(columns, dtype=float).T, centered=False)

@@ -111,6 +111,19 @@ class TestSimulateCommand:
             f"p2_s0_e{k}" for k in range(5)
         ]
 
+    @pytest.mark.parametrize("fresh_graph", [True, False])
+    def test_instance_meta_writes_fresh_graph_as_boolean(self, tmp_path, fresh_graph):
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path / "m.json", out,
+            generator={"p": 2, "t_len": 10, "seed": 1, "episodes": 1},
+            fresh_graph=fresh_graph,
+        )
+        assert main(["simulate", "--manifest", str(manifest)]) == 0
+        text = (out / "p2_s0_e0" / "instance_meta.json").read_text()
+        assert f'"fresh_graph": {json.dumps(fresh_graph)},' in text
+        assert json.loads(text)["fresh_graph"] is fresh_graph
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "out"
         manifest = write_manifest(

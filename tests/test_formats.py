@@ -1,0 +1,179 @@
+"""Series CSV and JSON artifacts: rejections, the fresh_graph flag, and
+byte-for-byte agreement with the one-value-at-a-time reference code."""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from envarkit import TimeSeries
+from envarkit.errors import DataFormatError
+from envarkit.formats import (
+    _jsonify,
+    manifest_from_dict,
+    manifest_to_dict,
+    read_series_csv,
+    write_series_csv,
+)
+
+from oracles import reference_jsonify, reference_read_series_csv, reference_write_series_csv
+
+
+def _raised(reader, path: Path) -> str:
+    with pytest.raises(DataFormatError) as info:
+        reader(path)
+    return str(info.value)
+
+
+class TestReadSeriesRejections:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x1,x2\n1,0.5,0.5\n2,nan,0.5\n", "line 3: non-finite value"),
+            ("t,x1,x2\n1,0.5,0.5\n2,0.5,inf\n", "line 3: non-finite value"),
+            ("t,x1,x2\n1,-inf,0.5\n2,0.5,0.5\n", "line 2: non-finite value"),
+            ("t,x1,x2\n1,0.5,0.5\n2,0.5,abc\n", "line 3: non-numeric value"),
+            ("t,x1\n1,0.5\nx,0.5\n", "line 3: non-numeric value"),
+            ("", "empty file"),
+            ("t,x1,x2\n1,0.5,0.5\n", "need at least 2 time steps, got 1"),
+            # two faults: the earlier line is reported, whatever its kind
+            ("t,x1\n1,0.5\n2,nan\n3,abc\n", "line 3: non-finite value"),
+            ("t,x1\n1,0.5\n2,abc\n3,nan\n", "line 3: non-numeric value"),
+            ("t,x1\n1,0.5\n2,inf\n2,0.5\n", "line 3: non-finite value"),
+            ("t,x1\n1,0.5\n2,0.5,0.5\n3,nan\n", "line 3: expected 2 fields, got 3"),
+            # two faults on one line: field count, then parsing, then time, then finiteness
+            ("t,x1\n2,0.5\n1,nan\n", "line 3: time index must increase"),
+            ("t,x1\n2,0.5\n1,abc\n", "line 3: non-numeric value"),
+        ],
+    )
+    def test_message_names_the_first_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        got = _raised(read_series_csv, path)
+        assert got == f"{path}: {message}"
+        assert got == _raised(reference_read_series_csv, path)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_EDGES = np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]])
+
+
+class TestSeriesMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(2, 50)),
+            elements=st.one_of(_FINITE, st.sampled_from([-0.0, 5e-324, 1e308, -1e308])),
+        )
+    )
+    @example(_EDGES)
+    @example(np.vstack([_EDGES, -_EDGES]))
+    def test_bytes_and_round_trip(self, values):
+        ts = TimeSeries(values=values)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+            write_series_csv(ours, ts)
+            reference_write_series_csv(ref, ts)
+            assert ours.read_bytes() == ref.read_bytes()
+            back = read_series_csv(ours)
+            assert back.values.shape == values.shape
+            # bitwise, so -0.0 and subnormals are checked too
+            assert back.values.tobytes() == values.tobytes()
+            assert back.values.tobytes() == reference_read_series_csv(ours).values.tobytes()
+
+
+def _as_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+_FLOAT_ARRAYS = arrays(
+    st.sampled_from([np.float64, np.float32]),
+    st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
+    elements=st.floats(width=32),
+)
+_INT_ARRAYS = arrays(
+    st.sampled_from([np.int64, np.int8, np.uint16]),
+    st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
+)
+_BOOL_ARRAYS = arrays(np.bool_, st.lists(st.integers(0, 4), max_size=3).map(tuple))
+_SCALARS = st.one_of(
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.floats().map(np.float64),
+    st.integers(-(2**31), 2**31).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_LEAVES = st.one_of(_SCALARS, _FLOAT_ARRAYS, _INT_ARRAYS, _BOOL_ARRAYS)
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+class TestJsonifyMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_NESTED)
+    @example(np.array([1.0, np.nan, -np.inf, np.inf, -0.0]))
+    @example(np.array(np.nan))
+    @example(np.array(2.5))
+    @example(np.array(True))
+    @example(np.zeros((0, 3)))
+    @example({"flags": np.array([True, False]), "n": np.int64(3), "ok": True})
+    def test_same_values_and_types(self, obj):
+        ours, ref = _jsonify(obj), reference_jsonify(obj)
+        assert _as_json(ours) == _as_json(ref)
+
+    def test_non_finite_becomes_null_and_bool_stays_bool(self):
+        payload = {"x": np.array([[1.0, np.nan], [np.inf, -np.inf]]), "flag": True,
+                   "flags": np.array([False, True]), "count": np.int64(2)}
+        assert _as_json(_jsonify(payload)) == _as_json(
+            {"x": [[1.0, None], [None, None]], "flag": True,
+             "flags": [False, True], "count": 2}
+        )
+
+
+def _manifest_payload(**over) -> dict:
+    payload = {
+        "format_version": "envar-kit/1",
+        "generator": {"p": 3, "t_len": 50, "seed": 1, "episodes": 1},
+        "output_dir": "out",
+    }
+    payload.update(over)
+    return payload
+
+
+class TestFreshGraphFlag:
+    def test_round_trip_keeps_false(self):
+        manifest = manifest_from_dict(_manifest_payload(fresh_graph=False))
+        assert manifest.fresh_graph is False
+        as_dict = manifest_to_dict(manifest)
+        assert as_dict["fresh_graph"] is False
+        assert manifest_from_dict(as_dict).fresh_graph is False
+
+    @pytest.mark.parametrize("raw, expected", [(True, True), (False, False), (1, True), (0, False)])
+    def test_json_bool_and_legacy_integers_accepted(self, raw, expected):
+        assert manifest_from_dict(_manifest_payload(fresh_graph=raw)).fresh_graph is expected
+
+    def test_default_is_true(self):
+        assert manifest_from_dict(_manifest_payload()).fresh_graph is True
+
+    @pytest.mark.parametrize("raw", ["false", "true", 2, -1, 1.0, None, [False]])
+    def test_other_values_rejected(self, raw):
+        with pytest.raises(DataFormatError, match="fresh_graph"):
+            manifest_from_dict(_manifest_payload(fresh_graph=raw))
