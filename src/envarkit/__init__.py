@@ -38,7 +38,6 @@ from .model_core import (
     StationaryLaw,
     StructuralModel,
     TimeSeries,
-    Tolerances,
     gram_orthogonal_factor,
     is_admissible,
     is_normalized,
@@ -82,7 +81,6 @@ __all__ = [
     "StationaryLaw",
     "StructuralModel",
     "TimeSeries",
-    "Tolerances",
     "align_obs",
     "align_sf",
     "binarize_cumulative",

@@ -85,25 +85,13 @@ class OrbitObjective:
         """The objective of a subset of the restarts."""
         return replace(self, g_mat=self.g_mat[rows], h_mat=self.h_mat[rows])
 
-    def value(self, q: np.ndarray, c) -> np.ndarray:
-        """Objective of ``q`` (``(..., p, p)``) at scales ``c`` (shape ``q.shape[:-2]``)."""
-        c = np.asarray(c, dtype=float)
-        m = q @ self.g_mat
-        total = np.zeros(q.shape[:-2])
-        if self.w_off:
-            total += self.w_off * c * _sum2(np.abs(_offdiag(m)))
-        if self.w_lag:
-            total += self.w_lag * c * _sum2(np.abs(q @ self.h_mat))
-        if self.w_diag:
-            d = c[..., None] * _diagonal(m) - 1.0
-            total += self.w_diag * (d * d).sum(axis=-1)
-        return total
-
     def value_and_grads(self, q: np.ndarray, c):
-        """Objective with subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
+        """Objective, its three terms, and subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
 
-        Returns the values and ``c``-gradients, of shape ``q.shape[:-2]``, and
-        the ``Q``-gradient stack, of the shape of ``q``.
+        Returns the values, the unweighted terms ``||offdiag(Q G)||_1``,
+        ``||Q H||_1`` and ``||diag(c Q G) - 1||_2^2`` (zero where the weight is
+        zero) and the ``c``-gradients, each of shape ``q.shape[:-2]``, and the
+        ``Q``-gradient stack, of the shape of ``q``.
         """
         c = np.asarray(c, dtype=float)
         m = q @ self.g_mat
@@ -111,6 +99,7 @@ class OrbitObjective:
         grad_n = None
         grad_c = np.zeros(q.shape[:-2])
         total = np.zeros(q.shape[:-2])
+        s_off = l1 = hollow = np.zeros(q.shape[:-2])
         if self.w_off:
             off = _offdiag(m)
             s_off = _sum2(np.abs(off))
@@ -126,14 +115,15 @@ class OrbitObjective:
         if self.w_diag:
             diag_m = _diagonal(m)
             d = c[..., None] * diag_m - 1.0
-            total += self.w_diag * (d * d).sum(axis=-1)
+            hollow = (d * d).sum(axis=-1)
+            total += self.w_diag * hollow
             idx = np.arange(q.shape[-1])
             grad_m[..., idx, idx] += 2.0 * self.w_diag * c[..., None] * d
             grad_c += 2.0 * self.w_diag * (d * diag_m).sum(axis=-1)
         grad_q = grad_m @ np.swapaxes(self.g_mat, -1, -2)
         if grad_n is not None:
             grad_q += grad_n @ np.swapaxes(self.h_mat, -1, -2)
-        return total, grad_q, grad_c
+        return total, (s_off, l1, hollow), grad_q, grad_c
 
 
 def skew_eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +232,7 @@ def minimize_orbit_objective(
         w, u = skew_eig(k)
         q = expm_from_eig(w, u)
         c = np.exp(log_c)
-        values, grad_q, grad_c = objective.value_and_grads(q, c)
+        values, _, grad_q, grad_c = objective.value_and_grads(q, c)
         finite = np.isfinite(values)
         if not finite.all():
             raise diverged(~finite, "objective", step, step - 1)

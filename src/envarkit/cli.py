@@ -23,6 +23,7 @@ from scipy.signal import detrend as _linear_detrend
 
 from ._seeding import sub_seed
 from .envar_optimizer import EnvarConfig, default_config, solve_envar
+from .equivalence import OrbitElement
 from .eqvar_gds import fit_eqvar_gds
 from .errors import DataFormatError, EnvarKitError
 from .eval_metrics import binarize_cumulative, centralities, score
@@ -41,9 +42,14 @@ from .formats import (
     write_series_csv,
     write_truth_json,
 )
-from .model_core import StructuralModel, TimeSeries
-from .reduced_estimation import canonical_representative, center, fit_ols
-from .synth import GeneratorConfig, generate_instance
+from .model_core import StructuralModel, TimeSeries, _reduced_form
+from .reduced_estimation import (
+    canonical_representative,
+    center,
+    empirical_orbit_member,
+    fit_ols,
+)
+from .synth import generate_instance
 
 logger = logging.getLogger("envarkit.cli")
 
@@ -116,9 +122,7 @@ def _fit_method(
     }
     if method == "ols-only":
         cr = canonical_representative(fit)
-        model = StructuralModel(
-            a0=np.eye(cr.p) - cr.b_can, a1=cr.gamma_can, sigma=1.0
-        )
+        model = empirical_orbit_member(cr, OrbitElement(q=np.eye(cr.p), c=1.0))
     elif method == "envar":
         if envar_cfg is None:
             envar_cfg = default_config(fit.p)
@@ -140,11 +144,8 @@ def _fit_method(
         raise UsageError(f"unknown method {method!r}")
     # induced reduced form, recorded without the stability gate so unit-root
     # edge cases still produce a report
-    b = model.b
-    phi = np.linalg.solve(b, model.a1)
-    b_inv = np.linalg.solve(b, np.eye(model.p))
-    sigma_u = model.sigma**2 * (b_inv @ b_inv.T)
-    report.update(model_phi=phi, model_sigma_u=0.5 * (sigma_u + sigma_u.T))
+    phi, sigma_u = _reduced_form(model.b, model.a1, model.sigma**2)
+    report.update(model_phi=phi, model_sigma_u=sigma_u)
     return model, report
 
 

@@ -33,6 +33,7 @@ from ._descent import (
     random_skew,
 )
 from ._seeding import sub_rng
+from .equivalence import _orbit_member
 from .errors import DimensionError
 from .model_core import StructuralModel
 from .reduced_estimation import CanonicalRepresentative
@@ -88,19 +89,7 @@ def default_config(p: int, seed: int = 0) -> EnvarConfig:
         mu = 5.0
     else:
         mu = 2.5
-    return EnvarConfig(
-        lambda0=1.0,
-        lambda1=1.0,
-        mu=mu,
-        c_min=1e-3,
-        c_max=1e3,
-        learn_rate_base=5e-3,
-        max_steps=10_000 if p > 10 else 5000,
-        grad_clip=1.0,
-        seed=seed,
-        restarts=4,
-        convergence_tol=1e-9,
-    )
+    return EnvarConfig(mu=mu, max_steps=10_000 if p > 10 else 5000, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -156,6 +145,19 @@ def _baseline_orthogonal(p: int, seed: int) -> np.ndarray:
     return q * signs
 
 
+def _orbit_objective(
+    cr: CanonicalRepresentative, cfg: EnvarConfig, norms: NormConstants, signs: np.ndarray
+) -> OrbitObjective:
+    """The selection objective of each restart, with its sign matrix folded into the base."""
+    return OrbitObjective(
+        g_mat=signs[:, :, None] * cr.b_can,
+        h_mat=signs[:, :, None] * cr.gamma_can,
+        w_off=cfg.lambda0 / norms.offdiag,
+        w_lag=cfg.lambda1 / norms.lag,
+        w_diag=0.5 * cfg.mu / norms.hollow,
+    )
+
+
 def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstants:
     """Raw term values at the baseline projection and ``c = 1``.
 
@@ -163,13 +165,11 @@ def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstan
     than silently dividing by zero.
     """
     q0 = _baseline_orthogonal(cr.p, cfg.seed)
-    m0 = q0 @ cr.b_can
-    off = m0 - np.diag(np.diag(m0))
-    raw = {
-        "offdiag": float(np.abs(off).sum()),
-        "lag": float(np.abs(q0 @ cr.gamma_can).sum()),
-        "hollow": float(np.sum((np.diag(m0) - 1.0) ** 2)),
-    }
+    unweighted = OrbitObjective(
+        g_mat=cr.b_can[None], h_mat=cr.gamma_can[None], w_off=1.0, w_lag=1.0, w_diag=1.0
+    )
+    _, terms, _, _ = unweighted.value_and_grads(q0[None], np.ones(1))
+    raw = {name: float(term[0]) for name, term in zip(("offdiag", "lag", "hollow"), terms)}
     fallbacks = tuple(name for name, value in raw.items() if value < _NORM_FLOOR)
     return NormConstants(
         offdiag=raw["offdiag"] if raw["offdiag"] >= _NORM_FLOOR else 1.0,
@@ -188,19 +188,19 @@ def envar_objective(
 ) -> tuple[float, ObjectiveBreakdown]:
     """Evaluate the penalized selection objective at ``(Q, c)``.
 
-    Returns the total together with a per-term breakdown (weighted raw values
-    and their normalized contributions).
+    Returns the total, the value the descent evaluates at that point, together
+    with a per-term breakdown (weighted raw values and their normalized
+    contributions).
     """
     c = float(c)
     if not math.isfinite(c) or c <= 0.0:
         raise DimensionError(f"c must be a positive finite real, got {c}")
     if norms is None:
         norms = norm_constants(cr, cfg)
-    m = np.asarray(q) @ cr.b_can
-    off = m - np.diag(np.diag(m))
-    offdiag_l1 = c * float(np.abs(off).sum())
-    lag_l1 = c * float(np.abs(np.asarray(q) @ cr.gamma_can).sum())
-    hollow_sq = float(np.sum((c * np.diag(m) - 1.0) ** 2))
+    objective = _orbit_objective(cr, cfg, norms, np.ones((1, cr.p)))
+    total, terms, _, _ = objective.value_and_grads(np.asarray(q)[None], np.array([c]))
+    offdiag_l1, lag_l1 = c * float(terms[0][0]), c * float(terms[1][0])
+    hollow_sq = float(terms[2][0])
     breakdown = ObjectiveBreakdown(
         raw_offdiag=cfg.lambda0 * offdiag_l1,
         raw_lag=cfg.lambda1 * lag_l1,
@@ -210,8 +210,7 @@ def envar_objective(
         term_hollow=0.5 * cfg.mu * hollow_sq / norms.hollow,
         norms=norms,
     )
-    total = breakdown.term_offdiag + breakdown.term_lag + breakdown.term_hollow
-    return total, breakdown
+    return float(total[0]), breakdown
 
 
 def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
@@ -231,16 +230,8 @@ def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
         rng = sub_rng(cfg.seed, 0x656E7672, r)
         signs.append(np.ones(p) if r == 0 else random_signs(p, rng))
         starts.append(random_skew(p, rng, _INIT_SCALE))
-    signs = np.array(signs)
-    objective = OrbitObjective(
-        g_mat=signs[:, :, None] * cr.b_can,
-        h_mat=signs[:, :, None] * cr.gamma_can,
-        w_off=cfg.lambda0 / norms.offdiag,
-        w_lag=cfg.lambda1 / norms.lag,
-        w_diag=0.5 * cfg.mu / norms.hollow,
-    )
     results = minimize_orbit_objective(
-        objective,
+        _orbit_objective(cr, cfg, norms, np.array(signs)),
         k0=np.array(starts),
         log_c0=0.0,
         learn_rate=cfg.learn_rate_base * (5.0 / p),
@@ -255,17 +246,15 @@ def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
     ]
     best_index = min(range(len(outcomes)), key=lambda i: (outcomes[i].objective, i))
     best = outcomes[best_index]
-    cqb = best.c * (best.q @ cr.b_can)
-    model = StructuralModel(
-        a0=np.eye(p) - cqb, a1=best.c * (best.q @ cr.gamma_can), sigma=best.c
-    )
+    # diag(a0) = 1 - diag(c Q b_can) exactly, so its norm is the diagonal residual
+    model = _orbit_member(cr.b_can, cr.gamma_can, 1.0, best.q, best.c)
     return EnvarSolution(
         model=model,
         q_hat=best.q,
         c_hat=best.c,
         objective=best.objective,
         objective_trace=best.trace,
-        diag_residual=float(np.linalg.norm(np.diag(cqb) - 1.0)),
+        diag_residual=float(np.linalg.norm(np.diag(model.a0))),
         restart_index=best_index,
         restarts=tuple(outcomes),
         norms=norms,

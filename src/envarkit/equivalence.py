@@ -25,9 +25,8 @@ from ._descent import (
 from ._seeding import sub_rng
 from .errors import DimensionError
 from .model_core import (
-    DEFAULT_TOLERANCES,
+    _ORTHOGONALITY_TOL,
     StructuralModel,
-    Tolerances,
     _check_square,
     _require_admissible,
     to_reduced_form,
@@ -58,7 +57,7 @@ class OrbitElement:
     def __post_init__(self):
         q = _check_square(self.q, "q")
         defect = float(np.linalg.norm(q.T @ q - np.eye(q.shape[0]), "fro"))
-        if defect > DEFAULT_TOLERANCES.orthogonality:
+        if defect > _ORTHOGONALITY_TOL:
             raise DimensionError(f"q has orthogonality defect {defect:.3e}")
         c = float(self.c)
         if not math.isfinite(c) or c <= 0.0:
@@ -104,30 +103,33 @@ def stacked(m: StructuralModel) -> StackedStructural:
     return StackedStructural(s=np.hstack([m.b, m.a1]), sigma=m.sigma)
 
 
+def _orbit_member(
+    b: np.ndarray, a1: np.ndarray, sigma: float, q: np.ndarray, c: float
+) -> StructuralModel:
+    """The member ``(I - c Q B, c Q a1, c sigma)`` of the orbit of ``(B, a1, sigma)``.
+
+    No dimension, orthogonality or admissibility checks: callers check first.
+    """
+    return StructuralModel(
+        a0=np.eye(b.shape[0]) - c * (q @ b), a1=c * (q @ a1), sigma=c * sigma
+    )
+
+
 def orbit_transform(m: StructuralModel, e: OrbitElement) -> StructuralModel:
     """Apply ``(Q, c)``: returns ``(I - c Q B, c Q a1, c sigma)``.
 
     The output induces the same reduced form, hence is admissible whenever the
     input is.
     """
-    _require_admissible(m, DEFAULT_TOLERANCES)
+    _require_admissible(m)
     if e.q.shape[0] != m.p:
         raise DimensionError(f"orbit element is {e.q.shape[0]}-dim, model is {m.p}-dim")
-    cqb = e.c * (e.q @ m.b)
-    return StructuralModel(
-        a0=np.eye(m.p) - cqb, a1=e.c * (e.q @ m.a1), sigma=e.c * m.sigma
-    )
+    return _orbit_member(m.b, m.a1, m.sigma, e.q, e.c)
 
 
-def obs_equivalent(
-    m1: StructuralModel,
-    m2: StructuralModel,
-    tol: float = 1e-8,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def obs_equivalent(m1: StructuralModel, m2: StructuralModel, tol: float = 1e-8) -> bool:
     """True iff the induced ``(phi, sigma_u)`` pairs agree entrywise within tol."""
-    rf1 = to_reduced_form(m1, tolerances)
-    rf2 = to_reduced_form(m2, tolerances)
+    rf1, rf2 = to_reduced_form(m1), to_reduced_form(m2)
     return bool(
         np.max(np.abs(rf1.phi - rf2.phi)) <= tol
         and np.max(np.abs(rf1.sigma_u - rf2.sigma_u)) <= tol
@@ -135,10 +137,7 @@ def obs_equivalent(
 
 
 def sf_equivalent(
-    m1: StructuralModel,
-    m2: StructuralModel,
-    tol: float = 1e-8,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    m1: StructuralModel, m2: StructuralModel, tol: float = 1e-8
 ) -> SfEquivalence:
     """Check equality of laws up to a global amplitude; returns the scale ``a``.
 
@@ -146,8 +145,7 @@ def sf_equivalent(
     requires equal ``phi`` within tol and ``sigma_u' = a sigma_u`` within tol
     relative max-abs.
     """
-    rf1 = to_reduced_form(m1, tolerances)
-    rf2 = to_reduced_form(m2, tolerances)
+    rf1, rf2 = to_reduced_form(m1), to_reduced_form(m2)
     scale = float(np.trace(rf2.sigma_u) / np.trace(rf1.sigma_u))
     phi_ok = bool(np.max(np.abs(rf1.phi - rf2.phi)) <= tol)
     denom = max(float(np.max(np.abs(rf2.sigma_u))), np.finfo(float).tiny)
@@ -261,7 +259,7 @@ def normalized_orbit_search(
     ``m``; the list is empty when no start converges, since normalized
     representatives need not exist.
     """
-    _require_admissible(m, DEFAULT_TOLERANCES)
+    _require_admissible(m)
     restarts = int(restarts)
     if restarts < 1:
         raise DimensionError(f"restarts must be >= 1, got {restarts}")
@@ -294,8 +292,7 @@ def normalized_orbit_search(
         # objective value is the squared 2-norm of the diagonal residual
         if math.sqrt(max(result.objective, 0.0)) > _SEARCH_DIAG_TOL:
             continue
-        q_total = result.q @ np.diag(s)
-        candidate = orbit_transform(m, OrbitElement(q=q_total, c=result.c))
+        candidate = _orbit_member(b, m.a1, m.sigma, result.q @ np.diag(s), result.c)
         if any(
             np.max(np.abs(candidate.a0 - other.a0)) <= _SEARCH_DISTINCT_TOL
             and np.max(np.abs(candidate.a1 - other.a1)) <= _SEARCH_DISTINCT_TOL

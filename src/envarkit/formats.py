@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .errors import DataFormatError
+from .envar_optimizer import EnvarConfig, default_config
+from .errors import DataFormatError, DimensionError
 from .model_core import StructuralModel, TimeSeries
 from .synth import GeneratorConfig, GroundTruthInstance
 
@@ -82,6 +83,35 @@ def _matrix(payload: dict, key: str, path: Path | str) -> np.ndarray:
     except (TypeError, ValueError):
         raise DataFormatError(f"{path}: field {key!r} is not numeric") from None
     return arr
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _require(ok: bool, where: str, what: str, value) -> None:
+    if not ok:
+        raise DataFormatError(f"{where} must be {what}, got {value!r}")
+
+
+def _structural_model(payload: dict, path: Path | str) -> StructuralModel:
+    """The ``a0``, ``a1`` and ``sigma`` of a model or truth file."""
+    a0, a1 = _matrix(payload, "a0", path), _matrix(payload, "a1", path)
+    if "sigma" not in payload:
+        raise DataFormatError(f"{path}: missing field 'sigma'")
+    sigma = payload["sigma"]
+    _require(_is_real(sigma) and sigma > 0, f"{path}: 'sigma'", "a positive finite number", sigma)
+    try:
+        return StructuralModel(a0=a0, a1=a1, sigma=float(sigma))
+    except DimensionError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- series CSV
@@ -163,12 +193,7 @@ def write_model_json(
 def read_model_json(path: Path | str) -> tuple[StructuralModel, dict]:
     payload = read_json(path)
     _require_version(payload, path)
-    a0 = _matrix(payload, "a0", path)
-    a1 = _matrix(payload, "a1", path)
-    if "sigma" not in payload:
-        raise DataFormatError(f"{path}: missing field 'sigma'")
-    model = StructuralModel(a0=a0, a1=a1, sigma=float(payload["sigma"]))
-    return model, payload
+    return _structural_model(payload, path), payload
 
 
 def write_truth_json(path: Path | str, inst: GroundTruthInstance, seed: int) -> None:
@@ -189,17 +214,18 @@ def write_truth_json(path: Path | str, inst: GroundTruthInstance, seed: int) -> 
 def read_truth_json(path: Path | str) -> GroundTruthInstance:
     payload = read_json(path)
     _require_version(payload, path)
-    model = StructuralModel(
-        a0=_matrix(payload, "a0", path),
-        a1=_matrix(payload, "a1", path),
-        sigma=float(payload.get("sigma", 1.0)),
-    )
+    model = _structural_model(payload, path)
     sigmas = _matrix(payload, "per_node_sigmas", path)
+    _require(
+        sigmas.shape == (model.p,) and bool(np.all((sigmas > 0) & np.isfinite(sigmas))),
+        f"{path}: 'per_node_sigmas'", f"{model.p} positive finite numbers",
+        payload["per_node_sigmas"],
+    )
+    episode = payload.get("episode", 0)
+    _require(_is_int(episode) and episode >= 0, f"{path}: 'episode'",
+             "a non-negative integer", episode)
     return GroundTruthInstance(
-        model=model,
-        per_node_sigmas=sigmas,
-        series=None,
-        episode_index=int(payload.get("episode", 0)),
+        model=model, per_node_sigmas=sigmas, series=None, episode_index=episode
     )
 
 
@@ -244,15 +270,19 @@ class ExperimentManifest:
         return ("envar",) + tuple(b.name for b in self.baselines)
 
 
-_GENERATOR_FIELDS = {
-    "p", "t_len", "edge_prob", "weight_low", "weight_high", "spectral_cap",
-    "sigma_nom", "sigma_std", "seed", "episodes",
-}
-_ENVAR_FIELDS = {
-    "lambda0", "lambda1", "mu", "c_min", "c_max", "learn_rate_base",
-    "max_steps", "grad_clip", "seed", "restarts", "convergence_tol",
-}
-_METRICS_FIELDS = {"eta", "binarize_mass", "alpha", "ridge_tau"}
+_GENERATOR_FIELDS = {f.name for f in fields(GeneratorConfig)}
+_ENVAR_FIELDS = {f.name for f in fields(EnvarConfig)}
+_METRICS_FIELDS = {f.name for f in fields(MetricsConfig)}
+# every other generator, envar and metrics field is a finite real
+_INTEGER_FIELDS = {"p", "t_len", "seed", "episodes", "max_steps", "restarts"}
+
+
+def _check_numbers(raw: dict, section: str, source: str) -> None:
+    for key, value in raw.items():
+        if key in _INTEGER_FIELDS:
+            _require(_is_int(value), f"{source}: {section}.{key}", "an integer", value)
+        else:
+            _require(_is_real(value), f"{source}: {section}.{key}", "a finite number", value)
 
 
 def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentManifest:
@@ -265,6 +295,7 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
         raise DataFormatError(f"{source}: unknown generator fields {sorted(unknown)}")
     if "p" not in gen_raw or "t_len" not in gen_raw:
         raise DataFormatError(f"{source}: generator needs at least 'p' and 't_len'")
+    _check_numbers(gen_raw, "generator", source)
     try:
         generator = GeneratorConfig(**gen_raw)
     except Exception as exc:
@@ -276,6 +307,7 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     unknown = set(envar_raw) - _ENVAR_FIELDS
     if unknown:
         raise DataFormatError(f"{source}: unknown envar fields {sorted(unknown)}")
+    _check_numbers(envar_raw, "envar", source)
 
     baselines = []
     for i, spec in enumerate(payload.get("baselines", [])):
@@ -287,7 +319,12 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
                 f"{source}: baselines[{i}]: unknown method {name!r}; "
                 f"known: {sorted(KNOWN_METHODS)}"
             )
-        baselines.append(BaselineSpec(name=name, params=dict(spec.get("params", {}))))
+        params = spec.get("params", {})
+        _require(isinstance(params, dict), f"{source}: baselines[{i}].params", "an object", params)
+        alpha = params.get("alpha", 0.05)
+        _require(_is_real(alpha) and 0 < alpha < 1, f"{source}: baselines[{i}].params.alpha",
+                 "a number in (0, 1)", alpha)
+        baselines.append(BaselineSpec(name=name, params=dict(params)))
 
     metrics_raw = payload.get("metrics", {})
     if not isinstance(metrics_raw, dict):
@@ -295,7 +332,15 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     unknown = set(metrics_raw) - _METRICS_FIELDS
     if unknown:
         raise DataFormatError(f"{source}: unknown metrics fields {sorted(unknown)}")
+    _check_numbers(metrics_raw, "metrics", source)
     metrics = MetricsConfig(**metrics_raw)
+    for name, ok, what in (
+        ("eta", metrics.eta >= 0, ">= 0"),
+        ("binarize_mass", 0 < metrics.binarize_mass <= 1, "in (0, 1]"),
+        ("alpha", 0 < metrics.alpha < 1, "in (0, 1)"),
+        ("ridge_tau", metrics.ridge_tau >= 0, ">= 0"),
+    ):
+        _require(ok, f"{source}: metrics.{name}", what, getattr(metrics, name))
 
     grid_raw = payload.get("grid", {})
     if not isinstance(grid_raw, dict):
@@ -303,10 +348,22 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     unknown = set(grid_raw) - {"p", "sigma_std"}
     if unknown:
         raise DataFormatError(f"{source}: unknown grid fields {sorted(unknown)}")
-    grid_p = tuple(int(v) for v in grid_raw.get("p", [generator.p]))
-    grid_sigma_std = tuple(float(v) for v in grid_raw.get("sigma_std", [generator.sigma_std]))
+    grid_p = grid_raw.get("p", [generator.p])
+    grid_sigma_std = grid_raw.get("sigma_std", [generator.sigma_std])
+    _require(isinstance(grid_p, (list, tuple)) and all(map(_is_int, grid_p)),
+             f"{source}: grid.p", "a list of integers", grid_p)
+    _require(isinstance(grid_sigma_std, (list, tuple)) and all(map(_is_real, grid_sigma_std)),
+             f"{source}: grid.sigma_std", "a list of finite numbers", grid_sigma_std)
     if not grid_p or not grid_sigma_std:
         raise DataFormatError(f"{source}: grid lists must be non-empty")
+    grid_p, grid_sigma_std = tuple(grid_p), tuple(map(float, grid_sigma_std))
+    try:
+        for p in grid_p:
+            replace(default_config(p), **envar_raw)
+            for sigma_std in grid_sigma_std:
+                replace(generator, p=p, sigma_std=sigma_std)
+    except DimensionError as exc:
+        raise DataFormatError(f"{source}: invalid grid or envar overrides: {exc}") from None
 
     output_dir = payload.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
@@ -335,26 +392,10 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
     return _jsonify(
         {
             "format_version": manifest.format_version,
-            "generator": {
-                "p": manifest.generator.p,
-                "t_len": manifest.generator.t_len,
-                "edge_prob": manifest.generator.edge_prob,
-                "weight_low": manifest.generator.weight_low,
-                "weight_high": manifest.generator.weight_high,
-                "spectral_cap": manifest.generator.spectral_cap,
-                "sigma_nom": manifest.generator.sigma_nom,
-                "sigma_std": manifest.generator.sigma_std,
-                "seed": manifest.generator.seed,
-                "episodes": manifest.generator.episodes,
-            },
+            "generator": asdict(manifest.generator),
             "envar": manifest.envar_overrides,
             "baselines": [{"name": b.name, "params": b.params} for b in manifest.baselines],
-            "metrics": {
-                "eta": manifest.metrics.eta,
-                "binarize_mass": manifest.metrics.binarize_mass,
-                "alpha": manifest.metrics.alpha,
-                "ridge_tau": manifest.metrics.ridge_tau,
-            },
+            "metrics": asdict(manifest.metrics),
             "grid": {"p": list(manifest.grid_p), "sigma_std": list(manifest.grid_sigma_std)},
             "fresh_graph": manifest.fresh_graph,
             "output_dir": manifest.output_dir,

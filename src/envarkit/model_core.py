@@ -28,24 +28,14 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used by validity checks, overridable per call.
-
-    inv_rank: smallest/largest singular value ratio below which a matrix is
-        treated as singular.
-    symmetry: maximum absolute asymmetry allowed in covariance inputs.
-    lyapunov: relative Frobenius residual accepted for stationary covariances.
-    orthogonality: Frobenius defect allowed in ``Q^T Q - I``.
-    """
-
-    inv_rank: float = 1e-10
-    symmetry: float = 1e-10
-    lyapunov: float = 1e-8
-    orthogonality: float = 1e-8
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Smallest/largest singular value ratio below which B is treated as singular.
+_INV_RANK_TOL = 1e-10
+# Maximum absolute asymmetry allowed in covariance inputs.
+_SYMMETRY_TOL = 1e-10
+# Relative Frobenius residual accepted for stationary covariances.
+_LYAPUNOV_TOL = 1e-8
+# Frobenius defect allowed in ``Q^T Q - I``.
+_ORTHOGONALITY_TOL = 1e-8
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -118,10 +108,9 @@ class ReducedForm:
                 f"phi and sigma_u must match, got {phi.shape} and {sigma_u.shape}"
             )
         asym = float(np.max(np.abs(sigma_u - sigma_u.T)))
-        if asym > DEFAULT_TOLERANCES.symmetry:
+        if asym > _SYMMETRY_TOL:
             raise DimensionError(
-                f"sigma_u asymmetry {asym:.3e} exceeds tolerance "
-                f"{DEFAULT_TOLERANCES.symmetry:.0e}"
+                f"sigma_u asymmetry {asym:.3e} exceeds tolerance {_SYMMETRY_TOL:.0e}"
             )
         try:
             np.linalg.cholesky(0.5 * (sigma_u + sigma_u.T))
@@ -196,9 +185,7 @@ def is_normalized(m: StructuralModel, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(np.diag(m.a0))) <= tol)
 
 
-def is_admissible(
-    m: StructuralModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> AdmissibilityReport:
+def is_admissible(m: StructuralModel) -> AdmissibilityReport:
     """Check invertibility of ``B``, stability of ``B^{-1} a1``, and ``sigma > 0``.
 
     Returns a report that is truthy iff all conditions hold; ``reasons`` names
@@ -209,7 +196,7 @@ def is_admissible(
     svals = np.linalg.svd(b, compute_uv=False)
     b_condition = float(svals[-1] / svals[0]) if svals[0] > 0.0 else 0.0
     rho = float("nan")
-    if b_condition <= tol.inv_rank:
+    if b_condition <= _INV_RANK_TOL:
         reasons.append("B singular")
     else:
         rho = spectral_radius(np.linalg.solve(b, m.a1))
@@ -225,8 +212,8 @@ def is_admissible(
     )
 
 
-def _require_admissible(m: StructuralModel, tol: Tolerances) -> AdmissibilityReport:
-    report = is_admissible(m, tol)
+def _require_admissible(m: StructuralModel) -> AdmissibilityReport:
+    report = is_admissible(m)
     if not report:
         raise AdmissibilityError(
             f"model is not admissible: {', '.join(report.reasons)}", diagnostics=report
@@ -234,20 +221,26 @@ def _require_admissible(m: StructuralModel, tol: Tolerances) -> AdmissibilityRep
     return report
 
 
-def to_reduced_form(
-    m: StructuralModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ReducedForm:
-    """Map an admissible structural model to ``(phi, sigma_u)``.
+def _reduced_form(
+    b: np.ndarray, a1: np.ndarray, noise_var
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(B^{-1} a1, B^{-1} diag(d) B^{-T})`` for structural noise variances ``d``.
 
-    ``sigma_u`` is symmetrized after the product to remove roundoff asymmetry,
-    so downstream Cholesky factorizations see an exactly symmetric matrix.
+    ``noise_var`` is one variance shared by all nodes or a length-p vector of
+    per-node variances. ``sigma_u`` is formed as ``(B^{-1} * d) @ B^{-T}`` and
+    symmetrized after the product to remove roundoff asymmetry, so downstream
+    Cholesky factorizations see an exactly symmetric matrix. No admissibility
+    gate: callers that need one check it first.
     """
-    _require_admissible(m, tol)
-    b = m.b
-    phi = np.linalg.solve(b, m.a1)
-    b_inv = np.linalg.solve(b, np.eye(m.p))
-    sigma_u = (m.sigma**2) * (b_inv @ b_inv.T)
-    sigma_u = 0.5 * (sigma_u + sigma_u.T)
+    b_inv = np.linalg.solve(b, np.eye(b.shape[0]))
+    sigma_u = (b_inv * noise_var) @ b_inv.T
+    return np.linalg.solve(b, a1), 0.5 * (sigma_u + sigma_u.T)
+
+
+def to_reduced_form(m: StructuralModel) -> ReducedForm:
+    """Map an admissible structural model to ``(phi, sigma_u)``."""
+    _require_admissible(m)
+    phi, sigma_u = _reduced_form(m.b, m.a1, m.sigma**2)
     return ReducedForm(phi=phi, sigma_u=sigma_u)
 
 
@@ -256,9 +249,7 @@ def is_stable(rf: ReducedForm) -> bool:
     return spectral_radius(rf.phi) < 1.0
 
 
-def stationary_covariance(
-    rf: ReducedForm, tol: Tolerances = DEFAULT_TOLERANCES
-) -> StationaryLaw:
+def stationary_covariance(rf: ReducedForm) -> StationaryLaw:
     """Solve ``sigma_x = phi sigma_x phi^T + sigma_u`` for the stationary law.
 
     Solved exactly by ``scipy.linalg.solve_discrete_lyapunov``: the vectorized
@@ -273,27 +264,12 @@ def stationary_covariance(
     sigma_x = solve_discrete_lyapunov(phi, sigma_u)
     sigma_x = 0.5 * (sigma_x + sigma_x.T)
     residual = np.linalg.norm(sigma_x - phi @ sigma_x @ phi.T - sigma_u, "fro")
-    bound = tol.lyapunov * (1.0 + np.linalg.norm(sigma_u, "fro"))
+    bound = _LYAPUNOV_TOL * (1.0 + np.linalg.norm(sigma_u, "fro"))
     if residual > bound:
         raise StabilityError(
             f"stationary covariance residual {residual:.3e} exceeds bound {bound:.3e}"
         )
     return StationaryLaw(sigma_x=sigma_x, gamma1=phi @ sigma_x)
-
-
-def _stationary_start(
-    phi: np.ndarray, sigma_u: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw from the stationary distribution N(0, sigma_x)."""
-    law = stationary_covariance(ReducedForm(phi=phi, sigma_u=sigma_u))
-    sigma_x = np.asarray(law.sigma_x)
-    try:
-        chol = np.linalg.cholesky(sigma_x)
-    except np.linalg.LinAlgError:
-        # PD in exact arithmetic; nudge out of a borderline numerical failure.
-        jitter = 1e-12 * (1.0 + np.trace(sigma_x) / sigma_x.shape[0])
-        chol = np.linalg.cholesky(sigma_x + jitter * np.eye(sigma_x.shape[0]))
-    return chol @ rng.standard_normal(sigma_x.shape[0])
 
 
 def _drive_recursion(
@@ -312,13 +288,38 @@ def _drive_recursion(
     return out
 
 
-def simulate(
-    m: StructuralModel,
+def _sample(
+    b: np.ndarray,
+    a1: np.ndarray,
+    noise_sd,
     t_len: int,
-    seed: int,
-    burn_in: int = 100,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    burn_in: int,
+    rng: np.random.Generator,
 ) -> TimeSeries:
+    """``t_len`` steps of ``x_t = B^{-1}(a1 x_{t-1} + e_t)`` from a stationary start.
+
+    ``e_t ~ N(0, diag(noise_sd)^2)``, with ``noise_sd`` one standard deviation
+    shared by all nodes or a length-p vector of per-node ones. The initial
+    state is one draw from the stationary law, the shocks follow it in the
+    same stream, and ``burn_in`` leading samples are discarded. No
+    admissibility gate.
+    """
+    phi, sigma_u = _reduced_form(b, a1, noise_sd**2)
+    sigma_x = stationary_covariance(ReducedForm(phi=phi, sigma_u=sigma_u)).sigma_x
+    p = sigma_x.shape[0]
+    try:
+        chol = np.linalg.cholesky(sigma_x)
+    except np.linalg.LinAlgError:
+        # PD in exact arithmetic; nudge out of a borderline numerical failure.
+        jitter = 1e-12 * (1.0 + np.trace(sigma_x) / p)
+        chol = np.linalg.cholesky(sigma_x + jitter * np.eye(p))
+    x0 = chol @ rng.standard_normal(p)
+    shocks = np.reshape(noise_sd, (-1, 1)) * rng.standard_normal((p, burn_in + t_len))
+    path = _drive_recursion(b, a1, shocks, x0)
+    return TimeSeries(values=path[:, burn_in:], centered=False)
+
+
+def simulate(m: StructuralModel, t_len: int, seed: int, burn_in: int = 100) -> TimeSeries:
     """Draw ``t_len`` steps of the stationary process defined by ``m``.
 
     The recursion is ``x_t = B^{-1}(a1 x_{t-1} + e_t)`` with
@@ -326,26 +327,20 @@ def simulate(
     stationary law and ``burn_in`` leading samples are discarded. A fixed seed
     gives bit-identical output.
     """
-    _require_admissible(m, tol)
+    _require_admissible(m)
     t_len = int(t_len)
     if t_len < 2:
         raise DimensionError(f"t_len must be >= 2, got {t_len}")
     burn_in = int(burn_in)
     if burn_in < 0:
         raise DimensionError(f"burn_in must be >= 0, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    rf = to_reduced_form(m, tol)
-    x0 = _stationary_start(rf.phi, rf.sigma_u, rng)
-    shocks = m.sigma * rng.standard_normal((m.p, burn_in + t_len))
-    path = _drive_recursion(m.b, m.a1, shocks, x0)
-    return TimeSeries(values=path[:, burn_in:], centered=False)
+    return _sample(m.b, m.a1, m.sigma, t_len, burn_in, np.random.default_rng(seed))
 
 
 def gram_orthogonal_factor(
     c_mat: np.ndarray,
     d_mat: np.ndarray,
     lam: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Recover the orthogonal ``Q`` with ``D = sqrt(lam) Q C`` from matching Grams.
 
@@ -369,7 +364,7 @@ def gram_orthogonal_factor(
         )
     q = np.linalg.solve(c.T, d.T).T / math.sqrt(lam)
     defect = float(np.linalg.norm(q.T @ q - np.eye(q.shape[0]), "fro"))
-    if defect > tol.orthogonality:
+    if defect > _ORTHOGONALITY_TOL:
         raise FactorizationError(
             f"recovered factor has orthogonality defect {defect:.3e}"
         )

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
-from .equivalence import OrbitElement
+from .equivalence import OrbitElement, _orbit_member
 from .errors import DimensionError, NotPositiveDefiniteError, RankError
-from .model_core import StructuralModel, TimeSeries, _freeze
+from .model_core import StructuralModel, TimeSeries, _freeze, _reduced_form
 
 logger = logging.getLogger("envarkit.reduced_estimation")
 
@@ -72,14 +72,8 @@ class CanonicalRepresentative:
         return self.b_can.shape[0]
 
     @property
-    def phi_hat(self) -> np.ndarray:
-        return np.linalg.solve(self.b_can, self.gamma_can)
-
-    @property
     def sigma_u_hat(self) -> np.ndarray:
-        b_inv = np.linalg.solve(self.b_can, np.eye(self.p))
-        out = b_inv @ b_inv.T
-        return 0.5 * (out + out.T)
+        return _reduced_form(self.b_can, self.gamma_can, 1.0)[1]
 
 
 def center(ts: TimeSeries) -> TimeSeries:
@@ -192,7 +186,4 @@ def empirical_orbit_member(
     """
     if e.q.shape[0] != cr.p:
         raise DimensionError(f"orbit element is {e.q.shape[0]}-dim, representative is {cr.p}-dim")
-    cqb = e.c * (e.q @ cr.b_can)
-    return StructuralModel(
-        a0=np.eye(cr.p) - cqb, a1=e.c * (e.q @ cr.gamma_can), sigma=e.c
-    )
+    return _orbit_member(cr.b_can, cr.gamma_can, 1.0, e.q, e.c)

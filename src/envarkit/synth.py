@@ -20,9 +20,9 @@ from .model_core import (
     ReducedForm,
     StructuralModel,
     TimeSeries,
-    _drive_recursion,
     _freeze,
-    _stationary_start,
+    _reduced_form,
+    _sample,
     spectral_radius,
 )
 
@@ -82,16 +82,13 @@ class GroundTruthInstance:
         object.__setattr__(self, "per_node_sigmas", _freeze(self.per_node_sigmas))
 
     @property
-    def sigma_u(self) -> np.ndarray:
-        """Residual covariance of the generating law (heteroscedastic-aware)."""
-        p = self.model.p
-        b_inv = np.linalg.solve(self.model.b, np.eye(p))
-        out = b_inv @ np.diag(self.per_node_sigmas**2) @ b_inv.T
-        return 0.5 * (out + out.T)
+    def phi(self) -> np.ndarray:
+        return _reduced_form(self.model.b, self.model.a1, self.per_node_sigmas**2)[0]
 
     @property
-    def phi(self) -> np.ndarray:
-        return np.linalg.solve(self.model.b, self.model.a1)
+    def sigma_u(self) -> np.ndarray:
+        """Residual covariance of the generating law (heteroscedastic-aware)."""
+        return _reduced_form(self.model.b, self.model.a1, self.per_node_sigmas**2)[1]
 
 
 def _draw_structure(cfg: GeneratorConfig, rng: np.random.Generator):
@@ -151,20 +148,11 @@ def generate_instance(
             _SIGMA_FLOOR_FRACTION * cfg.sigma_nom,
         )
 
-        b = np.eye(cfg.p) - a0
-        phi = np.linalg.solve(b, a1)
-        b_inv = np.linalg.solve(b, np.eye(cfg.p))
-        sigma_u = b_inv @ np.diag(sigmas**2) @ b_inv.T
-        sigma_u = 0.5 * (sigma_u + sigma_u.T)
-        x0 = _stationary_start(phi, sigma_u, rng_noise)
-        shocks = sigmas[:, None] * rng_noise.standard_normal(
-            (cfg.p, BURN_IN + cfg.t_len)
-        )
-        path = _drive_recursion(b, a1, shocks, x0)
+        model = StructuralModel(a0=a0, a1=a1, sigma=cfg.sigma_nom)
         return GroundTruthInstance(
-            model=StructuralModel(a0=a0, a1=a1, sigma=cfg.sigma_nom),
+            model=model,
             per_node_sigmas=sigmas,
-            series=TimeSeries(values=path[:, BURN_IN:], centered=False),
+            series=_sample(model.b, model.a1, sigmas, cfg.t_len, BURN_IN, rng_noise),
             episode_index=episode,
         )
     raise GenerationError(

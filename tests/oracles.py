@@ -6,7 +6,9 @@ grid with exact per-orthogonal scale minimization, the covariance oracles sum
 the defining series or solve the vectorized Kronecker system, the
 sampling-error oracle evaluates the Gaussian fourth-moment formula, the
 greedy-baseline oracle runs one least-squares regression per candidate node,
-and the file-format oracles write, read and convert one value at a time.
+the file-format oracles write, read and convert one value at a time, and the
+reduced-form and series oracles keep the separate scalar-noise and per-node
+formulas and the generator's own sampling loop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Any
 import numpy as np
 from scipy import stats
 
-from envarkit import StructuralModel, TimeSeries
+from envarkit import ReducedForm, StructuralModel, TimeSeries, stationary_covariance
+from envarkit._seeding import sub_rng
 from envarkit.errors import DataFormatError
 
 
@@ -80,6 +83,50 @@ def kron_lyapunov(phi: np.ndarray, sigma_u: np.ndarray) -> np.ndarray:
     lhs = np.eye(p * p) - np.kron(phi, phi)
     vec = np.linalg.solve(lhs, sigma_u.reshape(-1, order="F"))
     return vec.reshape(p, p, order="F")
+
+
+def reference_reduced_form(
+    b: np.ndarray, a1: np.ndarray, sigma
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(B^{-1} a1, sigma_u)`` by two separate formulas, each symmetrized.
+
+    A scalar noise scale gives ``sigma^2 (B^{-1} B^{-T})``; a vector of per-node
+    scales gives ``B^{-1} diag(sigmas^2) B^{-T}``.
+    """
+    b_inv = np.linalg.solve(b, np.eye(b.shape[0]))
+    if np.ndim(sigma) == 0:
+        sigma_u = sigma**2 * (b_inv @ b_inv.T)
+    else:
+        sigma_u = b_inv @ np.diag(np.asarray(sigma) ** 2) @ b_inv.T
+    return np.linalg.solve(b, a1), 0.5 * (sigma_u + sigma_u.T)
+
+
+def reference_instance_series(
+    a0: np.ndarray, a1: np.ndarray, seed: int, episode: int, sigma_nom: float,
+    sigma_std: float, t_len: int, burn_in: int = 100,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node noise scales and series of a generated instance, drawn step by step.
+
+    Replays the generator's noise stream of the first structure attempt: the
+    per-node scales, a stationary start from the per-node ``sigma_u`` of
+    ``reference_reduced_form``, the scaled shocks, and the recursion
+    ``x_t = B^{-1}(a1 x_{t-1} + e_t)`` with ``burn_in`` leading steps dropped.
+    """
+    p = a0.shape[0]
+    rng = sub_rng(seed, 0x6E6F69, episode, 0)
+    sigmas = np.maximum(sigma_nom + sigma_std * rng.standard_normal(p), 0.05 * sigma_nom)
+    b = np.eye(p) - a0
+    phi, sigma_u = reference_reduced_form(b, a1, sigmas)
+    sigma_x = stationary_covariance(ReducedForm(phi=phi, sigma_u=sigma_u)).sigma_x
+    x = np.linalg.cholesky(sigma_x) @ rng.standard_normal(p)
+    shocks = sigmas[:, None] * rng.standard_normal((p, burn_in + t_len))
+    b_inv = np.linalg.solve(b, np.eye(p))
+    trans, driven = b_inv @ a1, b_inv @ shocks
+    out = np.empty((p, burn_in + t_len))
+    for t in range(burn_in + t_len):
+        x = trans @ x + driven[:, t]
+        out[:, t] = x
+    return sigmas, out[:, burn_in:]
 
 
 def _conditional_variance(target: np.ndarray, predictors: np.ndarray | None) -> float:

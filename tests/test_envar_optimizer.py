@@ -139,12 +139,27 @@ class TestDescentGradients:
             w_lag=0.4,
             w_diag=1.3,
         )
+
+        def value(q, c):
+            return objective.value_and_grads(q, c)[0]
+
         k = random_skew(p, rng, 0.3)
         log_c = 0.2
         q = expm(k)
         c = float(np.exp(log_c))
-        value, grad_q, grad_c = objective.value_and_grads(q, c)
-        assert value == pytest.approx(objective.value(q, c), abs=1e-12)
+        value_qc, terms, grad_q, grad_c = objective.value_and_grads(q, c)
+        m = q @ objective.g_mat
+        expected_terms = (
+            np.abs(m - np.diag(np.diag(m))).sum(),
+            np.abs(q @ objective.h_mat).sum(),
+            np.sum((c * np.diag(m) - 1.0) ** 2),
+        )
+        for term, expected in zip(terms, expected_terms):
+            assert term == pytest.approx(expected, abs=1e-12)
+        expected_value = (
+            0.7 * c * expected_terms[0] + 0.4 * c * expected_terms[1] + 1.3 * expected_terms[2]
+        )
+        assert value_qc == pytest.approx(expected_value, abs=1e-12)
         grad_full = expm_frechet(k.T, grad_q, compute_expm=False)
         grad_k = 0.5 * (grad_full - grad_full.T)
         eps = 1e-7
@@ -154,13 +169,13 @@ class TestDescentGradients:
                 direction[i, j] = eps
                 direction[j, i] = -eps
                 fd = (
-                    objective.value(expm(k + direction), c)
-                    - objective.value(expm(k - direction), c)
+                    value(expm(k + direction), c)
+                    - value(expm(k - direction), c)
                 ) / (2 * eps)
                 assert fd == pytest.approx(grad_k[i, j] - grad_k[j, i], abs=1e-6)
         fd_c = (
-            objective.value(q, float(np.exp(log_c + eps)))
-            - objective.value(q, float(np.exp(log_c - eps)))
+            value(q, float(np.exp(log_c + eps)))
+            - value(q, float(np.exp(log_c - eps)))
         ) / (2 * eps)
         assert fd_c == pytest.approx(grad_c * c, abs=1e-6)
 
@@ -239,11 +254,11 @@ class _NanAfter(OrbitObjective):
         return replace(super().take(rows), flagged=self.flagged[rows])
 
     def value_and_grads(self, q, c):
-        total, grad_q, grad_c = super().value_and_grads(q, c)
+        total, terms, grad_q, grad_c = super().value_and_grads(q, c)
         self.calls.append(None)
         if len(self.calls) > self.after:
             total = np.where(self.flagged, np.nan, total)
-        return total, grad_q, grad_c
+        return total, terms, grad_q, grad_c
 
 
 class TestBatchedDescent:
@@ -387,7 +402,7 @@ class TestSolveEnvar:
         value, _ = envar_objective(
             solution.q_hat, solution.c_hat, cr, cfg, norms=solution.norms
         )
-        assert value == pytest.approx(solution.objective, rel=1e-10, abs=1e-12)
+        assert value == solution.objective
 
     def test_exact_class_instance_selects_sparse_member(self):
         # noiseless canonical representative built from the exact reduced form

@@ -177,3 +177,127 @@ class TestFreshGraphFlag:
     def test_other_values_rejected(self, raw):
         with pytest.raises(DataFormatError, match="fresh_graph"):
             manifest_from_dict(_manifest_payload(fresh_graph=raw))
+
+
+_MISSING = object()
+
+
+def _evaluate_exit(tmp_path: Path, capsys, truth: dict | None = None, model: dict | None = None):
+    """Exit code and stderr of ``evaluate`` on a p = 3 truth/model pair with overrides."""
+    from envarkit.cli import main
+
+    base = {"format_version": "envar-kit/1", "a0": np.zeros((3, 3)).tolist(),
+            "a1": (0.5 * np.eye(3)).tolist(), "sigma": 1.0}
+    truth_payload = {**base, "per_node_sigmas": [1.0, 1.0, 1.0], "seed": 0, "episode": 0}
+    truth_payload.update(truth or {})
+    model_payload = {**base, "method": "ols-only", **(model or {})}
+    for name, payload in (("truth.json", truth_payload), ("model.json", model_payload)):
+        (tmp_path / name).write_text(
+            json.dumps({k: v for k, v in payload.items() if v is not _MISSING})
+        )
+    code = main(["evaluate", "--model", str(tmp_path / "model.json"),
+                 "--truth", str(tmp_path / "truth.json"),
+                 "--output", str(tmp_path / "score.json")])
+    return code, capsys.readouterr().err
+
+
+class TestTruthAndModelRejections:
+    def test_valid_pair_scores(self, tmp_path, capsys):
+        assert _evaluate_exit(tmp_path, capsys) == (0, "")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("per_node_sigmas", [1.0]),
+            ("per_node_sigmas", [[1.0, 1.0, 1.0]]),
+            ("per_node_sigmas", [1.0, -1.0, 1.0]),
+            ("per_node_sigmas", [1.0, None, 1.0]),
+            ("per_node_sigmas", [1.0, 0.0, 1.0]),
+            ("sigma", "abc"),
+            ("sigma", None),
+            ("sigma", -1.0),
+            ("sigma", _MISSING),
+            ("episode", "x"),
+            ("episode", -1),
+            ("episode", 1.5),
+            ("a0", [[None, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            ("a0", [[0.0]]),
+        ],
+    )
+    def test_bad_truth_field_exits_2(self, tmp_path, capsys, field, value):
+        code, err = _evaluate_exit(tmp_path, capsys, truth={field: value})
+        assert code == 2
+        assert "data error" in err and field in err
+
+    @pytest.mark.parametrize("value", ["abc", None, 0.0, float("inf"), True, 10**400, _MISSING])
+    def test_bad_model_sigma_exits_2(self, tmp_path, capsys, value):
+        code, err = _evaluate_exit(tmp_path, capsys, model={"sigma": value})
+        assert code == 2
+        assert "'sigma'" in err
+
+    def test_truth_episode_read_back(self, tmp_path):
+        from envarkit.formats import read_truth_json
+
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({
+            "format_version": "envar-kit/1", "a0": [[0.0]], "a1": [[0.5]], "sigma": 2.0,
+            "per_node_sigmas": [1.5], "episode": 4,
+        }))
+        truth = read_truth_json(path)
+        assert truth.episode_index == 4 and truth.model.sigma == 2.0
+        assert np.array_equal(truth.per_node_sigmas, [1.5])
+
+
+class TestManifestRejections:
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"grid": {"p": ["abc"]}}, "grid.p"),
+            ({"grid": {"p": 3}}, "grid.p"),
+            ({"grid": {"p": [0]}}, "grid"),
+            ({"grid": {"sigma_std": ["x"]}}, "grid.sigma_std"),
+            ({"grid": {"sigma_std": [-0.1]}}, "grid"),
+            ({"metrics": {"eta": "x"}}, "metrics.eta"),
+            ({"metrics": {"eta": -1.0}}, "metrics.eta"),
+            ({"metrics": {"eta": 10**400}}, "metrics.eta"),
+            ({"metrics": {"binarize_mass": 1.5}}, "metrics.binarize_mass"),
+            ({"metrics": {"alpha": 0.0}}, "metrics.alpha"),
+            ({"metrics": {"ridge_tau": -1e-3}}, "metrics.ridge_tau"),
+            ({"baselines": [{"name": "eqvar-gds", "params": {"alpha": "x"}}]},
+             "baselines[0].params.alpha"),
+            ({"baselines": [{"name": "eqvar-gds", "params": {"alpha": 1.0}}]},
+             "baselines[0].params.alpha"),
+            ({"baselines": [{"name": "eqvar-gds", "params": "abc"}]}, "baselines[0].params"),
+            ({"envar": {"max_steps": "x"}}, "envar.max_steps"),
+            ({"envar": {"max_steps": 2.5}}, "envar.max_steps"),
+            ({"envar": {"restarts": 0}}, "restarts"),
+            ({"envar": {"c_min": 10.0, "c_max": 1.0}}, "c_min"),
+            ({"envar": {"mu": None}}, "envar.mu"),
+            ({"generator": {"p": 3, "t_len": 50.0}}, "generator.t_len"),
+            ({"generator": {"p": 3, "t_len": 50, "edge_prob": True}}, "generator.edge_prob"),
+        ],
+    )
+    def test_rejected_at_load(self, over, field):
+        with pytest.raises(DataFormatError, match=field.replace("[", r"\[").replace("]", r"\]")):
+            manifest_from_dict(_manifest_payload(**over))
+
+    def test_benchmark_exits_2_on_wrong_type(self, tmp_path, capsys):
+        from envarkit.cli import main
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_manifest_payload(envar={"max_steps": "x"})))
+        assert main(["benchmark", "--manifest", str(path), "--output", str(tmp_path)]) == 2
+        assert "envar.max_steps" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_valid_values_accepted(self):
+        manifest = manifest_from_dict(_manifest_payload(
+            grid={"p": [2, 3], "sigma_std": [0, 0.075]},
+            envar={"max_steps": 10, "restarts": 1, "mu": 2},
+            metrics={"eta": 0.0, "binarize_mass": 1.0, "alpha": 0.1, "ridge_tau": 0},
+            baselines=[{"name": "eqvar-gds", "params": {"alpha": 0.01}}],
+        ))
+        assert manifest.grid_p == (2, 3)
+        assert manifest.grid_sigma_std == (0.0, 0.075)
+        assert all(isinstance(v, float) for v in manifest.grid_sigma_std)
+        assert manifest.envar_overrides == {"max_steps": 10, "restarts": 1, "mu": 2}

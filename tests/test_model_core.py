@@ -24,9 +24,10 @@ from envarkit.errors import (
     NotPositiveDefiniteError,
     StabilityError,
 )
+from envarkit.model_core import _reduced_form
 
 from conftest import random_admissible, random_orthogonal
-from oracles import kron_lyapunov, truncated_lyapunov
+from oracles import kron_lyapunov, reference_reduced_form, truncated_lyapunov
 
 
 class TestSpectralRadius:
@@ -113,6 +114,26 @@ class TestReducedForm:
         with pytest.raises(AdmissibilityError) as err:
             to_reduced_form(m)
         assert "B singular" in err.value.diagnostics.reasons
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 50])
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_single_map_matches_reference_formulas(self, p, per_node):
+        rng = np.random.default_rng(40 + p)
+        m = random_admissible(p, rng)
+        sigma = rng.uniform(0.5, 2.0, p) if per_node else m.sigma
+        phi, sigma_u = _reduced_form(m.b, m.a1, sigma**2)
+        ref_phi, ref_sigma_u = reference_reduced_form(m.b, m.a1, sigma)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(sigma_u, sigma_u.T)
+        if per_node:
+            # multiplying by the zeros of diag(sigmas^2) adds nothing: same bits
+            assert np.array_equal(sigma_u, ref_sigma_u)
+        else:
+            # the scalar is applied before the product instead of after it
+            scale = np.max(np.abs(ref_sigma_u))
+            np.testing.assert_allclose(sigma_u, ref_sigma_u, rtol=0, atol=1e-14 * scale)
+            rf = to_reduced_form(m)
+            assert np.array_equal(rf.phi, phi) and np.array_equal(rf.sigma_u, sigma_u)
 
     def test_constructor_rejects_asymmetric_covariance(self):
         with pytest.raises(DimensionError):

@@ -13,6 +13,8 @@ from envarkit import (
 from envarkit.errors import DimensionError
 from envarkit.synth import check_instance
 
+from oracles import reference_instance_series, reference_reduced_form
+
 
 class TestGenerateInstance:
     def test_empty_graph(self):
@@ -81,6 +83,21 @@ class TestGenerateInstance:
             inst = generate_instance(cfg, episode)
             n_at_floor += int(np.count_nonzero(inst.per_node_sigmas == floor))
         assert n_at_floor == 0  # ~6.3 sigma event per draw
+
+    @pytest.mark.parametrize("p", [2, 5, 50])
+    @pytest.mark.parametrize("sigma_std", [0.0, 0.075])
+    def test_matches_per_node_reference_bitwise(self, p, sigma_std):
+        cfg = GeneratorConfig(p=p, t_len=200, sigma_std=sigma_std, seed=12)
+        inst = generate_instance(cfg, episode=1)
+        b, a1 = np.eye(p) - inst.model.a0, inst.model.a1
+        phi, sigma_u = reference_reduced_form(b, a1, inst.per_node_sigmas)
+        assert np.array_equal(inst.phi, phi)
+        assert np.array_equal(inst.sigma_u, sigma_u)
+        sigmas, series = reference_instance_series(
+            inst.model.a0, a1, cfg.seed, 1, cfg.sigma_nom, sigma_std, cfg.t_len
+        )
+        assert np.array_equal(inst.per_node_sigmas, sigmas)
+        assert inst.series.values.tobytes() == series.tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(DimensionError):
