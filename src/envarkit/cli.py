@@ -25,11 +25,13 @@ from ._seeding import sub_seed
 from .envar_optimizer import EnvarConfig, default_config, solve_envar
 from .equivalence import OrbitElement
 from .eqvar_gds import fit_eqvar_gds
-from .errors import DataFormatError, EnvarKitError
+from .errors import DataFormatError, DimensionError, EnvarKitError
 from .eval_metrics import binarize_cumulative, centralities, score
 from .formats import (
     FORMAT_VERSION,
+    SETTING_RANGES,
     ExperimentManifest,
+    in_range,
     load_manifest,
     manifest_from_dict,
     manifest_to_dict,
@@ -79,6 +81,17 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _check_flags(args, *names: str) -> None:
+    """Reject a flag value outside the range its manifest field must keep."""
+    for name in names:
+        value = getattr(args, name)
+        if not in_range(name, value):
+            raise UsageError(
+                f"--{name.replace('_', '-')} must be a finite number "
+                f"{SETTING_RANGES[name][1]}, got {value!r}"
+            )
 
 
 def _sigma_tag(sigma_std: float) -> str:
@@ -192,13 +205,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_flags(args, "ridge_tau", "alpha")
     ts = read_series_csv(args.series)
     ts = _preprocess(ts, args.center, args.detrend, args.zscore)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     envar_cfg = default_config(ts.p, seed=args.seed) if args.method == "envar" else None
     if envar_cfg is not None and args.max_steps is not None:
-        envar_cfg = replace(envar_cfg, max_steps=args.max_steps)
+        try:
+            envar_cfg = replace(envar_cfg, max_steps=args.max_steps)
+        except DimensionError as exc:
+            raise UsageError(f"--max-steps: {exc}") from None
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model, report = _fit_method(
         ts, args.method, ridge_tau=args.ridge_tau, alpha=args.alpha, envar_cfg=envar_cfg
     )
@@ -212,6 +229,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_flags(args, "eta", "binarize_mass")
     model, meta = read_model_json(args.model)
     truth = read_truth_json(args.truth)
     report = score(model, truth, eta=args.eta, method_name=str(meta.get("method", "")))

@@ -10,10 +10,14 @@ diagonal of ``cQ b_can`` is softly pulled to one:
 
 over orthogonal ``Q`` and ``c`` in a wide compact interval. ``Q`` is the matrix
 exponential of a skew-symmetric parameter, evaluated with its adjoint derivative
-from one Hermitian eigendecomposition per step (see ``_descent``), so it is
-exactly orthogonal at every step; ``c`` is optimized in the log domain. All
-restarts descend together as one batch. The three normalization constants
-are the raw term values at a fixed random orthogonal baseline and ``c = 1``.
+from one spectral decomposition per step, so it is exactly orthogonal at every
+step. Below p = 16 that is a complex Hermitian eigendecomposition; from p = 16
+up, past the measured crossover of the two, it is the real Schur form (a
+Householder reduction and a half-size SVD), whose step kernel takes about
+half the time from p = 25 up (see ``_descent.REAL_SCHUR_MIN_DIM``). ``c`` is optimized in the
+log domain. All restarts descend together as one batch. The three
+normalization constants are the raw term values at a fixed random orthogonal
+baseline and ``c = 1``.
 Because every iterate is an orbit member, every candidate (and the returned
 solution) induces the fitted reduced form exactly.
 """

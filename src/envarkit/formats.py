@@ -96,6 +96,21 @@ def _is_real(value) -> bool:
         return False
 
 
+# Admissible values of the scoring and baseline settings, for manifest fields
+# and for the CLI flags of the same names.
+SETTING_RANGES = {
+    "eta": (lambda v: v >= 0, ">= 0"),
+    "binarize_mass": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "ridge_tau": (lambda v: v >= 0, ">= 0"),
+}
+
+
+def in_range(name: str, value) -> bool:
+    """Whether ``value`` is a finite number in the range of the setting ``name``."""
+    return _is_real(value) and SETTING_RANGES[name][0](value)
+
+
 def _require(ok: bool, where: str, what: str, value) -> None:
     if not ok:
         raise DataFormatError(f"{where} must be {what}, got {value!r}")
@@ -322,7 +337,7 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
         params = spec.get("params", {})
         _require(isinstance(params, dict), f"{source}: baselines[{i}].params", "an object", params)
         alpha = params.get("alpha", 0.05)
-        _require(_is_real(alpha) and 0 < alpha < 1, f"{source}: baselines[{i}].params.alpha",
+        _require(in_range("alpha", alpha), f"{source}: baselines[{i}].params.alpha",
                  "a number in (0, 1)", alpha)
         baselines.append(BaselineSpec(name=name, params=dict(params)))
 
@@ -334,13 +349,9 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
         raise DataFormatError(f"{source}: unknown metrics fields {sorted(unknown)}")
     _check_numbers(metrics_raw, "metrics", source)
     metrics = MetricsConfig(**metrics_raw)
-    for name, ok, what in (
-        ("eta", metrics.eta >= 0, ">= 0"),
-        ("binarize_mass", 0 < metrics.binarize_mass <= 1, "in (0, 1]"),
-        ("alpha", 0 < metrics.alpha < 1, "in (0, 1)"),
-        ("ridge_tau", metrics.ridge_tau >= 0, ">= 0"),
-    ):
-        _require(ok, f"{source}: metrics.{name}", what, getattr(metrics, name))
+    for name, (_, what) in SETTING_RANGES.items():
+        value = getattr(metrics, name)
+        _require(in_range(name, value), f"{source}: metrics.{name}", what, value)
 
     grid_raw = payload.get("grid", {})
     if not isinstance(grid_raw, dict):

@@ -254,6 +254,41 @@ class TestEvaluateCommand:
         assert code == 2
 
 
+class TestFlagRanges:
+    """A flag outside the range its manifest field must keep is a usage error."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        from envarkit.formats import write_truth_json
+
+        inst = generate_instance(GeneratorConfig(p=3, t_len=50, seed=4), episode=0)
+        write_series_csv(tmp_path / "series.csv", inst.series)
+        write_truth_json(tmp_path / "truth.json", inst, seed=4)
+        write_model_json(tmp_path / "model.json", inst.model, method="self")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("fit", ["--max-steps", "0"]),
+            ("fit", ["--method", "eqvar-gds", "--alpha", "2"]),
+            ("evaluate", ["--eta", "-1"]),
+            ("evaluate", ["--binarize-mass", "2"]),
+        ],
+        ids=["max-steps", "alpha", "eta", "binarize-mass"],
+    )
+    def test_out_of_range_flag_exits_1(self, files, capsys, command, flags):
+        if command == "fit":
+            inputs = ["--series", str(files / "series.csv")]
+        else:
+            inputs = ["--model", str(files / "model.json"), "--truth", str(files / "truth.json")]
+        code = main([command, *inputs, "--output", str(files / "out"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and flags[-2] in err
+        assert not (files / "out").exists()
+
+
 class TestBenchmarkCommand:
     def test_small_grid_row_counts(self, tmp_path):
         out = tmp_path / "bench"

@@ -17,12 +17,13 @@ from envarkit import (
 )
 from envarkit._descent import (
     ANNEAL_EVERY,
+    COMPLEX_KERNEL,
+    REAL_KERNEL,
+    REAL_SCHUR_MIN_DIM,
     OrbitObjective,
-    expm_adjoint_from_eig,
-    expm_from_eig,
     minimize_orbit_objective,
     random_skew,
-    skew_eig,
+    step_kernel,
 )
 from envarkit.envar_optimizer import _PATIENCE, norm_constants
 from envarkit.errors import DimensionError, OptimizerDivergedError
@@ -190,19 +191,26 @@ def _skew_part(a):
 
 
 class TestDescentKernel:
-    """One eigendecomposition gives expm(K) and its adjoint Frechet derivative."""
+    """One spectral decomposition gives expm(K) and its adjoint Frechet derivative.
+
+    Every case runs through both step kernels, whatever the threshold between them.
+    """
 
     def _check(self, k, g):
-        q = expm_from_eig(*skew_eig(k))
-        adj = expm_adjoint_from_eig(*skew_eig(k), g)
-        for r in range(k.shape[0]):
-            assert _relative_error(q[r], expm(k[r])) <= 1e-12
-            oracle = expm_frechet(k[r].T, g[r], compute_expm=False)
-            assert _relative_error(_skew_part(adj[r]), _skew_part(oracle)) <= 1e-12
-            defect = np.linalg.norm(q[r].T @ q[r] - np.eye(k.shape[-1]), "fro")
-            assert defect <= 1e-12
+        for kernel in (COMPLEX_KERNEL, REAL_KERNEL):
+            angles, basis = kernel.decompose(k)
+            q = kernel.expm(angles, basis)
+            adj = kernel.expm_adjoint(angles, basis, g)
+            for r in range(k.shape[0]):
+                assert _relative_error(q[r], expm(k[r])) <= 1e-12
+                oracle = expm_frechet(k[r].T, g[r], compute_expm=False)
+                assert _relative_error(_skew_part(adj[r]), _skew_part(oracle)) <= 1e-12
+                defect = np.linalg.norm(q[r].T @ q[r] - np.eye(k.shape[-1]), "fro")
+                assert defect <= 1e-12
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 5, 25, 50])
+    @pytest.mark.parametrize(
+        "p", [1, 2, 3, 5, 7, REAL_SCHUR_MIN_DIM - 1, REAL_SCHUR_MIN_DIM, 25, 50, 51]
+    )
     def test_matches_scipy_oracle(self, p):
         rng = np.random.default_rng(100 + p)
         scales = (0.0, 0.1, 1.0, 3.0)
@@ -218,6 +226,19 @@ class TestDescentKernel:
         for k in blocks:
             g = rng.normal(size=k.shape)
             self._check(k[None], g[None])
+
+    def test_exactly_zero_rotation_angles(self):
+        """A nonzero skew block beside a zero block, for even and odd sizes of each."""
+        rng = np.random.default_rng(9)
+        for size, zeros in ((4, 3), (5, 4), (9, 9)):
+            k = np.zeros((size + zeros, size + zeros))
+            k[:size, :size] = random_skew(size, rng, 1.0)
+            g = rng.normal(size=k.shape)
+            self._check(k[None], g[None])
+
+    def test_kernel_switches_at_threshold(self):
+        assert step_kernel(REAL_SCHUR_MIN_DIM - 1) is COMPLEX_KERNEL
+        assert step_kernel(REAL_SCHUR_MIN_DIM) is REAL_KERNEL
 
 
 def _batch_problem(p, rng):
@@ -262,8 +283,9 @@ class _NanAfter(OrbitObjective):
 
 
 class TestBatchedDescent:
-    def test_restart_is_bitwise_independent_of_batch(self):
-        objective, k0 = _batch_problem(4, np.random.default_rng(21))
+    @pytest.mark.parametrize("p", [4, 20])
+    def test_restart_is_bitwise_independent_of_batch(self, p):
+        objective, k0 = _batch_problem(p, np.random.default_rng(21))
         batch = minimize_orbit_objective(objective, k0, 0.0, **_BATCH_KW)
         assert batch[2].stop_reason == "patience"
         assert batch[2].steps == _BATCH_KW["patience"] + 1
@@ -351,13 +373,14 @@ class TestSolveEnvar:
         assert np.array_equal(a.model.a0, b.model.a0)
         assert np.array_equal(a.q_hat, b.q_hat)
 
-    def test_reduced_form_preserved_for_every_restart(self):
-        cr, fit = make_fitted_representative(3, seed=6)
-        cfg = replace(default_config(3, seed=1), max_steps=800)
+    @pytest.mark.parametrize("p", [3, 20])
+    def test_reduced_form_preserved_for_every_restart(self, p):
+        cr, fit = make_fitted_representative(p, seed=6)
+        cfg = replace(default_config(p, seed=1), max_steps=800)
         solution = solve_envar(cr, cfg)
         for outcome in solution.restarts:
             member = StructuralModel(
-                a0=np.eye(3) - outcome.c * (outcome.q @ cr.b_can),
+                a0=np.eye(p) - outcome.c * (outcome.q @ cr.b_can),
                 a1=outcome.c * (outcome.q @ cr.gamma_can),
                 sigma=outcome.c,
             )
@@ -367,14 +390,15 @@ class TestSolveEnvar:
             assert np.max(np.abs(rf.sigma_u - fit.sigma_u_hat)) <= 1e-8 * (
                 1.0 + np.max(np.abs(fit.sigma_u_hat))
             )
-            assert np.linalg.norm(outcome.q.T @ outcome.q - np.eye(3), "fro") <= 1e-8
+            assert np.linalg.norm(outcome.q.T @ outcome.q - np.eye(p), "fro") <= 1e-8
 
     def test_exact_orthogonality_of_parameterization(self):
         rng = np.random.default_rng(7)
         for scale in (0.1, 1.0, 3.0):
             k = random_skew(6, rng, scale)
-            q = expm_from_eig(*skew_eig(k))
-            assert np.linalg.norm(q.T @ q - np.eye(6), "fro") <= 1e-8
+            for kernel in (COMPLEX_KERNEL, REAL_KERNEL):
+                q = kernel.expm(*kernel.decompose(k))
+                assert np.linalg.norm(q.T @ q - np.eye(6), "fro") <= 1e-8
 
     def test_best_so_far_monotone_and_restart_dominance(self):
         cr, _ = make_fitted_representative(3, seed=8)
