@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.special import stdtr
 
 from .errors import DimensionError, RankError
 from .model_core import TimeSeries, _freeze
@@ -101,7 +101,7 @@ def fit_eqvar_gds(ts: TimeSeries, fit: OlsFit, alpha: float = 0.05) -> GdsResult
         coef = -row / inv[position, position]
         # t = coef / se with se^2 = (n resid_var / df) (n S_PP)^{-1}_jj
         t_stat = -row * np.sqrt(df / inv_gram_diag[position - 1, :position])
-        p_value = 2.0 * stats.t.sf(np.abs(t_stat), df)
+        p_value = 2.0 * stdtr(df, -np.abs(t_stat))
         keep = p_value < alpha
         a0_hat[order[position], order[:position][keep]] = coef[keep]
 

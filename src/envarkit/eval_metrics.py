@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .equivalence import align_obs, align_sf
 from .errors import DimensionError
@@ -87,7 +87,7 @@ def gated_pearson(x: np.ndarray, y: np.ndarray) -> PearsonGate:
         p_value = 0.0
     else:
         t_stat = r * np.sqrt(df / (1.0 - r * r))
-        p_value = float(2.0 * stats.t.sf(abs(t_stat), df))
+        p_value = float(2.0 * stdtr(df, -abs(t_stat)))
     gated = r if p_value < SIGNIFICANCE_LEVEL else None
     return PearsonGate(r=gated, p_value=p_value)
 

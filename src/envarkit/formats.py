@@ -49,9 +49,68 @@ def _jsonify(obj: Any) -> Any:
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False)`` to ``out``, byte for byte, for plain JSON values.
+
+    ``newline`` is a line break plus the current indent. ``json.dumps`` with an
+    indent runs CPython's pure-Python encoder; here a list of floats is one
+    ``str.join`` over ``float.__repr__``, the call json makes per float.
+    """
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            floats = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # not all floats
+            floats = None
+        if floats is not None and all(map(math.isfinite, obj)):
+            out.append("[" + inner + floats + newline + "]")
+            return
+        # mixed items, or a non-finite float, which raises when reached
+        for i, value in enumerate(obj):
+            out.append(inner if i else "[" + inner)
+            _encode(value, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            out.append((inner if i else "{" + inner) + _encode_str(key) + ": ")
+            _encode(value, inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: Path | str, payload: dict) -> None:
-    body = json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(body + "\n", encoding="utf-8")
+    out: list[str] = []
+    _encode(_jsonify(payload), "\n", out)
+    out.append("\n")
+    Path(path).write_text("".join(out), encoding="utf-8")
 
 
 def read_json(path: Path | str) -> dict:

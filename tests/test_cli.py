@@ -1,13 +1,25 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from envarkit import StructuralModel, TimeSeries, to_reduced_form
+from envarkit import (
+    StructuralModel,
+    TimeSeries,
+    canonical_representative,
+    center,
+    default_config,
+    empirical_orbit_member,
+    fit_ols,
+    solve_envar,
+    to_reduced_form,
+)
 from envarkit.cli import main
+from envarkit.equivalence import OrbitElement
 from envarkit.errors import DataFormatError
 from envarkit.formats import (
     load_manifest,
@@ -189,6 +201,48 @@ class TestFitCommand:
         ])
         assert code == 0
 
+    def test_detrend_equals_fit_on_scipy_detrended_series(self, tmp_path):
+        from scipy.signal import detrend
+
+        rng = np.random.default_rng(5)
+        trend = np.outer([0.5, -1.0, 2.0], np.arange(150) / 150.0)
+        values = rng.normal(0.0, 1.0, size=(3, 150)) + trend
+        write_series_csv(tmp_path / "series.csv", TimeSeries(values=values))
+        for name, flags in (("detrended", ["--detrend"]), ("raw", [])):
+            code = main(["fit", "--series", str(tmp_path / "series.csv"),
+                         "--method", "ols-only", "--output", str(tmp_path / name),
+                         *flags])
+            assert code == 0
+        model, _ = read_model_json(tmp_path / "detrended" / "model.json")
+        # centering is on by default and runs first
+        series = read_series_csv(tmp_path / "series.csv")
+        manual = detrend(center(series).values, axis=1, type="linear")
+        cr = canonical_representative(fit_ols(TimeSeries(values=manual, centered=True)))
+        expected = empirical_orbit_member(cr, OrbitElement(q=np.eye(3), c=1.0))
+        assert np.array_equal(model.a0, expected.a0)
+        assert np.array_equal(model.a1, expected.a1)
+        assert model.sigma == expected.sigma
+        raw, _ = read_model_json(tmp_path / "raw" / "model.json")
+        assert not np.allclose(raw.a1, model.a1)
+
+    def test_envar_report_carries_restart_telemetry(self, tmp_path):
+        inst = generate_instance(GeneratorConfig(p=3, t_len=200, seed=2), episode=0)
+        write_series_csv(tmp_path / "series.csv", inst.series)
+        code = main([
+            "fit", "--series", str(tmp_path / "series.csv"), "--method", "envar",
+            "--output", str(tmp_path), "--max-steps", "300", "--seed", "4",
+        ])
+        assert code == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        cr = canonical_representative(fit_ols(center(inst.series)))
+        solution = solve_envar(cr, replace(default_config(3, seed=4), max_steps=300))
+        assert report["restarts"] == [
+            {"steps": r.steps, "best_step": r.best_step,
+             "stop_reason": r.stop_reason, "anneals": r.anneals}
+            for r in solution.restarts
+        ]
+        assert len(report["restarts"]) == default_config(3).restarts
+
     def test_uncentered_data_without_centering_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         values = rng.normal(5.0, 1.0, size=(2, 50))
@@ -325,6 +379,19 @@ class TestBenchmarkCommand:
         assert sem == pytest.approx(
             np.std(envar_sf, ddof=1) / np.sqrt(len(envar_sf)), rel=1e-12
         )
+
+    def test_more_jobs_than_tasks_is_byte_identical(self, tmp_path):
+        # 1 p x 1 sigma x 2 episodes x 3 methods = 6 tasks for 8 workers
+        outputs = {}
+        for jobs in (1, 8):
+            out = tmp_path / f"jobs{jobs}"
+            manifest = write_manifest(tmp_path / f"m{jobs}.json", out)
+            assert main(["benchmark", "--manifest", str(manifest),
+                         "--jobs", str(jobs)]) == 0
+            outputs[jobs] = [
+                (out / name).read_bytes() for name in ("summary.csv", "aggregate.csv")
+            ]
+        assert outputs[1] == outputs[8]
 
     def test_manifest_validation_errors(self, tmp_path, capsys):
         bad = tmp_path / "m.json"

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
 from envarkit import (
@@ -391,6 +393,22 @@ class TestSolveEnvar:
                 1.0 + np.max(np.abs(fit.sigma_u_hat))
             )
             assert np.linalg.norm(outcome.q.T @ outcome.q - np.eye(p), "fro") <= 1e-8
+
+    @settings(max_examples=12, deadline=None)
+    @given(p=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+    def test_smallest_dimensions_keep_reduced_form_and_orthogonality(self, p, seed):
+        cr, fit = make_fitted_representative(p, seed=seed)
+        solution = solve_envar(cr, replace(default_config(p, seed=seed), max_steps=300))
+        for q, c in [(o.q, o.c) for o in solution.restarts] + [
+            (solution.q_hat, solution.c_hat)
+        ]:
+            member = StructuralModel(
+                a0=np.eye(p) - c * (q @ cr.b_can), a1=c * (q @ cr.gamma_can), sigma=c
+            )
+            rf = to_reduced_form(member)
+            assert np.max(np.abs(rf.phi - fit.phi_hat)) <= 1e-8
+            assert np.max(np.abs(rf.sigma_u - fit.sigma_u_hat)) <= 1e-8
+            assert np.linalg.norm(q.T @ q - np.eye(p), "fro") <= 1e-12
 
     def test_exact_orthogonality_of_parameterization(self):
         rng = np.random.default_rng(7)

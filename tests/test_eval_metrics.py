@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import stdtr
 
 from envarkit import (
     OrbitElement,
@@ -95,12 +96,29 @@ class TestGatedPearson:
         from scipy import stats
 
         rng = np.random.default_rng(10)
-        x = rng.standard_normal(30)
-        y = 0.5 * x + rng.standard_normal(30)
-        gate = gated_pearson(x, y)
-        r = float(np.corrcoef(x, y)[0, 1])
-        t = r * np.sqrt(28 / (1 - r * r))
-        assert gate.p_value == pytest.approx(2 * stats.t.sf(abs(t), 28), rel=1e-12)
+        for m in (3, 4, 10, 30, 400):
+            x = rng.standard_normal(m)
+            y = 0.5 * x + rng.standard_normal(m)
+            gate = gated_pearson(x, y)
+            r = float(np.corrcoef(x, y)[0, 1])
+            t = r * np.sqrt((m - 2) / (1 - r * r))
+            assert gate.p_value == float(2 * stats.t.sf(abs(t), m - 2))
+
+
+class TestStudentTail:
+    """``stdtr(df, -x)`` is the whole of ``scipy.stats.t.sf(x, df)``."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 30, 997, 10**6])
+    def test_stdtr_equals_stats_t_sf_bitwise(self, df):
+        from scipy import stats
+
+        edges = np.array([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                          np.inf, -np.inf, np.nan])
+        x = np.concatenate([edges, np.linspace(-50.0, 50.0, 1001),
+                            np.geomspace(1e-12, 1e12, 995)])
+        assert stdtr(df, -x).tobytes() == stats.t.sf(x, df).tobytes()
+        two_sided = 2.0 * stdtr(df, -np.abs(x))
+        assert two_sided.tobytes() == (2.0 * stats.t.sf(np.abs(x), df)).tobytes()
 
 
 class TestBinarize:

@@ -16,10 +16,12 @@ from hypothesis.extra.numpy import arrays
 from envarkit import TimeSeries
 from envarkit.errors import DataFormatError
 from envarkit.formats import (
+    _encode,
     _jsonify,
     manifest_from_dict,
     manifest_to_dict,
     read_series_csv,
+    write_json,
     write_series_csv,
 )
 
@@ -146,6 +148,59 @@ class TestJsonifyMatchesReference:
             {"x": [[1.0, None], [None, None]], "flag": True,
              "flags": [False, True], "count": 2}
         )
+
+
+def _json_dumps_text(obj) -> str:
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    return "".join(out)
+
+
+_PLAIN = st.recursive(
+    st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.booleans(), st.none(),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.floats(), max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+class TestWriteJsonMatchesJsonDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(_NESTED)
+    @example({"m": np.arange(6.0).reshape(2, 3), "empty": [], "none": {}, "s": "é\"\n"})
+    @example([[1.0, 2], [True, None], 5e-324, -0.0, 1e300])
+    def test_file_bytes(self, obj):
+        payload = {"x": obj, "format_version": "envar-kit/1"}
+        expected = json.dumps(
+            _jsonify(payload), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.json"
+            write_json(path, payload)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PLAIN)
+    @example([1.0, float("nan")])
+    @example({"a": [[0.5], [float("-inf")]]})
+    @example([1, float("inf")])
+    @example(float("nan"))
+    def test_encoder_matches_or_raises_like_json(self, obj):
+        try:
+            expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                _json_dumps_text(obj)
+        else:
+            assert _json_dumps_text(obj) == expected
+
+    def test_unknown_type_raises_type_error(self):
+        with pytest.raises(TypeError):
+            _json_dumps_text({"a": [object()]})
 
 
 def _manifest_payload(**over) -> dict:
