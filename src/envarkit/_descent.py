@@ -303,7 +303,6 @@ def _skew(w: np.ndarray) -> np.ndarray:
 def minimize_orbit_objective(
     objective: OrbitObjective,
     k0: np.ndarray,
-    log_c0: float,
     *,
     learn_rate: float,
     max_steps: int,
@@ -327,7 +326,8 @@ def minimize_orbit_objective(
     log_lo, log_hi = np.log(c_bounds[0]), np.log(c_bounds[1])
     k = _skew(np.array(k0, dtype=float))
     n_restarts = k.shape[0]
-    log_c = np.clip(np.full(n_restarts, float(log_c0)), log_lo, log_hi)
+    # every restart starts at c = 1, clipped into the bounds
+    log_c = np.clip(np.zeros(n_restarts), log_lo, log_hi)
     lr = np.full(n_restarts, float(learn_rate))
     m_k = np.zeros_like(k)
     v_k = np.zeros_like(k)

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,6 @@ from .formats import (
     ExperimentManifest,
     in_range,
     load_manifest,
-    manifest_from_dict,
-    manifest_to_dict,
     read_model_json,
     read_series_csv,
     read_truth_json,
@@ -54,15 +52,11 @@ from .synth import generate_instance
 
 logger = logging.getLogger("envarkit.cli")
 
-SUMMARY_COLUMNS = (
-    "p", "sigma_std", "method", "episode",
-    "sf_oad", "obs_oad",
-    "pearson_phi", "pearson_sigma_u", "pearson_a0", "pearson_a1",
-    "error",
-)
+# ScoreReport fields, read by name into each summary row
 _METRIC_COLUMNS = (
     "sf_oad", "obs_oad", "pearson_phi", "pearson_sigma_u", "pearson_a0", "pearson_a1",
 )
+SUMMARY_COLUMNS = ("p", "sigma_std", "method", "episode", *_METRIC_COLUMNS, "error")
 
 
 class UsageError(Exception):
@@ -197,9 +191,7 @@ def cmd_simulate(args) -> int:
                     run_dir / "instance_meta.json",
                     {
                         "format_version": manifest.format_version,
-                        "generator": manifest_to_dict(manifest)["generator"] | {
-                            "p": p, "sigma_std": sigma_std,
-                        },
+                        "generator": asdict(cfg),
                         "episode": episode,
                         "fresh_graph": manifest.fresh_graph,
                     },
@@ -255,8 +247,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _benchmark_task(payload: dict) -> dict:
-    """Run one (p, sigma_std, episode, method) cell; returns a summary row."""
-    manifest = manifest_from_dict(payload["manifest"])
+    """Run one (p, sigma_std, episode, method) cell of ``payload["manifest"]``,
+    the loaded ``ExperimentManifest``; returns a summary row."""
+    manifest = payload["manifest"]
     p = payload["p"]
     sigma_std = payload["sigma_std"]
     episode = payload["episode"]
@@ -264,9 +257,7 @@ def _benchmark_task(payload: dict) -> dict:
     out_root = Path(payload["output_dir"])
     row = {
         "p": p, "sigma_std": sigma_std, "method": method, "episode": episode,
-        "sf_oad": None, "obs_oad": None, "pearson_phi": None,
-        "pearson_sigma_u": None, "pearson_a0": None, "pearson_a1": None,
-        "error": "",
+        **dict.fromkeys(_METRIC_COLUMNS), "error": "",
     }
     started = time.perf_counter()
     try:
@@ -298,14 +289,7 @@ def _benchmark_task(payload: dict) -> dict:
                 binarize_mass=manifest.metrics.binarize_mass,
             ),
         )
-        row.update(
-            sf_oad=report.sf_oad,
-            obs_oad=report.obs_oad,
-            pearson_phi=report.pearson_phi,
-            pearson_sigma_u=report.pearson_sigma_u,
-            pearson_a0=report.pearson_a0,
-            pearson_a1=report.pearson_a1,
-        )
+        row.update((col, getattr(report, col)) for col in _METRIC_COLUMNS)
     except EnvarKitError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_ms"] = (time.perf_counter() - started) * 1000.0
@@ -356,7 +340,7 @@ def cmd_benchmark(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     tasks = [
         {
-            "manifest": manifest_to_dict(manifest),
+            "manifest": manifest,
             "output_dir": str(out_root),
             "p": p,
             "sigma_std": sigma_std,

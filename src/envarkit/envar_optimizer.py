@@ -237,7 +237,6 @@ def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
     results = minimize_orbit_objective(
         _orbit_objective(cr, cfg, norms, np.array(signs)),
         k0=np.array(starts),
-        log_c0=0.0,
         learn_rate=cfg.learn_rate_base * (5.0 / p),
         max_steps=cfg.max_steps,
         grad_clip=cfg.grad_clip,

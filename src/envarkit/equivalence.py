@@ -69,14 +69,6 @@ class OrbitElement:
 
 
 @dataclass(frozen=True)
-class StackedStructural:
-    """The ``p x 2p`` stack ``[B | a1]`` together with the noise scale."""
-
-    s: np.ndarray
-    sigma: float
-
-
-@dataclass(frozen=True)
 class AlignmentResult:
     """Optimal discrepancy and its attaining transform.
 
@@ -98,9 +90,9 @@ class SfEquivalence(NamedTuple):
     scale: float
 
 
-def stacked(m: StructuralModel) -> StackedStructural:
-    """Stack a model as ``[B | a1]``."""
-    return StackedStructural(s=np.hstack([m.b, m.a1]), sigma=m.sigma)
+def stacked(m: StructuralModel) -> np.ndarray:
+    """Stack a model as the ``p x 2p`` array ``[B | a1]``."""
+    return np.hstack([m.b, m.a1])
 
 
 def _orbit_member(
@@ -188,22 +180,22 @@ def align_obs(
     eta = float(eta)
     if eta < 0.0:
         raise DimensionError(f"eta must be >= 0, got {eta}")
-    ref, test = stacked(m_ref), stacked(m_test)
-    alpha, q_star, unique_q = _svd_cross(ref.s, test.s)
-    s_ref_sq = float(np.sum(ref.s**2))
-    s_test_sq = float(np.sum(test.s**2))
-    denom = s_ref_sq + eta * ref.sigma**2
-    numer = alpha + eta * ref.sigma * test.sigma
+    s_ref, s_test = stacked(m_ref), stacked(m_test)
+    alpha, q_star, unique_q = _svd_cross(s_ref, s_test)
+    s_ref_sq = float(np.sum(s_ref**2))
+    s_test_sq = float(np.sum(s_test**2))
+    denom = s_ref_sq + eta * m_ref.sigma**2
+    numer = alpha + eta * m_ref.sigma * m_test.sigma
     if denom <= np.finfo(float).tiny or numer <= _ALPHA_ZERO:
         return AlignmentResult(
-            value=_clamp(s_test_sq + eta * test.sigma**2),
+            value=_clamp(s_test_sq + eta * m_test.sigma**2),
             q_star=q_star,
             c_star=0.0,
             alpha=alpha,
             unique_q=unique_q,
             infimum_not_attained=True,
         )
-    value = _clamp(s_test_sq + eta * test.sigma**2 - numer**2 / denom)
+    value = _clamp(s_test_sq + eta * m_test.sigma**2 - numer**2 / denom)
     return AlignmentResult(
         value=value, q_star=q_star, c_star=numer / denom, alpha=alpha, unique_q=unique_q
     )
@@ -216,29 +208,7 @@ def align_sf(m_ref: StructuralModel, m_test: StructuralModel) -> AlignmentResult
     infimum ``||S'||_F^2`` is approached as ``c -> 0`` and is flagged as not
     attained (``c_star`` reported as 0).
     """
-    if m_ref.p != m_test.p:
-        raise DimensionError(f"dimension mismatch: {m_ref.p} vs {m_test.p}")
-    ref, test = stacked(m_ref), stacked(m_test)
-    alpha, q_star, unique_q = _svd_cross(ref.s, test.s)
-    s_ref_sq = float(np.sum(ref.s**2))
-    s_test_sq = float(np.sum(test.s**2))
-    if alpha <= _ALPHA_ZERO or s_ref_sq <= np.finfo(float).tiny:
-        return AlignmentResult(
-            value=_clamp(s_test_sq),
-            q_star=q_star,
-            c_star=0.0,
-            alpha=alpha,
-            unique_q=unique_q,
-            infimum_not_attained=True,
-        )
-    value = _clamp(s_test_sq - alpha**2 / s_ref_sq)
-    return AlignmentResult(
-        value=value,
-        q_star=q_star,
-        c_star=alpha / s_ref_sq,
-        alpha=alpha,
-        unique_q=unique_q,
-    )
+    return align_obs(m_ref, m_test, eta=0.0)
 
 
 def sym_discrepancy(
@@ -279,7 +249,6 @@ def normalized_orbit_search(
     results = minimize_orbit_objective(
         objective,
         k0=np.array(starts),
-        log_c0=0.0,
         learn_rate=_SEARCH_LEARN_RATE * (5.0 / p),
         max_steps=_SEARCH_MAX_STEPS,
         grad_clip=_SEARCH_GRAD_CLIP,

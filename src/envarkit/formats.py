@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -27,34 +27,14 @@ FORMAT_VERSION = "envar-kit/1"
 KNOWN_METHODS = ("envar", "eqvar-gds", "ols-only")
 
 
-def _jsonify(obj: Any) -> Any:
-    """Convert to plain JSON types; non-finite floats become null."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        # bool, integer and all-finite float arrays need no per-element walk
-        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return obj.tolist()
-        return _jsonify(obj.tolist())
-    # bool is a subclass of int, so it is tested first
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _encode(obj: Any, newline: str, out: list[str]) -> None:
     """Append the text of ``json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False)`` to ``out``, byte for byte, for plain JSON values.
+    allow_nan=False)`` to ``out``, byte for byte, once ``obj`` is mapped to
+    plain JSON values: numpy arrays and scalars become lists and Python
+    scalars, keys become ``str(k)``, and non-finite floats become null.
 
     ``newline`` is a line break plus the current indent. ``json.dumps`` with an
     indent runs CPython's pure-Python encoder; here a list of floats is one
@@ -64,6 +44,7 @@ def _encode(obj: Any, newline: str, out: list[str]) -> None:
         out.append(_encode_str(obj))
     elif obj is None:
         out.append("null")
+    # bool is a subclass of int, so it is tested first
     elif obj is True:
         out.append("true")
     elif obj is False:
@@ -71,9 +52,7 @@ def _encode(obj: Any, newline: str, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        out.append(float.__repr__(obj))
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -86,7 +65,7 @@ def _encode(obj: Any, newline: str, out: list[str]) -> None:
         if floats is not None and all(map(math.isfinite, obj)):
             out.append("[" + inner + floats + newline + "]")
             return
-        # mixed items, or a non-finite float, which raises when reached
+        # mixed items, or a non-finite float, which is written as null
         for i, value in enumerate(obj):
             out.append(inner if i else "[" + inner)
             _encode(value, inner, out)
@@ -97,18 +76,23 @@ def _encode(obj: Any, newline: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = newline + "  "
-        for i, (key, value) in enumerate(sorted(obj.items())):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        for i, (key, value) in enumerate(items):
             out.append((inner if i else "{" + inner) + _encode_str(key) + ": ")
             _encode(value, inner, out)
             out.append(",")
         out[-1] = newline + "}"
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), newline, out)
+    elif isinstance(obj, np.generic):
+        _encode(obj.item(), newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path | str, payload: dict) -> None:
     out: list[str] = []
-    _encode(_jsonify(payload), "\n", out)
+    _encode(payload, "\n", out)
     out.append("\n")
     Path(path).write_text("".join(out), encoding="utf-8")
 
@@ -237,7 +221,7 @@ def read_series_csv(path: Path | str) -> TimeSeries:
                 raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
             if prev_t is not None and t_val <= prev_t:
                 raise DataFormatError(f"{path}: line {lineno}: time index must increase")
-            if not all(map(math.isfinite, vals)):
+            if not (math.isfinite(t_val) and all(map(math.isfinite, vals))):
                 raise DataFormatError(f"{path}: line {lineno}: non-finite value")
             prev_t = t_val
             columns.append(vals)
@@ -458,21 +442,6 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     )
 
 
-def manifest_to_dict(manifest: ExperimentManifest) -> dict:
-    return _jsonify(
-        {
-            "format_version": manifest.format_version,
-            "generator": asdict(manifest.generator),
-            "envar": manifest.envar_overrides,
-            "baselines": [{"name": b.name, "params": b.params} for b in manifest.baselines],
-            "metrics": asdict(manifest.metrics),
-            "grid": {"p": list(manifest.grid_p), "sigma_std": list(manifest.grid_sigma_std)},
-            "fresh_graph": manifest.fresh_graph,
-            "output_dir": manifest.output_dir,
-        }
-    )
-
-
 def load_manifest(path: Path | str) -> ExperimentManifest:
     return manifest_from_dict(read_json(path), source=str(path))
 
@@ -506,4 +475,4 @@ def score_report_to_dict(report, centrality=None, binarize_mass=None) -> dict:
             "net_flow": centrality.net_flow,
         }
         payload["binarize_mass"] = binarize_mass
-    return _jsonify(payload)
+    return payload

@@ -149,7 +149,9 @@ class TimeSeries:
             raise DimensionError(f"series must be a 2-D array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise DimensionError("series contains non-finite entries")
-        object.__setattr__(self, "values", _freeze(arr))
+        # C order: readers and scipy.signal.detrend hand back F-ordered arrays,
+        # on which fit_ols would sum in another order than on an in-memory series
+        object.__setattr__(self, "values", _freeze(np.ascontiguousarray(arr)))
         object.__setattr__(self, "centered", bool(self.centered))
 
     @property

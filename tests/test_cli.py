@@ -18,7 +18,7 @@ from envarkit import (
     solve_envar,
     to_reduced_form,
 )
-from envarkit.cli import main
+from envarkit.cli import _preprocess, main
 from envarkit.equivalence import OrbitElement
 from envarkit.errors import DataFormatError
 from envarkit.formats import (
@@ -217,6 +217,8 @@ class TestFitCommand:
         # centering is on by default and runs first
         series = read_series_csv(tmp_path / "series.csv")
         manual = detrend(center(series).values, axis=1, type="linear")
+        # scipy hands back F order; the fitted series is stored in C order
+        assert _preprocess(series, True, True, False).values.flags.c_contiguous
         cr = canonical_representative(fit_ols(TimeSeries(values=manual, centered=True)))
         expected = empirical_orbit_member(cr, OrbitElement(q=np.eye(3), c=1.0))
         assert np.array_equal(model.a0, expected.a0)
@@ -224,6 +226,19 @@ class TestFitCommand:
         assert model.sigma == expected.sigma
         raw, _ = read_model_json(tmp_path / "raw" / "model.json")
         assert not np.allclose(raw.a1, model.a1)
+
+    @pytest.mark.parametrize("p", [5, 40])
+    def test_csv_fit_is_bitwise_the_in_memory_fit(self, tmp_path, p):
+        inst = generate_instance(GeneratorConfig(p=p, t_len=400, seed=3), episode=0)
+        write_series_csv(tmp_path / "series.csv", inst.series)
+        assert read_series_csv(tmp_path / "series.csv").values.flags.c_contiguous
+        code = main(["fit", "--series", str(tmp_path / "series.csv"),
+                     "--method", "ols-only", "--output", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        in_memory = fit_ols(_preprocess(inst.series, True, False, False))
+        assert np.array_equal(np.asarray(report["phi_hat"]), in_memory.phi_hat)
+        assert np.array_equal(np.asarray(report["sigma_u_hat"]), in_memory.sigma_u_hat)
 
     def test_envar_report_carries_restart_telemetry(self, tmp_path):
         inst = generate_instance(GeneratorConfig(p=3, t_len=200, seed=2), episode=0)

@@ -288,13 +288,13 @@ class TestBatchedDescent:
     @pytest.mark.parametrize("p", [4, 20])
     def test_restart_is_bitwise_independent_of_batch(self, p):
         objective, k0 = _batch_problem(p, np.random.default_rng(21))
-        batch = minimize_orbit_objective(objective, k0, 0.0, **_BATCH_KW)
+        batch = minimize_orbit_objective(objective, k0, **_BATCH_KW)
         assert batch[2].stop_reason == "patience"
         assert batch[2].steps == _BATCH_KW["patience"] + 1
         assert all(batch[r].steps > batch[2].steps for r in (0, 1, 3))
         for r in range(4):
             (alone,) = minimize_orbit_objective(
-                objective.take([r]), k0[r:r + 1], 0.0, **_BATCH_KW
+                objective.take([r]), k0[r:r + 1], **_BATCH_KW
             )
             assert alone.trace == batch[r].trace
             assert np.array_equal(alone.q, batch[r].q)
@@ -318,9 +318,9 @@ class TestBatchedDescent:
         flagged = np.array([False, False, False, True])
         poisoned = _NanAfter(**vars(objective), flagged=flagged, after=30)
         with pytest.raises(OptimizerDivergedError, match="restart 3: objective") as err:
-            minimize_orbit_objective(poisoned, k0, 0.0, **_BATCH_KW)
+            minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
         (alone,) = minimize_orbit_objective(
-            objective.take([3]), k0[3:], 0.0, **dict(_BATCH_KW, max_steps=30)
+            objective.take([3]), k0[3:], **dict(_BATCH_KW, max_steps=30)
         )
         assert err.value.trace == alone.trace
         assert len(err.value.trace) == 30

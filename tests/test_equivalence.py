@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from envarkit import (
     sym_discrepancy,
     to_reduced_form,
 )
-from envarkit.equivalence import stacked
+from envarkit.equivalence import AlignmentResult, stacked
 from envarkit.errors import DimensionError
 
 from conftest import random_admissible, random_orthogonal
@@ -208,6 +210,47 @@ class TestAlignSf:
         assert result.value >= 0.0
 
 
+def _zero_stack(p):
+    """B = I - a0 = 0 and a1 = 0: every cross product vanishes, so alpha = 0."""
+    return StructuralModel(np.eye(p), np.zeros((p, p)), 0.7)
+
+
+def _alignment_pairs():
+    rng = np.random.default_rng(26)
+    pairs = [
+        pytest.param(random_admissible(p, rng), random_admissible(p, rng), id=f"p{p}")
+        for p in (1, 2, 5, 12)
+    ]
+    m = random_admissible(3, rng)
+    member = orbit_transform(m, OrbitElement(q=random_orthogonal(3, rng), c=0.4))
+    pairs += [
+        pytest.param(m, member, id="orbit-member"),
+        pytest.param(_zero_stack(1), random_admissible(1, rng), id="p1-zero-reference"),
+        pytest.param(random_admissible(3, rng), _zero_stack(3), id="zero-test"),
+        pytest.param(_zero_stack(2), _zero_stack(2), id="both-zero"),
+        pytest.param(
+            StructuralModel(np.zeros((2, 2)), np.zeros((2, 2)), 2.0),
+            random_admissible(2, rng),
+            id="zero-a0-a1",
+        ),
+    ]
+    return pairs
+
+
+class TestAlignSfIsAlignObsAtEtaZero:
+    @pytest.mark.parametrize("m_ref, m_test", _alignment_pairs())
+    def test_every_field_bitwise(self, m_ref, m_test):
+        sf, obs = align_sf(m_ref, m_test), align_obs(m_ref, m_test, eta=0.0)
+        for f in fields(AlignmentResult):
+            a, b = getattr(sf, f.name), getattr(obs, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+    def test_zero_stack_reaches_infimum_branch(self):
+        result = align_sf(random_admissible(3, np.random.default_rng(27)), _zero_stack(3))
+        assert result.infimum_not_attained
+        assert result.c_star == 0.0
+
+
 class TestZeroDiscrepancyCharacterization:
     def test_equivalence_iff_zero(self):
         rng = np.random.default_rng(19)
@@ -278,6 +321,6 @@ class TestNormalizedOrbitSearch:
         rng = np.random.default_rng(25)
         m = random_admissible(3, rng)
         s = stacked(m)
-        assert s.s.shape == (3, 6)
-        np.testing.assert_allclose(s.s[:, :3], m.b)
-        np.testing.assert_allclose(s.s[:, 3:], m.a1)
+        assert s.shape == (3, 6)
+        np.testing.assert_allclose(s[:, :3], m.b)
+        np.testing.assert_allclose(s[:, 3:], m.a1)
