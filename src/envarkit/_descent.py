@@ -47,6 +47,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Step size at p = 5; a descent at dimension p starts at LEARN_RATE * 5 / p.
+LEARN_RATE = 5e-3
+# Bound on the global norm of each step's (K, log c) gradient.
+GRAD_CLIP = 1.0
+# A restart stops once its best objective has not improved by the caller's
+# tolerance for this many consecutive steps.
+PATIENCE = 500
+
 # Fixed-rate Adam stalls in a noise ball of radius ~ learn_rate around a
 # minimum; annealing on plateau lets runs reach the tight residuals the
 # postconditions require. Deterministic: driven only by the objective trace.
@@ -281,7 +289,7 @@ class DescentResult:
     """Best iterate of one restart, with why and when its descent stopped.
 
     ``stop_reason`` is ``"patience"`` (no improvement by the tolerance for
-    ``patience`` steps) or ``"budget"`` (``max_steps`` reached); ``best_step``
+    ``PATIENCE`` steps) or ``"budget"`` (``max_steps`` reached); ``best_step``
     is the step that evaluated the best iterate; ``anneals`` counts the
     step-size decays.
     """
@@ -304,11 +312,8 @@ def minimize_orbit_objective(
     objective: OrbitObjective,
     k0: np.ndarray,
     *,
-    learn_rate: float,
     max_steps: int,
-    grad_clip: float,
     convergence_tol: float,
-    patience: int,
     c_bounds: tuple[float, float],
 ) -> list[DescentResult]:
     """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
@@ -316,7 +321,7 @@ def minimize_orbit_objective(
     ``k0`` is an ``(R, p, p)`` stack of starts and ``objective`` holds the
     matching ``(R, p, p)`` stacks; results come back in restart order. A
     restart stops after ``max_steps`` or once its best objective has not
-    improved by ``convergence_tol`` over ``patience`` consecutive steps. During
+    improved by ``convergence_tol`` over ``PATIENCE`` consecutive steps. During
     a plateau its step size decays every ``ANNEAL_EVERY`` stalled steps so the
     iterate can settle below the fixed-rate noise floor.
 
@@ -328,7 +333,7 @@ def minimize_orbit_objective(
     n_restarts = k.shape[0]
     # every restart starts at c = 1, clipped into the bounds
     log_c = np.clip(np.zeros(n_restarts), log_lo, log_hi)
-    lr = np.full(n_restarts, float(learn_rate))
+    lr = np.full(n_restarts, LEARN_RATE * (5.0 / k.shape[-1]))
     m_k = np.zeros_like(k)
     v_k = np.zeros_like(k)
     m_c = np.zeros(n_restarts)
@@ -372,7 +377,7 @@ def minimize_orbit_objective(
         best_step[rows] = step
         stalled = step - last_improve[ids]
 
-        patient = stalled >= patience
+        patient = stalled >= PATIENCE
         stop = patient | (step == max_steps)
         if stop.any():
             for row in np.flatnonzero(stop):
@@ -409,7 +414,7 @@ def minimize_orbit_objective(
             raise diverged(~finite, "gradient", step, step)
 
         total_norm = np.sqrt(_sum2(grad_k**2) + grad_logc**2)
-        scale = grad_clip / np.maximum(total_norm, grad_clip)
+        scale = GRAD_CLIP / np.maximum(total_norm, GRAD_CLIP)
         grad_k = grad_k * scale[:, None, None]
         grad_logc = grad_logc * scale
 

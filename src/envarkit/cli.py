@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._seeding import sub_seed
 from .envar_optimizer import EnvarConfig, default_config, solve_envar
 from .equivalence import OrbitElement
 from .eqvar_gds import fit_eqvar_gds
@@ -28,9 +27,9 @@ from .errors import DataFormatError, DimensionError, EnvarKitError
 from .eval_metrics import binarize_cumulative, centralities, score
 from .formats import (
     FORMAT_VERSION,
-    SETTING_RANGES,
+    KNOWN_METHODS,
     ExperimentManifest,
-    in_range,
+    MetricsConfig,
     load_manifest,
     read_model_json,
     read_series_csv,
@@ -48,7 +47,6 @@ from .reduced_estimation import (
     empirical_orbit_member,
     fit_ols,
 )
-from .synth import generate_instance
 
 logger = logging.getLogger("envarkit.cli")
 
@@ -76,19 +74,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _check_flags(args, *names: str) -> None:
-    """Reject a flag value outside the range its manifest field must keep."""
+def _metrics_config(args, *names: str) -> MetricsConfig:
+    """The settings of the flags ``names``; a value out of range is a usage error."""
+    metrics = MetricsConfig()
     for name in names:
-        value = getattr(args, name)
-        if not in_range(name, value):
-            raise UsageError(
-                f"--{name.replace('_', '-')} must be a finite number "
-                f"{SETTING_RANGES[name][1]}, got {value!r}"
-            )
-
-
-def _sigma_tag(sigma_std: float) -> str:
-    return format(float(sigma_std), "g")
+        try:
+            metrics = replace(metrics, **{name: getattr(args, name)})
+        except DimensionError as exc:
+            raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
+    return metrics
 
 
 def _preprocess(ts: TimeSeries, do_center: bool, do_detrend: bool, do_zscore: bool) -> TimeSeries:
@@ -110,18 +104,12 @@ def _preprocess(ts: TimeSeries, do_center: bool, do_detrend: bool, do_zscore: bo
     return TimeSeries(values=values, centered=centered)
 
 
-def _envar_config_for(manifest: ExperimentManifest, p: int, run_seed: int) -> EnvarConfig:
-    cfg = default_config(p, seed=run_seed)
-    overrides = dict(manifest.envar_overrides)
-    overrides.setdefault("seed", run_seed)
-    return replace(cfg, **overrides)
-
-
 def _fit_method(
     ts: TimeSeries, method: str, *, ridge_tau: float, alpha: float,
     envar_cfg: EnvarConfig | None,
 ) -> tuple[StructuralModel, dict]:
-    """Fit one method on a preprocessed series; returns the model and a report."""
+    """Fit one method on a preprocessed series; returns the model and a report.
+    ``envar_cfg`` is read for ``envar`` only."""
     fit = fit_ols(ts, ridge_tau=ridge_tau)
     report: dict = {
         "phi_hat": fit.phi_hat,
@@ -133,8 +121,6 @@ def _fit_method(
         cr = canonical_representative(fit)
         model = empirical_orbit_member(cr, OrbitElement(q=np.eye(cr.p), c=1.0))
     elif method == "envar":
-        if envar_cfg is None:
-            envar_cfg = default_config(fit.p)
         cr = canonical_representative(fit)
         solution = solve_envar(cr, envar_cfg)
         model = solution.model
@@ -176,27 +162,22 @@ def cmd_simulate(args) -> int:
     manifest = _apply_seed_override(load_manifest(args.manifest), args.seed)
     out_root = Path(args.output or manifest.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    for p in manifest.grid_p:
-        for sigma_std in manifest.grid_sigma_std:
-            cfg = replace(manifest.generator, p=p, sigma_std=sigma_std)
-            for episode in range(cfg.episodes):
-                inst = generate_instance(
-                    cfg, episode, graph_episode=None if manifest.fresh_graph else 0
-                )
-                run_dir = out_root / f"p{p}_s{_sigma_tag(sigma_std)}_e{episode}"
-                run_dir.mkdir(parents=True, exist_ok=True)
-                write_series_csv(run_dir / "series.csv", inst.series)
-                write_truth_json(run_dir / "truth_model.json", inst, seed=cfg.seed)
-                write_json(
-                    run_dir / "instance_meta.json",
-                    {
-                        "format_version": manifest.format_version,
-                        "generator": asdict(cfg),
-                        "episode": episode,
-                        "fresh_graph": manifest.fresh_graph,
-                    },
-                )
-                logger.info("wrote %s", run_dir)
+    for cell in manifest.cells():
+        inst = cell.instance()
+        run_dir = out_root / cell.name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_series_csv(run_dir / "series.csv", inst.series)
+        write_truth_json(run_dir / "truth_model.json", inst, seed=cell.generator.seed)
+        write_json(
+            run_dir / "instance_meta.json",
+            {
+                "format_version": manifest.format_version,
+                "generator": asdict(cell.generator),
+                "episode": cell.episode,
+                "fresh_graph": manifest.fresh_graph,
+            },
+        )
+        logger.info("wrote %s", run_dir)
     return 0
 
 
@@ -204,7 +185,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _check_flags(args, "ridge_tau", "alpha")
+    metrics = _metrics_config(args, "ridge_tau", "alpha")
     ts = read_series_csv(args.series)
     ts = _preprocess(ts, args.center, args.detrend, args.zscore)
     envar_cfg = default_config(ts.p, seed=args.seed) if args.method == "envar" else None
@@ -216,7 +197,7 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, report = _fit_method(
-        ts, args.method, ridge_tau=args.ridge_tau, alpha=args.alpha, envar_cfg=envar_cfg
+        ts, args.method, ridge_tau=metrics.ridge_tau, alpha=metrics.alpha, envar_cfg=envar_cfg
     )
     write_model_json(out_dir / "model.json", model, method=args.method)
     write_json(out_dir / "fit_report.json", {"format_version": FORMAT_VERSION, **report})
@@ -228,13 +209,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_flags(args, "eta", "binarize_mass")
+    metrics = _metrics_config(args, "eta", "binarize_mass")
     model, meta = read_model_json(args.model)
     truth = read_truth_json(args.truth)
-    report = score(model, truth, eta=args.eta, method_name=str(meta.get("method", "")))
-    adjacency = binarize_cumulative(model, args.binarize_mass)
+    report = score(model, truth, eta=metrics.eta, method_name=str(meta.get("method", "")))
+    adjacency = binarize_cumulative(model, metrics.binarize_mass)
     cent = centralities(adjacency)
-    payload = score_report_to_dict(report, centrality=cent, binarize_mass=args.binarize_mass)
+    payload = score_report_to_dict(report, centrality=cent, binarize_mass=metrics.binarize_mass)
     out = Path(args.output)
     if out.is_dir():
         out = out / "score.json"
@@ -246,38 +227,26 @@ def cmd_evaluate(args) -> int:
 # ----------------------------------------------------------------- benchmark
 
 
-def _benchmark_task(payload: dict) -> dict:
-    """Run one (p, sigma_std, episode, method) cell of ``payload["manifest"]``,
-    the loaded ``ExperimentManifest``; returns a summary row."""
-    manifest = payload["manifest"]
-    p = payload["p"]
-    sigma_std = payload["sigma_std"]
-    episode = payload["episode"]
-    method = payload["method"]
-    out_root = Path(payload["output_dir"])
+def _benchmark_task(task: tuple) -> dict:
+    """Run one method on one cell of a loaded ``ExperimentManifest``, writing
+    its run directory under ``out_root``; returns a summary row."""
+    manifest, cell, method, out_root = task
     row = {
-        "p": p, "sigma_std": sigma_std, "method": method, "episode": episode,
+        "p": cell.generator.p, "sigma_std": cell.generator.sigma_std,
+        "method": method, "episode": cell.episode,
         **dict.fromkeys(_METRIC_COLUMNS), "error": "",
     }
     started = time.perf_counter()
     try:
-        cfg = replace(manifest.generator, p=p, sigma_std=sigma_std)
-        inst = generate_instance(
-            cfg, episode, graph_episode=None if manifest.fresh_graph else 0
-        )
+        inst = cell.instance()
         ts = center(inst.series)
-        run_seed = sub_seed(cfg.seed, p, int(round(sigma_std * 1e9)), episode)
-        envar_cfg = _envar_config_for(manifest, p, run_seed) if method == "envar" else None
-        alpha = manifest.metrics.alpha
-        for spec in manifest.baselines:
-            if spec.name == method and "alpha" in spec.params:
-                alpha = float(spec.params["alpha"])
-        model, fit_report = _fit_method(
-            ts, method, ridge_tau=manifest.metrics.ridge_tau, alpha=alpha,
-            envar_cfg=envar_cfg,
+        params = next((b.params for b in manifest.baselines if b.name == method), {})
+        model, _ = _fit_method(
+            ts, method, ridge_tau=manifest.metrics.ridge_tau,
+            alpha=float(params.get("alpha", manifest.metrics.alpha)), envar_cfg=cell.envar,
         )
         report = score(model, inst, eta=manifest.metrics.eta, method_name=method)
-        run_dir = out_root / "runs" / f"p{p}_s{_sigma_tag(sigma_std)}_e{episode}" / method
+        run_dir = out_root / "runs" / cell.name / method
         run_dir.mkdir(parents=True, exist_ok=True)
         write_model_json(run_dir / "model.json", model, method=method)
         adjacency = binarize_cumulative(model, manifest.metrics.binarize_mass)
@@ -339,17 +308,8 @@ def cmd_benchmark(args) -> int:
     out_root = Path(args.output or manifest.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     tasks = [
-        {
-            "manifest": manifest,
-            "output_dir": str(out_root),
-            "p": p,
-            "sigma_std": sigma_std,
-            "episode": episode,
-            "method": method,
-        }
-        for p in manifest.grid_p
-        for sigma_std in manifest.grid_sigma_std
-        for episode in range(manifest.generator.episodes)
+        (manifest, cell, method, out_root)
+        for cell in manifest.cells()
         for method in manifest.methods()
     ]
     if args.jobs > 1:
@@ -392,11 +352,12 @@ def build_parser() -> _Parser:
 
     fit = sub.add_parser("fit", help="estimate a structural model from a series CSV")
     fit.add_argument("--series", required=True)
-    fit.add_argument("--method", choices=["envar", "eqvar-gds", "ols-only"], default="envar")
+    fit.add_argument("--method", choices=KNOWN_METHODS, default="envar")
     fit.add_argument("--output", default=".")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--ridge-tau", dest="ridge_tau", type=float, default=0.0)
-    fit.add_argument("--alpha", type=float, default=0.05)
+    fit.add_argument("--ridge-tau", dest="ridge_tau", type=float,
+                     default=MetricsConfig.ridge_tau)
+    fit.add_argument("--alpha", type=float, default=MetricsConfig.alpha)
     fit.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     fit.add_argument("--center", action=argparse.BooleanOptionalAction, default=True)
     fit.add_argument("--detrend", action=argparse.BooleanOptionalAction, default=False)
@@ -407,8 +368,9 @@ def build_parser() -> _Parser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--output", default="score.json")
-    ev.add_argument("--eta", type=float, default=1.0)
-    ev.add_argument("--binarize-mass", dest="binarize_mass", type=float, default=0.85)
+    ev.add_argument("--eta", type=float, default=MetricsConfig.eta)
+    ev.add_argument("--binarize-mass", dest="binarize_mass", type=float,
+                    default=MetricsConfig.binarize_mass)
     ev.set_defaults(func=cmd_evaluate)
 
     bench = sub.add_parser("benchmark", help="simulate, fit every method, and score over a grid")

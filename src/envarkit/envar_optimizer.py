@@ -43,8 +43,10 @@ from .model_core import StructuralModel
 from .reduced_estimation import CanonicalRepresentative
 
 _NORM_FLOOR = 1e-12
-_PATIENCE = 500
 _INIT_SCALE = 0.1
+# stopping tolerance of the descent and the interval that holds ``c``
+_CONVERGENCE_TOL = 1e-9
+_C_BOUNDS = (1e-3, 1e3)
 
 
 @dataclass(frozen=True)
@@ -54,36 +56,23 @@ class EnvarConfig:
     lambda0: float = 1.0
     lambda1: float = 1.0
     mu: float = 7.5
-    c_min: float = 1e-3
-    c_max: float = 1e3
-    learn_rate_base: float = 5e-3
     max_steps: int = 5000
-    grad_clip: float = 1.0
     seed: int = 0
     restarts: int = 4
-    convergence_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.lambda0 < 0 or self.lambda1 < 0 or self.mu < 0:
-            raise DimensionError("penalty weights must be nonnegative")
-        if not (0.0 < self.c_min < self.c_max):
-            raise DimensionError(
-                f"need 0 < c_min < c_max, got [{self.c_min}, {self.c_max}]"
-            )
-        if self.learn_rate_base <= 0 or self.grad_clip <= 0:
-            raise DimensionError("learn_rate_base and grad_clip must be positive")
-        if self.max_steps < 1 or self.restarts < 1:
-            raise DimensionError("max_steps and restarts must be >= 1")
-        if self.convergence_tol <= 0:
-            raise DimensionError("convergence_tol must be positive")
+        for name, least in (("lambda0", 0), ("lambda1", 0), ("mu", 0),
+                            ("max_steps", 1), ("restarts", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise DimensionError(f"{name} must be >= {least}, got {value!r}")
 
 
 def default_config(p: int, seed: int = 0) -> EnvarConfig:
     """Dimension-dependent defaults for the penalized search.
 
     The hollowness weight steps down with dimension (7.5 up to 25 nodes, 5.0 up
-    to 75, 2.5 beyond); the effective learning rate is later scaled by ``5/p``;
-    larger graphs get a longer step budget.
+    to 75, 2.5 beyond); larger graphs get a longer step budget.
     """
     if p < 1:
         raise DimensionError(f"p must be >= 1, got {p}")
@@ -237,12 +226,9 @@ def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
     results = minimize_orbit_objective(
         _orbit_objective(cr, cfg, norms, np.array(signs)),
         k0=np.array(starts),
-        learn_rate=cfg.learn_rate_base * (5.0 / p),
         max_steps=cfg.max_steps,
-        grad_clip=cfg.grad_clip,
-        convergence_tol=cfg.convergence_tol,
-        patience=_PATIENCE,
-        c_bounds=(cfg.c_min, cfg.c_max),
+        convergence_tol=_CONVERGENCE_TOL,
+        c_bounds=_C_BOUNDS,
     )
     outcomes = [
         replace(result, q=result.q @ np.diag(s)) for result, s in zip(results, signs)

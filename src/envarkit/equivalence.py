@@ -40,10 +40,7 @@ _VALUE_CLAMP = 1e-9
 _ALPHA_ZERO = 1e-12
 
 _SEARCH_MAX_STEPS = 5000
-_SEARCH_PATIENCE = 500
 _SEARCH_DIAG_TOL = 1e-6
-_SEARCH_LEARN_RATE = 5e-3
-_SEARCH_GRAD_CLIP = 1.0
 _SEARCH_DISTINCT_TOL = 1e-4
 
 
@@ -249,11 +246,8 @@ def normalized_orbit_search(
     results = minimize_orbit_objective(
         objective,
         k0=np.array(starts),
-        learn_rate=_SEARCH_LEARN_RATE * (5.0 / p),
         max_steps=_SEARCH_MAX_STEPS,
-        grad_clip=_SEARCH_GRAD_CLIP,
         convergence_tol=1e-12,
-        patience=_SEARCH_PATIENCE,
         c_bounds=(1e-6, 1e6),
     )
     found: list[StructuralModel] = []

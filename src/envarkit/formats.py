@@ -11,21 +11,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from ._seeding import sub_seed
 from .envar_optimizer import EnvarConfig, default_config
 from .errors import DataFormatError, DimensionError
 from .model_core import StructuralModel, TimeSeries
-from .synth import GeneratorConfig, GroundTruthInstance
+from .synth import GeneratorConfig, GroundTruthInstance, generate_instance
 
 FORMAT_VERSION = "envar-kit/1"
-
-KNOWN_METHODS = ("envar", "eqvar-gds", "ols-only")
-
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -139,21 +137,6 @@ def _is_real(value) -> bool:
         return False
 
 
-# Admissible values of the scoring and baseline settings, for manifest fields
-# and for the CLI flags of the same names.
-SETTING_RANGES = {
-    "eta": (lambda v: v >= 0, ">= 0"),
-    "binarize_mass": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "ridge_tau": (lambda v: v >= 0, ">= 0"),
-}
-
-
-def in_range(name: str, value) -> bool:
-    """Whether ``value`` is a finite number in the range of the setting ``name``."""
-    return _is_real(value) and SETTING_RANGES[name][0](value)
-
-
 def _require(ok: bool, where: str, what: str, value) -> None:
     if not ok:
         raise DataFormatError(f"{where} must be {what}, got {value!r}")
@@ -233,19 +216,14 @@ def read_series_csv(path: Path | str) -> TimeSeries:
 # -------------------------------------------------------------- model files
 
 
-def write_model_json(
-    path: Path | str, model: StructuralModel, method: str = "", extra: dict | None = None
-) -> None:
-    payload = {
+def write_model_json(path: Path | str, model: StructuralModel, method: str = "") -> None:
+    write_json(path, {
         "format_version": FORMAT_VERSION,
         "a0": model.a0,
         "a1": model.a1,
         "sigma": model.sigma,
         "method": method,
-    }
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)
+    })
 
 
 def read_model_json(path: Path | str) -> tuple[StructuralModel, dict]:
@@ -296,12 +274,45 @@ class BaselineSpec:
     params: dict = field(default_factory=dict)
 
 
+# the params each baseline reads from its manifest entry
+_BASELINE_PARAMS = {"eqvar-gds": {"alpha"}, "ols-only": set()}
+KNOWN_METHODS = ("envar", *_BASELINE_PARAMS)
+
+
 @dataclass(frozen=True)
 class MetricsConfig:
+    """Scoring and baseline settings: a manifest's ``metrics`` section, and the
+    ``fit`` and ``evaluate`` flags of the same names."""
+
     eta: float = 1.0
     binarize_mass: float = 0.85
     alpha: float = 0.05
     ridge_tau: float = 0.0
+
+    def __post_init__(self):
+        for name, ok, what in (
+            ("eta", self.eta >= 0, ">= 0"),
+            ("binarize_mass", 0 < self.binarize_mass <= 1, "in (0, 1]"),
+            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
+            ("ridge_tau", self.ridge_tau >= 0, ">= 0"),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise DimensionError(f"{name} must be a finite number {what}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One ``(p, sigma_std, episode)`` point of a manifest's grid."""
+
+    generator: GeneratorConfig  # at the cell's p and sigma_std
+    episode: int
+    graph_episode: int | None
+    envar: EnvarConfig
+    name: str  # of the cell's run directory
+
+    def instance(self) -> GroundTruthInstance:
+        return generate_instance(self.generator, self.episode, graph_episode=self.graph_episode)
 
 
 @dataclass(frozen=True)
@@ -327,74 +338,79 @@ class ExperimentManifest:
     def methods(self) -> tuple[str, ...]:
         return ("envar",) + tuple(b.name for b in self.baselines)
 
+    def cells(self) -> tuple[Cell, ...]:
+        """The grid, p-major, then sigma_std, then episode. A cell's ENVAR
+        config is ``default_config`` at its p with the overrides applied,
+        seeded from the generator seed and the cell's coordinates; its run
+        directory is ``p{p}_s{sigma_std:g}_e{episode}``."""
+        cells = []
+        for p in self.grid_p:
+            for sigma_std in self.grid_sigma_std:
+                generator = replace(self.generator, p=p, sigma_std=sigma_std)
+                for episode in range(generator.episodes):
+                    seed = sub_seed(generator.seed, p, int(round(sigma_std * 1e9)), episode)
+                    cells.append(Cell(
+                        generator=generator,
+                        episode=episode,
+                        graph_episode=None if self.fresh_graph else 0,
+                        envar=replace(default_config(p, seed=seed), **self.envar_overrides),
+                        name=f"p{p}_s{format(sigma_std, 'g')}_e{episode}",
+                    ))
+        return tuple(cells)
 
-_GENERATOR_FIELDS = {f.name for f in fields(GeneratorConfig)}
-_ENVAR_FIELDS = {f.name for f in fields(EnvarConfig)}
-_METRICS_FIELDS = {f.name for f in fields(MetricsConfig)}
-# every other generator, envar and metrics field is a finite real
-_INTEGER_FIELDS = {"p", "t_len", "seed", "episodes", "max_steps", "restarts"}
 
-
-def _check_numbers(raw: dict, section: str, source: str) -> None:
+def _section(raw, where: str, cls, names=None):
+    """Build ``cls`` from one manifest object. Its keys must be fields of
+    ``cls`` (of ``names`` if given), with every field that has no default;
+    ``int`` fields take integers and the others finite numbers. The range
+    checks of ``cls`` start their message with the field's name, so a value
+    out of range reads ``{where}.eta must be ...``."""
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{where} must be an object, got {raw!r}")
+    known = {f.name: f for f in fields(cls) if names is None or f.name in names}
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise DataFormatError(f"{where}: unknown fields {sorted(unknown)}")
+    missing = [name for name, f in known.items() if name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise DataFormatError(f"{where} needs {missing}")
     for key, value in raw.items():
-        if key in _INTEGER_FIELDS:
-            _require(_is_int(value), f"{source}: {section}.{key}", "an integer", value)
+        if known[key].type in (int, "int"):
+            _require(_is_int(value), f"{where}.{key}", "an integer", value)
         else:
-            _require(_is_real(value), f"{source}: {section}.{key}", "a finite number", value)
+            _require(_is_real(value), f"{where}.{key}", "a finite number", value)
+    try:
+        return cls(**raw)
+    except DimensionError as exc:
+        raise DataFormatError(f"{where}.{exc}") from None
 
 
 def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentManifest:
     _require_version(payload, source)
-    gen_raw = payload.get("generator")
-    if not isinstance(gen_raw, dict):
-        raise DataFormatError(f"{source}: missing or invalid 'generator' object")
-    unknown = set(gen_raw) - _GENERATOR_FIELDS
-    if unknown:
-        raise DataFormatError(f"{source}: unknown generator fields {sorted(unknown)}")
-    if "p" not in gen_raw or "t_len" not in gen_raw:
-        raise DataFormatError(f"{source}: generator needs at least 'p' and 't_len'")
-    _check_numbers(gen_raw, "generator", source)
-    try:
-        generator = GeneratorConfig(**gen_raw)
-    except Exception as exc:
-        raise DataFormatError(f"{source}: invalid generator config: {exc}") from None
-
+    generator = _section(payload.get("generator"), f"{source}: generator", GeneratorConfig)
     envar_raw = payload.get("envar", {})
-    if not isinstance(envar_raw, dict):
-        raise DataFormatError(f"{source}: 'envar' must be an object of overrides")
-    unknown = set(envar_raw) - _ENVAR_FIELDS
-    if unknown:
-        raise DataFormatError(f"{source}: unknown envar fields {sorted(unknown)}")
-    _check_numbers(envar_raw, "envar", source)
+    _section(envar_raw, f"{source}: envar", EnvarConfig)
+    metrics = _section(payload.get("metrics", {}), f"{source}: metrics", MetricsConfig)
 
     baselines = []
     for i, spec in enumerate(payload.get("baselines", [])):
+        where = f"{source}: baselines[{i}]"
         if not isinstance(spec, dict) or "name" not in spec:
-            raise DataFormatError(f"{source}: baselines[{i}] needs a 'name'")
+            raise DataFormatError(f"{where} needs a 'name'")
         name = str(spec["name"])
-        if name not in KNOWN_METHODS:
+        if name in ("envar", *(b.name for b in baselines)):
             raise DataFormatError(
-                f"{source}: baselines[{i}]: unknown method {name!r}; "
-                f"known: {sorted(KNOWN_METHODS)}"
+                f"{where}: {name!r} already runs; list each baseline once, and not "
+                "'envar', which always runs"
+            )
+        if name not in _BASELINE_PARAMS:
+            raise DataFormatError(
+                f"{where}: unknown method {name!r}; known: {sorted(_BASELINE_PARAMS)}"
             )
         params = spec.get("params", {})
-        _require(isinstance(params, dict), f"{source}: baselines[{i}].params", "an object", params)
-        alpha = params.get("alpha", 0.05)
-        _require(in_range("alpha", alpha), f"{source}: baselines[{i}].params.alpha",
-                 "a number in (0, 1)", alpha)
+        _section(params, f"{where}.params", MetricsConfig, _BASELINE_PARAMS[name])
         baselines.append(BaselineSpec(name=name, params=dict(params)))
-
-    metrics_raw = payload.get("metrics", {})
-    if not isinstance(metrics_raw, dict):
-        raise DataFormatError(f"{source}: 'metrics' must be an object")
-    unknown = set(metrics_raw) - _METRICS_FIELDS
-    if unknown:
-        raise DataFormatError(f"{source}: unknown metrics fields {sorted(unknown)}")
-    _check_numbers(metrics_raw, "metrics", source)
-    metrics = MetricsConfig(**metrics_raw)
-    for name, (_, what) in SETTING_RANGES.items():
-        value = getattr(metrics, name)
-        _require(in_range(name, value), f"{source}: metrics.{name}", what, value)
 
     grid_raw = payload.get("grid", {})
     if not isinstance(grid_raw, dict):
@@ -410,14 +426,6 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
              f"{source}: grid.sigma_std", "a list of finite numbers", grid_sigma_std)
     if not grid_p or not grid_sigma_std:
         raise DataFormatError(f"{source}: grid lists must be non-empty")
-    grid_p, grid_sigma_std = tuple(grid_p), tuple(map(float, grid_sigma_std))
-    try:
-        for p in grid_p:
-            replace(default_config(p), **envar_raw)
-            for sigma_std in grid_sigma_std:
-                replace(generator, p=p, sigma_std=sigma_std)
-    except DimensionError as exc:
-        raise DataFormatError(f"{source}: invalid grid or envar overrides: {exc}") from None
 
     output_dir = payload.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
@@ -430,16 +438,21 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
             f"{source}: 'fresh_graph' must be true or false, got {fresh_graph!r}"
         )
 
-    return ExperimentManifest(
+    manifest = ExperimentManifest(
         generator=generator,
         envar_overrides=dict(envar_raw),
         baselines=tuple(baselines),
         metrics=metrics,
         output_dir=output_dir,
-        grid_p=grid_p,
-        grid_sigma_std=grid_sigma_std,
+        grid_p=tuple(grid_p),
+        grid_sigma_std=tuple(map(float, grid_sigma_std)),
         fresh_graph=bool(fresh_graph),
     )
+    try:
+        manifest.cells()
+    except DimensionError as exc:
+        raise DataFormatError(f"{source}: grid.{exc}") from None
+    return manifest
 
 
 def load_manifest(path: Path | str) -> ExperimentManifest:

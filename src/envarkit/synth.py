@@ -51,18 +51,20 @@ class GeneratorConfig:
     episodes: int = 5
 
     def __post_init__(self):
-        if self.p < 1 or self.t_len < 2:
-            raise DimensionError("need p >= 1 and t_len >= 2")
-        if not (0.0 <= self.edge_prob <= 1.0):
-            raise DimensionError(f"edge_prob must be in [0, 1], got {self.edge_prob}")
-        if not self.weight_low < self.weight_high:
-            raise DimensionError("need weight_low < weight_high")
-        if not (0.0 < self.spectral_cap < 1.0):
-            raise DimensionError(f"spectral_cap must be in (0, 1), got {self.spectral_cap}")
-        if self.sigma_nom <= 0.0 or self.sigma_std < 0.0:
-            raise DimensionError("need sigma_nom > 0 and sigma_std >= 0")
-        if self.episodes < 1:
-            raise DimensionError("episodes must be >= 1")
+        # each message starts with its field's name, which the manifest reader
+        # qualifies with the section: "generator.p must be >= 1, got 0"
+        for name, ok, what in (
+            ("p", self.p >= 1, ">= 1"),
+            ("t_len", self.t_len >= 2, ">= 2"),
+            ("edge_prob", 0.0 <= self.edge_prob <= 1.0, "in [0, 1]"),
+            ("weight_low", self.weight_low < self.weight_high, "< weight_high"),
+            ("spectral_cap", 0.0 < self.spectral_cap < 1.0, "in (0, 1)"),
+            ("sigma_nom", self.sigma_nom > 0.0, "> 0"),
+            ("sigma_std", self.sigma_std >= 0.0, ">= 0"),
+            ("episodes", self.episodes >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise DimensionError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from envarkit import (
 from envarkit._descent import (
     ANNEAL_EVERY,
     COMPLEX_KERNEL,
+    PATIENCE,
     REAL_KERNEL,
     REAL_SCHUR_MIN_DIM,
     OrbitObjective,
@@ -27,7 +28,7 @@ from envarkit._descent import (
     random_skew,
     step_kernel,
 )
-from envarkit.envar_optimizer import _PATIENCE, norm_constants
+from envarkit.envar_optimizer import _CONVERGENCE_TOL, norm_constants
 from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
 from envarkit.synth import GeneratorConfig, generate_instance
@@ -48,9 +49,6 @@ class TestDefaultConfig:
         cfg = default_config(5)
         assert cfg.mu == 7.5
         assert cfg.lambda0 == 1.0 and cfg.lambda1 == 1.0
-        assert cfg.learn_rate_base == pytest.approx(5e-3)
-        assert cfg.learn_rate_base * (5 / 5) == pytest.approx(5e-3)
-        assert cfg.grad_clip == 1.0
         assert cfg.max_steps == 5000
 
     def test_medium_dimension(self):
@@ -61,7 +59,6 @@ class TestDefaultConfig:
     def test_large_dimension(self):
         cfg = default_config(100)
         assert cfg.mu == 2.5
-        assert cfg.learn_rate_base * (5 / 100) == pytest.approx(2.5e-4)
 
     def test_boundaries(self):
         assert default_config(25).mu == 7.5
@@ -70,9 +67,9 @@ class TestDefaultConfig:
         assert default_config(76).mu == 2.5
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(DimensionError):
-            replace(default_config(5), c_min=2.0, c_max=1.0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="mu"):
+            replace(default_config(5), mu=-1.0)
+        with pytest.raises(DimensionError, match="restarts"):
             replace(default_config(5), restarts=0)
 
 
@@ -261,8 +258,7 @@ def _batch_problem(p, rng):
     return objective, k0
 
 
-_BATCH_KW = dict(learn_rate=5e-3, max_steps=400, grad_clip=1.0,
-                 convergence_tol=1e-9, patience=150, c_bounds=(1e-3, 1e3))
+_BATCH_KW = dict(max_steps=PATIENCE + 100, convergence_tol=1e-9, c_bounds=(1e-3, 1e3))
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,7 @@ class TestBatchedDescent:
         objective, k0 = _batch_problem(p, np.random.default_rng(21))
         batch = minimize_orbit_objective(objective, k0, **_BATCH_KW)
         assert batch[2].stop_reason == "patience"
-        assert batch[2].steps == _BATCH_KW["patience"] + 1
+        assert batch[2].steps == PATIENCE + 1
         assert all(batch[r].steps > batch[2].steps for r in (0, 1, 3))
         for r in range(4):
             (alone,) = minimize_orbit_objective(
@@ -352,7 +348,7 @@ class TestSolveEnvar:
             cfg = replace(default_config(3, seed=6), max_steps=max_steps)
             for outcome in solve_envar(cr, cfg).restarts:
                 expected = _replay_stopping_rule(
-                    outcome.trace, _PATIENCE, cfg.convergence_tol, max_steps
+                    outcome.trace, PATIENCE, _CONVERGENCE_TOL, max_steps
                 )
                 assert (outcome.stop_reason, outcome.best_step,
                         outcome.anneals, outcome.steps) == expected

@@ -340,6 +340,16 @@ class TestManifestRejections:
             ({"envar": {"mu": None}}, "envar.mu"),
             ({"generator": {"p": 3, "t_len": 50.0}}, "generator.t_len"),
             ({"generator": {"p": 3, "t_len": 50, "edge_prob": True}}, "generator.edge_prob"),
+            # each method runs once per cell, and ENVAR always runs
+            ({"baselines": [{"name": "ols-only"}, {"name": "envar"}]}, "baselines[1]"),
+            ({"baselines": [{"name": "ols-only"}, {"name": "ols-only"}]}, "baselines[1]"),
+            ({"baselines": [{"name": "eqvar-gds", "params": {"alpha": 0.01}},
+                            {"name": "eqvar-gds", "params": {"alpha": 0.1}}]}, "baselines[1]"),
+            # only eqvar-gds reads a param, alpha
+            ({"baselines": [{"name": "ols-only", "params": {"alpha": 0.5, "foo": "bar"}}]},
+             "baselines[0].params"),
+            ({"baselines": [{"name": "eqvar-gds", "params": {"alpha": 0.5, "foo": 1}}]},
+             "baselines[0].params"),
         ],
     )
     def test_rejected_at_load(self, over, field):
@@ -354,6 +364,15 @@ class TestManifestRejections:
         assert main(["benchmark", "--manifest", str(path), "--output", str(tmp_path)]) == 2
         assert "envar.max_steps" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("Example manifest:", 1)[1].split("```json\n", 1)[1]
+        path = tmp_path / "manifest.json"
+        path.write_text(example.split("```", 1)[0], encoding="utf-8")
+        manifest = load_manifest(path)
+        assert manifest.methods() == ("envar", "eqvar-gds", "ols-only")
+        assert len(manifest.cells()) == 2 * 3 * manifest.generator.episodes
 
     def test_valid_values_accepted(self):
         manifest = manifest_from_dict(_manifest_payload(
