@@ -59,7 +59,6 @@ from .reduced_estimation import (
 from .synth import (
     GeneratorConfig,
     GroundTruthInstance,
-    default_benchmark_grid,
     generate_instance,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "canonical_representative",
     "center",
     "centralities",
-    "default_benchmark_grid",
     "default_config",
     "empirical_orbit_member",
     "envar_objective",

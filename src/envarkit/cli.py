@@ -55,6 +55,11 @@ _METRIC_COLUMNS = (
     "sf_oad", "obs_oad", "pearson_phi", "pearson_sigma_u", "pearson_a0", "pearson_a1",
 )
 SUMMARY_COLUMNS = ("p", "sigma_std", "method", "episode", *_METRIC_COLUMNS, "error")
+# per (p, sigma_std, method): each metric's mean, standard error and count
+AGGREGATE_COLUMNS = (
+    "p", "sigma_std", "method",
+    *(f"{col}_{stat}" for col in _METRIC_COLUMNS for stat in ("mean", "sem", "n")),
+)
 
 
 class UsageError(Exception):
@@ -105,12 +110,12 @@ def _preprocess(ts: TimeSeries, do_center: bool, do_detrend: bool, do_zscore: bo
 
 
 def _fit_method(
-    ts: TimeSeries, method: str, *, ridge_tau: float, alpha: float,
-    envar_cfg: EnvarConfig | None,
+    ts: TimeSeries, method: str, metrics: MetricsConfig, envar_cfg: EnvarConfig | None,
 ) -> tuple[StructuralModel, dict]:
     """Fit one method on a preprocessed series; returns the model and a report.
+    ``metrics`` gives ``ridge_tau`` and, for ``eqvar-gds``, ``alpha``;
     ``envar_cfg`` is read for ``envar`` only."""
-    fit = fit_ols(ts, ridge_tau=ridge_tau)
+    fit = fit_ols(ts, ridge_tau=metrics.ridge_tau)
     report: dict = {
         "phi_hat": fit.phi_hat,
         "sigma_u_hat": fit.sigma_u_hat,
@@ -137,7 +142,7 @@ def _fit_method(
             ],
         )
     elif method == "eqvar-gds":
-        gds = fit_eqvar_gds(ts, fit, alpha=alpha)
+        gds = fit_eqvar_gds(ts, fit, alpha=metrics.alpha)
         model = StructuralModel(a0=gds.a0_hat, a1=gds.a1_hat, sigma=1.0)
         report.update(ordering=list(gds.ordering), alpha=gds.alpha)
     else:
@@ -152,16 +157,19 @@ def _fit_method(
 # ------------------------------------------------------------------ simulate
 
 
-def _apply_seed_override(manifest: ExperimentManifest, seed: int | None) -> ExperimentManifest:
-    if seed is None:
-        return manifest
-    return replace(manifest, generator=replace(manifest.generator, seed=seed))
+def _manifest_and_output(args) -> tuple[ExperimentManifest, Path]:
+    """The manifest of ``--manifest`` at the ``--seed`` override, if given, and
+    the output root, ``--output`` or the manifest's, created."""
+    manifest = load_manifest(args.manifest)
+    if args.seed is not None:
+        manifest = replace(manifest, generator=replace(manifest.generator, seed=args.seed))
+    out_root = Path(args.output or manifest.output_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
+    return manifest, out_root
 
 
 def cmd_simulate(args) -> int:
-    manifest = _apply_seed_override(load_manifest(args.manifest), args.seed)
-    out_root = Path(args.output or manifest.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    manifest, out_root = _manifest_and_output(args)
     for cell in manifest.cells():
         inst = cell.instance()
         run_dir = out_root / cell.name
@@ -196,9 +204,7 @@ def cmd_fit(args) -> int:
             raise UsageError(f"--max-steps: {exc}") from None
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, report = _fit_method(
-        ts, args.method, ridge_tau=metrics.ridge_tau, alpha=metrics.alpha, envar_cfg=envar_cfg
-    )
+    model, report = _fit_method(ts, args.method, metrics, envar_cfg)
     write_model_json(out_dir / "model.json", model, method=args.method)
     write_json(out_dir / "fit_report.json", {"format_version": FORMAT_VERSION, **report})
     logger.info("wrote %s", out_dir / "model.json")
@@ -208,14 +214,21 @@ def cmd_fit(args) -> int:
 # ------------------------------------------------------------------ evaluate
 
 
+def _score_payload(
+    model: StructuralModel, truth, metrics: MetricsConfig, method: str
+) -> dict:
+    """The ``score.json`` payload of ``model`` against a ground truth, at the
+    ``eta`` and ``binarize_mass`` of ``metrics``."""
+    report = score(model, truth, eta=metrics.eta, method_name=method)
+    adjacency = binarize_cumulative(model, metrics.binarize_mass)
+    return score_report_to_dict(report, centralities(adjacency), metrics.binarize_mass)
+
+
 def cmd_evaluate(args) -> int:
     metrics = _metrics_config(args, "eta", "binarize_mass")
     model, meta = read_model_json(args.model)
     truth = read_truth_json(args.truth)
-    report = score(model, truth, eta=metrics.eta, method_name=str(meta.get("method", "")))
-    adjacency = binarize_cumulative(model, metrics.binarize_mass)
-    cent = centralities(adjacency)
-    payload = score_report_to_dict(report, centrality=cent, binarize_mass=metrics.binarize_mass)
+    payload = _score_payload(model, truth, metrics, str(meta.get("method", "")))
     out = Path(args.output)
     if out.is_dir():
         out = out / "score.json"
@@ -228,9 +241,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _benchmark_task(task: tuple) -> dict:
-    """Run one method on one cell of a loaded ``ExperimentManifest``, writing
-    its run directory under ``out_root``; returns a summary row."""
-    manifest, cell, method, out_root = task
+    """Fit one method on one cell and score it, with the method's settings,
+    as ``fit`` and ``evaluate`` do; writes the run directory under
+    ``out_root`` and returns a summary row."""
+    cell, method, metrics, out_root = task
     row = {
         "p": cell.generator.p, "sigma_std": cell.generator.sigma_std,
         "method": method, "episode": cell.episode,
@@ -239,26 +253,14 @@ def _benchmark_task(task: tuple) -> dict:
     started = time.perf_counter()
     try:
         inst = cell.instance()
-        ts = center(inst.series)
-        params = next((b.params for b in manifest.baselines if b.name == method), {})
-        model, _ = _fit_method(
-            ts, method, ridge_tau=manifest.metrics.ridge_tau,
-            alpha=float(params.get("alpha", manifest.metrics.alpha)), envar_cfg=cell.envar,
-        )
-        report = score(model, inst, eta=manifest.metrics.eta, method_name=method)
+        model, _ = _fit_method(center(inst.series), method, metrics, cell.envar)
+        # scored before the run directory exists, so a failed cell leaves none
+        payload = _score_payload(model, inst, metrics, method)
         run_dir = out_root / "runs" / cell.name / method
         run_dir.mkdir(parents=True, exist_ok=True)
         write_model_json(run_dir / "model.json", model, method=method)
-        adjacency = binarize_cumulative(model, manifest.metrics.binarize_mass)
-        write_json(
-            run_dir / "score.json",
-            score_report_to_dict(
-                report,
-                centrality=centralities(adjacency),
-                binarize_mass=manifest.metrics.binarize_mass,
-            ),
-        )
-        row.update((col, getattr(report, col)) for col in _METRIC_COLUMNS)
+        write_json(run_dir / "score.json", payload)
+        row.update((col, payload[col]) for col in _METRIC_COLUMNS)
     except EnvarKitError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_ms"] = (time.perf_counter() - started) * 1000.0
@@ -279,9 +281,9 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     for row in rows:
         groups.setdefault((row["p"], row["sigma_std"], row["method"]), []).append(row)
     out = []
-    for (p, sigma_std, method) in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-        members = groups[(p, sigma_std, method)]
-        agg = {"p": p, "sigma_std": sigma_std, "method": method}
+    for key in sorted(groups):
+        members = groups[key]
+        stats = []
         for col in _METRIC_COLUMNS:
             values = [row[col] for row in members if row[col] is not None]
             if values:
@@ -294,23 +296,19 @@ def _aggregate(rows: list[dict]) -> list[dict]:
             else:
                 mean = None
                 sem = None
-            agg[f"{col}_mean"] = mean
-            agg[f"{col}_sem"] = sem
-            agg[f"{col}_n"] = len(values)
-        out.append(agg)
+            stats += [mean, sem, len(values)]
+        out.append(dict(zip(AGGREGATE_COLUMNS, (*key, *stats))))
     return out
 
 
 def cmd_benchmark(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    manifest = _apply_seed_override(load_manifest(args.manifest), args.seed)
-    out_root = Path(args.output or manifest.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    manifest, out_root = _manifest_and_output(args)
     tasks = [
-        (manifest, cell, method, out_root)
+        (cell, method, metrics, out_root)
         for cell in manifest.cells()
-        for method in manifest.methods()
+        for method, metrics in manifest.method_metrics.items()
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -324,11 +322,10 @@ def cmd_benchmark(args) -> int:
         ("p", "sigma_std", "method", "episode", "wall_ms"),
         rows,
     )
-    agg_rows = _aggregate([r for r in rows if not r["error"]])
-    agg_columns = ["p", "sigma_std", "method"]
-    for col in _METRIC_COLUMNS:
-        agg_columns += [f"{col}_mean", f"{col}_sem", f"{col}_n"]
-    _write_rows(out_root / "aggregate.csv", tuple(agg_columns), agg_rows)
+    _write_rows(
+        out_root / "aggregate.csv", AGGREGATE_COLUMNS,
+        _aggregate([r for r in rows if not r["error"]]),
+    )
     failures = sum(1 for r in rows if r["error"])
     logger.info(
         "benchmark complete: %d runs, %d failures, summary at %s",

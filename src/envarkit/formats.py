@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -268,12 +268,6 @@ def read_truth_json(path: Path | str) -> GroundTruthInstance:
 # ----------------------------------------------------------------- manifest
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
-    name: str
-    params: dict = field(default_factory=dict)
-
-
 # the params each baseline reads from its manifest entry
 _BASELINE_PARAMS = {"eqvar-gds": {"alpha"}, "ols-only": set()}
 KNOWN_METHODS = ("envar", *_BASELINE_PARAMS)
@@ -327,8 +321,10 @@ class ExperimentManifest:
 
     generator: GeneratorConfig
     envar_overrides: dict
-    baselines: tuple[BaselineSpec, ...]
     metrics: MetricsConfig
+    # each method's settings, in run order: ENVAR first, with ``metrics``; a
+    # baseline with ``metrics`` and its manifest entry's params applied
+    method_metrics: dict[str, MetricsConfig]
     output_dir: str
     grid_p: tuple[int, ...]
     grid_sigma_std: tuple[float, ...]
@@ -336,7 +332,7 @@ class ExperimentManifest:
     format_version: str = FORMAT_VERSION
 
     def methods(self) -> tuple[str, ...]:
-        return ("envar",) + tuple(b.name for b in self.baselines)
+        return tuple(self.method_metrics)
 
     def cells(self) -> tuple[Cell, ...]:
         """The grid, p-major, then sigma_std, then episode. A cell's ENVAR
@@ -359,18 +355,29 @@ class ExperimentManifest:
         return tuple(cells)
 
 
-def _section(raw, where: str, cls, names=None):
-    """Build ``cls`` from one manifest object. Its keys must be fields of
-    ``cls`` (of ``names`` if given), with every field that has no default;
-    ``int`` fields take integers and the others finite numbers. The range
-    checks of ``cls`` start their message with the field's name, so a value
-    out of range reads ``{where}.eta must be ...``."""
+_MANIFEST_KEYS = {
+    "format_version", "generator", "grid", "envar", "baselines", "metrics",
+    "output_dir", "fresh_graph",
+}
+
+
+def _known_keys(raw: dict, known: set, where: str) -> None:
+    unknown = set(raw) - known
+    if unknown:
+        raise DataFormatError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+def _section(raw, where: str, cls, names=None, base=None):
+    """Build ``cls`` from one manifest object, or ``base`` with the object's
+    fields replaced if given. Its keys must be fields of ``cls`` (of ``names``
+    if given), with every field that has no default; ``int`` fields take
+    integers and the others finite numbers. The range checks of ``cls`` start
+    their message with the field's name, so a value out of range reads
+    ``{where}.eta must be ...``."""
     if not isinstance(raw, dict):
         raise DataFormatError(f"{where} must be an object, got {raw!r}")
     known = {f.name: f for f in fields(cls) if names is None or f.name in names}
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise DataFormatError(f"{where}: unknown fields {sorted(unknown)}")
+    _known_keys(raw, set(known), where)
     missing = [name for name, f in known.items() if name not in raw
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
@@ -381,25 +388,27 @@ def _section(raw, where: str, cls, names=None):
         else:
             _require(_is_real(value), f"{where}.{key}", "a finite number", value)
     try:
-        return cls(**raw)
+        return cls(**raw) if base is None else replace(base, **raw)
     except DimensionError as exc:
         raise DataFormatError(f"{where}.{exc}") from None
 
 
 def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentManifest:
     _require_version(payload, source)
+    _known_keys(payload, _MANIFEST_KEYS, source)
     generator = _section(payload.get("generator"), f"{source}: generator", GeneratorConfig)
     envar_raw = payload.get("envar", {})
     _section(envar_raw, f"{source}: envar", EnvarConfig)
     metrics = _section(payload.get("metrics", {}), f"{source}: metrics", MetricsConfig)
 
-    baselines = []
+    method_metrics = {"envar": metrics}
     for i, spec in enumerate(payload.get("baselines", [])):
         where = f"{source}: baselines[{i}]"
         if not isinstance(spec, dict) or "name" not in spec:
             raise DataFormatError(f"{where} needs a 'name'")
+        _known_keys(spec, {"name", "params"}, where)
         name = str(spec["name"])
-        if name in ("envar", *(b.name for b in baselines)):
+        if name in method_metrics:
             raise DataFormatError(
                 f"{where}: {name!r} already runs; list each baseline once, and not "
                 "'envar', which always runs"
@@ -408,16 +417,15 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
             raise DataFormatError(
                 f"{where}: unknown method {name!r}; known: {sorted(_BASELINE_PARAMS)}"
             )
-        params = spec.get("params", {})
-        _section(params, f"{where}.params", MetricsConfig, _BASELINE_PARAMS[name])
-        baselines.append(BaselineSpec(name=name, params=dict(params)))
+        method_metrics[name] = _section(
+            spec.get("params", {}), f"{where}.params", MetricsConfig,
+            _BASELINE_PARAMS[name], base=metrics,
+        )
 
     grid_raw = payload.get("grid", {})
     if not isinstance(grid_raw, dict):
         raise DataFormatError(f"{source}: 'grid' must be an object")
-    unknown = set(grid_raw) - {"p", "sigma_std"}
-    if unknown:
-        raise DataFormatError(f"{source}: unknown grid fields {sorted(unknown)}")
+    _known_keys(grid_raw, {"p", "sigma_std"}, f"{source}: grid")
     grid_p = grid_raw.get("p", [generator.p])
     grid_sigma_std = grid_raw.get("sigma_std", [generator.sigma_std])
     _require(isinstance(grid_p, (list, tuple)) and all(map(_is_int, grid_p)),
@@ -426,6 +434,11 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
              f"{source}: grid.sigma_std", "a list of finite numbers", grid_sigma_std)
     if not grid_p or not grid_sigma_std:
         raise DataFormatError(f"{source}: grid lists must be non-empty")
+    # a repeated value would run its cells twice: into the same run directory,
+    # or for 0.0 and -0.0 into two names for one instance
+    for key, values in (("p", grid_p), ("sigma_std", grid_sigma_std)):
+        if len(set(values)) < len(values):
+            raise DataFormatError(f"{source}: grid.{key} lists a value twice: {values!r}")
 
     output_dir = payload.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
@@ -441,8 +454,8 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     manifest = ExperimentManifest(
         generator=generator,
         envar_overrides=dict(envar_raw),
-        baselines=tuple(baselines),
         metrics=metrics,
+        method_metrics=method_metrics,
         output_dir=output_dir,
         grid_p=tuple(grid_p),
         grid_sigma_std=tuple(map(float, grid_sigma_std)),
@@ -462,8 +475,8 @@ def load_manifest(path: Path | str) -> ExperimentManifest:
 # -------------------------------------------------------------- score files
 
 
-def score_report_to_dict(report, centrality=None, binarize_mass=None) -> dict:
-    payload = {
+def score_report_to_dict(report, centrality, binarize_mass: float) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "sf_oad": report.sf_oad,
         "obs_oad": report.obs_oad,
@@ -480,12 +493,10 @@ def score_report_to_dict(report, centrality=None, binarize_mass=None) -> dict:
         "method_name": report.method_name,
         "p": report.p,
         "episode": report.episode,
-    }
-    if centrality is not None:
-        payload["centralities"] = {
+        "centralities": {
             "in_degree": centrality.in_degree,
             "out_degree": centrality.out_degree,
             "net_flow": centrality.net_flow,
-        }
-        payload["binarize_mass"] = binarize_mass
-    return payload
+        },
+        "binarize_mass": binarize_mass,
+    }

@@ -163,29 +163,6 @@ def generate_instance(
     )
 
 
-BENCHMARK_P_VALUES = (5, 10, 15, 25, 50, 75, 100)
-BENCHMARK_SIGMA_STD_VALUES = (0.00, 0.025, 0.075, 0.10, 0.15)
-BENCHMARK_T_LEN = 1000
-BENCHMARK_EPISODES = 5
-
-
-def default_benchmark_grid(seed: int = 0) -> list[GeneratorConfig]:
-    """The full benchmark grid: 7 dimensions x 5 heteroscedasticity levels."""
-    grid = []
-    for p in BENCHMARK_P_VALUES:
-        for sigma_std in BENCHMARK_SIGMA_STD_VALUES:
-            grid.append(
-                GeneratorConfig(
-                    p=p,
-                    t_len=BENCHMARK_T_LEN,
-                    sigma_std=sigma_std,
-                    seed=seed,
-                    episodes=BENCHMARK_EPISODES,
-                )
-            )
-    return grid
-
-
 def check_instance(inst: GroundTruthInstance, cfg: GeneratorConfig) -> None:
     """Invariant self-check: support, stability cap, and a valid generating law."""
     if np.max(np.abs(np.diag(inst.model.a0))) != 0.0:

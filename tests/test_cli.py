@@ -444,3 +444,34 @@ class TestBenchmarkCommand:
         error_col = header.index("error")
         for line in lines[1:]:
             assert "RankError" in line.split(",")[error_col]
+
+    def test_cell_is_fit_then_evaluate(self, tmp_path):
+        """Each run directory holds what ``fit`` and ``evaluate`` write from
+        the files ``simulate`` writes, at the manifest's settings."""
+        manifest = write_manifest(
+            tmp_path / "m.json", tmp_path / "unused",
+            grid={"p": [3, 4]},
+            envar={"max_steps": 50, "restarts": 2},
+            baselines=[{"name": "eqvar-gds", "params": {"alpha": 0.2}}, {"name": "ols-only"}],
+            metrics={"eta": 0.5, "binarize_mass": 0.6, "ridge_tau": 1e-3},
+        )
+        sim, bench, check = tmp_path / "sim", tmp_path / "bench", tmp_path / "check"
+        assert main(["simulate", "--manifest", str(manifest), "--output", str(sim)]) == 0
+        assert main(["benchmark", "--manifest", str(manifest), "--output", str(bench)]) == 0
+        cells = sorted(d.name for d in sim.iterdir())
+        assert cells == ["p3_s0_e0", "p3_s0_e1", "p4_s0_e0", "p4_s0_e1"]
+        fit_flags = {"eqvar-gds": ["--alpha", "0.2"], "ols-only": []}
+        for cell in cells:
+            for method in ("envar", "eqvar-gds", "ols-only"):
+                run, out = bench / "runs" / cell / method, check / cell / method
+                out.mkdir(parents=True)
+                assert main(["evaluate", "--model", str(run / "model.json"),
+                             "--truth", str(sim / cell / "truth_model.json"),
+                             "--eta", "0.5", "--binarize-mass", "0.6",
+                             "--output", str(out)]) == 0
+                assert (out / "score.json").read_bytes() == (run / "score.json").read_bytes()
+                if method in fit_flags:
+                    assert main(["fit", "--series", str(sim / cell / "series.csv"),
+                                 "--method", method, "--ridge-tau", "1e-3",
+                                 *fit_flags[method], "--output", str(out)]) == 0
+                    assert (out / "model.json").read_bytes() == (run / "model.json").read_bytes()

@@ -350,6 +350,13 @@ class TestManifestRejections:
              "baselines[0].params"),
             ({"baselines": [{"name": "eqvar-gds", "params": {"alpha": 0.5, "foo": 1}}]},
              "baselines[0].params"),
+            # a misspelt key would otherwise leave its section at the default
+            ({"grids": {"p": [5, 10]}, "baseline": [{"name": "ols-only"}]}, "'grids'"),
+            ({"baseline": [{"name": "ols-only"}]}, "'baseline'"),
+            ({"baselines": [{"name": "eqvar-gds", "param": {"alpha": 0.5}}]}, "'param'"),
+            # a repeated grid value would run its cells twice
+            ({"grid": {"p": [2, 2]}}, "grid.p"),
+            ({"grid": {"sigma_std": [0.0, -0.0]}}, "grid.sigma_std"),
         ],
     )
     def test_rejected_at_load(self, over, field):

@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from envarkit import (
     GeneratorConfig,
-    default_benchmark_grid,
     generate_instance,
     is_admissible,
     spectral_radius,
 )
 from envarkit.errors import DimensionError
+from envarkit.formats import load_manifest
 from envarkit.synth import check_instance
 
 from oracles import reference_instance_series, reference_reduced_form
+
+PAPER_GRID = Path(__file__).resolve().parents[1] / "manifests" / "paper_grid.json"
+
+
+def _paper_manifest():
+    return load_manifest(PAPER_GRID)
 
 
 class TestGenerateInstance:
@@ -109,20 +117,32 @@ class TestGenerateInstance:
 
 
 class TestBenchmarkGrid:
+    """The paper's evaluation grid, as the committed manifest the CLI runs."""
+
+    @staticmethod
+    def _grid():
+        """The generator config of each (p, sigma_std) point, in run order."""
+        return [cell.generator for cell in _paper_manifest().cells() if cell.episode == 0]
+
     def test_grid_size(self):
-        grid = default_benchmark_grid()
+        grid = self._grid()
         assert len(grid) == 35
 
     def test_every_config_has_five_episodes(self):
-        assert all(cfg.episodes == 5 for cfg in default_benchmark_grid())
+        assert all(cfg.episodes == 5 for cfg in self._grid())
 
     def test_first_config(self):
-        first = default_benchmark_grid()[0]
+        first = self._grid()[0]
         assert first.p == 5
         assert first.t_len == 1000
         assert first.sigma_std == 0.0
 
     def test_dimension_and_noise_axes(self):
-        grid = default_benchmark_grid()
+        grid = self._grid()
         assert sorted({cfg.p for cfg in grid}) == [5, 10, 15, 25, 50, 75, 100]
         assert sorted({cfg.sigma_std for cfg in grid}) == [0.0, 0.025, 0.075, 0.1, 0.15]
+
+    def test_every_method_runs_on_every_cell(self):
+        manifest = _paper_manifest()
+        assert manifest.methods() == ("envar", "eqvar-gds", "ols-only")
+        assert len(manifest.cells()) == 175
