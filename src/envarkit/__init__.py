@@ -20,11 +20,9 @@ from .equivalence import (
     OrbitElement,
     align_obs,
     align_sf,
-    normalized_orbit_search,
     obs_equivalent,
     orbit_transform,
     sf_equivalent,
-    sym_discrepancy,
 )
 from .eval_metrics import (
     CentralityReport,
@@ -97,7 +95,6 @@ __all__ = [
     "is_admissible",
     "is_normalized",
     "is_stable",
-    "normalized_orbit_search",
     "obs_equivalent",
     "orbit_transform",
     "score",
@@ -105,6 +102,5 @@ __all__ = [
     "simulate",
     "spectral_radius",
     "stationary_covariance",
-    "sym_discrepancy",
     "to_reduced_form",
 ]

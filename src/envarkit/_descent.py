@@ -1,29 +1,23 @@
 """First-order descent over orbit parameters ``(Q, c)``, for a batch of restarts.
 
-``Q`` is the matrix exponential of a skew-symmetric parameter ``K``, so every
-evaluated point is exactly orthogonal; ``c`` lives in the logarithmic domain and
-is clamped to a compact interval after each update. Updates use adaptive-moment
-(Adam) steps on subgradients, with global gradient-norm clipping.
+``Q`` is the Cayley transform ``(I - K/2)^{-1} (I + K/2)`` of a skew-symmetric
+parameter ``K``, so every evaluated point is orthogonal; ``c`` lives in the
+logarithmic domain and is clamped to ``C_BOUNDS`` after each update. Updates use
+adaptive-moment (Adam) steps on subgradients, with global gradient-norm
+clipping.
 
-Each step makes one spectral decomposition of ``K``, and from it ``Q`` and the
-adjoint Fréchet derivative of the exponential that maps the ``Q``-gradient to
-the ``K``-gradient, through the Daleckii-Krein divided differences (Higham,
-*Functions of Matrices*, 2008, §3.2). There are two kernels:
-
-- below ``REAL_SCHUR_MIN_DIM``, one batched Hermitian eigendecomposition
-  ``1j K = U diag(w) U^H``, with ``Q = Re(U diag(e^{-iw}) U^H)``;
-- from ``REAL_SCHUR_MIN_DIM`` up, the real Schur form ``K = W diag(theta_j J) W^T``
-  (Ward & Gray, ACM TOMS 4:278, 1978): a Householder reduction to skew
-  tridiagonal form and one SVD of a half-size bidiagonal, after which every
-  matrix product is real.
+Each step makes one batched inverse of ``I - K/2``, and from it ``Q`` and the
+adjoint derivative of the map that takes the ``Q``-gradient to the
+``K``-gradient (Wen & Yin, *Math. Program.* 142, 2013). The map reaches no
+``Q`` with eigenvalue -1; a caller that needs those folds a diagonal +-1 factor
+into the objective's base (Helfrich et al., ICML 2018).
 
 Independent restarts are stacked as ``(R, p, p)`` arrays and stepped together;
 a restart that stops leaves the batch. Every per-restart quantity is computed
 slice by slice (batched LAPACK/BLAS calls, elementwise updates, row-wise
 reductions), so a restart's iterates are bitwise the same alone or in a batch.
 
-The objective family covers both the sparse-representative selection and the
-plain diagonal-normalization search:
+The objective is
 
     f(Q, c) = w_off * c * ||offdiag(Q G)||_1
             + w_lag * c * ||Q H||_1
@@ -36,10 +30,8 @@ the first term equals the off-diagonal penalty on the contemporaneous matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgehrd, dorghr
 
 from .errors import OptimizerDivergedError
 
@@ -51,23 +43,18 @@ ADAM_EPS = 1e-8
 LEARN_RATE = 5e-3
 # Bound on the global norm of each step's (K, log c) gradient.
 GRAD_CLIP = 1.0
-# A restart stops once its best objective has not improved by the caller's
-# tolerance for this many consecutive steps.
+# A restart stops once its best objective has not improved by CONVERGENCE_TOL
+# for PATIENCE consecutive steps.
+CONVERGENCE_TOL = 1e-9
 PATIENCE = 500
+# The interval that holds ``c``.
+C_BOUNDS = (1e-3, 1e3)
 
 # Fixed-rate Adam stalls in a noise ball of radius ~ learn_rate around a
 # minimum; annealing on plateau lets runs reach the tight residuals the
 # postconditions require. Deterministic: driven only by the objective trace.
 ANNEAL_EVERY = 100
 ANNEAL_FACTOR = 0.3
-
-# Smallest p stepped with the real Schur kernel. Time of a whole step kernel
-# (decomposition, expm and adjoint), complex over real, with one BLAS thread on
-# a 2-vCPU host (repeat runs agree to about 20%): for four restarts 0.6 at
-# p = 5, 0.8-1.0 at p = 12, 1.1-1.7 at p = 14-16, 1.7-1.9 at p = 20 and 2.1-2.4
-# from p = 25 to 100; for one restart the crossover lies near p = 18-20. Below
-# it the real kernel's per-restart LAPACK calls cost more than they save.
-REAL_SCHUR_MIN_DIM = 16
 
 
 def _sum2(x: np.ndarray) -> np.ndarray:
@@ -85,11 +72,6 @@ def _offdiag(m: np.ndarray) -> np.ndarray:
     idx = np.arange(m.shape[-1])
     off[..., idx, idx] = 0.0
     return off
-
-
-def _ht(u: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return np.conj(np.swapaxes(u, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -151,137 +133,25 @@ class OrbitObjective:
         return total, (s_off, l1, hollow), grad_q, grad_c
 
 
-def _expi_divided_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Phi_jk = (e^{i a_j} - e^{i b_k}) / (i (a_j - b_k))`` for stacks of vectors.
+def cayley(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley transform ``Q = (I - K/2)^{-1} (I + K/2)`` of each skew ``K`` in a stack.
 
-    Evaluated in the product form ``e^{i (a_j + b_k) / 2} sinc((a_j - b_k) / 2)``,
-    which has no cancellation when ``a_j`` and ``b_k`` are close or equal.
+    Returns ``Q`` and ``A^{-1}``, ``A = I - K/2``. Since ``I + K/2 = 2I - A``,
+    ``Q = 2 A^{-1} - I``: one batched inverse and no product.
     """
-    gap = a[..., :, None] - b[..., None, :]
-    return (np.exp(0.5j * a)[..., :, None] * np.exp(0.5j * b)[..., None, :]
-            * np.sinc(gap / (2.0 * np.pi)))
+    eye = np.eye(k.shape[-1])
+    a_inv = np.linalg.inv(eye - 0.5 * k)
+    return 2.0 * a_inv - eye, a_inv
 
 
-def skew_eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral form of a stack of real skew-symmetric ``K``: ``1j K = U diag(w) U^H``."""
-    return np.linalg.eigh(1j * k)
+def cayley_adjoint(a_inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of the derivative of the Cayley map at ``K`` applied to ``G``.
 
-
-def expm_from_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``expm(K) = Re(U diag(e^{-iw}) U^H)`` from the spectral form of ``K``."""
-    return ((u * np.exp(-1j * w)[..., None, :]) @ _ht(u)).real
-
-
-def expm_adjoint_from_eig(w: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint Fréchet derivative of ``expm`` at ``K`` applied to ``G``.
-
-    Equals ``expm_frechet(K.T, G)``. With the eigenvalues ``i w`` of ``K.T`` it
-    is ``Re(U (Phi o (U^H G U)) U^H)``, where ``Phi`` holds the divided
-    differences of ``e^{i w}``.
+    ``dQ = A^{-1} dK A^{-1}``, so the adjoint is ``A^{-T} G A^{-T}``, which is
+    ``(1/2) A^{-T} G (I + Q)^T``.
     """
-    uh = _ht(u)
-    phi = _expi_divided_differences(w, w)
-    return (u @ (phi * (uh @ g @ u)) @ uh).real
-
-
-def _tridiagonalize(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal ``Z`` and the subdiagonal of the skew tridiagonal ``Z^T K Z``, per matrix."""
-    p = k.shape[-1]
-    if p < 3:  # already tridiagonal; ``dorghr`` rejects p = 1
-        return np.broadcast_to(np.eye(p), k.shape), np.diagonal(k, -1, -2, -1)
-    flat = k.reshape(-1, p, p)
-    z = np.empty_like(flat)
-    sub = np.empty((flat.shape[0], p - 1))
-    for i, ki in enumerate(flat):
-        h, tau, _ = dgehrd(ki)
-        sub[i] = np.diagonal(h, -1)
-        z[i], _ = dorghr(h, tau)
-    return z.reshape(k.shape), sub.reshape(k.shape[:-2] + (p - 1,))
-
-
-def skew_schur(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real Schur form of a stack of real skew-symmetric ``K``.
-
-    Returns the angles ``theta`` (``(..., n)``, ``n = ceil(p / 2)``, all
-    ``>= 0``) and a basis ``W = [X | Y]`` (``(..., p, 2n)``) with
-    ``K x_j = -theta_j y_j`` and ``K y_j = theta_j x_j``: ``K`` acts on each
-    pair ``(x_j, y_j)`` as the 2x2 block ``theta_j J``, ``J = [[0, 1], [-1, 0]]``.
-    For odd ``p`` the last ``y`` is a zero column and its angle is zero, so
-    ``[X | Y]`` is orthogonal apart from that column.
-
-    ``dgehrd``/``dorghr`` reduce each ``K`` to the skew tridiagonal
-    ``T = Z^T K Z`` with subdiagonal ``e``. ``T`` couples only even to odd
-    indices, through the ``n x floor(p / 2)`` lower bidiagonal ``B`` with
-    ``B_jj = -e_2j`` and ``B_j,j-1 = e_2j-1``, so the SVD ``B = U S V^T`` gives
-    ``X = Z_even U``, ``Y = Z_odd V`` and ``theta = S``.
-    """
-    p = k.shape[-1]
-    n, m = (p + 1) // 2, p // 2
-    lead = k.shape[:-2]
-    z, sub = _tridiagonalize(k)
-    b = np.zeros(lead + (n * m,))
-    b[..., 0::m + 1] = -sub[..., 0::2]
-    b[..., m::m + 1] = sub[..., 1::2]
-    u, s, vh = np.linalg.svd(b.reshape(lead + (n, m)))
-    theta = np.zeros(lead + (n,))
-    theta[..., :m] = s
-    w = np.zeros(lead + (p, 2 * n))
-    w[..., :n] = z[..., 0::2] @ u
-    w[..., n:n + m] = z[..., 1::2] @ np.swapaxes(vh, -1, -2)
-    return theta, w
-
-
-def expm_from_schur(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``expm(K) = W diag(e^{theta_j J}) W^T`` from the real Schur form of ``K``."""
-    n = theta.shape[-1]
-    x, y = w[..., :n], w[..., n:]
-    cos, sin = np.cos(theta)[..., None, :], np.sin(theta)[..., None, :]
-    rotated = np.concatenate([x * cos - y * sin, x * sin + y * cos], axis=-1)
-    return rotated @ np.swapaxes(w, -1, -2)
-
-
-def expm_adjoint_from_schur(theta: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint Fréchet derivative of ``expm`` at ``K`` applied to ``G``, in real arithmetic.
-
-    Equals ``expm_frechet(K.T, G)`` and ``W L(W^T G W) W^T``, where ``L`` acts
-    on each 2x2 block ``E`` of ``W^T G W``. ``E`` is the sum of a part that
-    commutes with ``J``, read as the complex number
-    ``(E11 + E22) / 2 + i (E12 - E21) / 2``, and a part that anticommutes with
-    it, read as ``(E11 - E22) / 2 + i (E12 + E21) / 2``; ``E11 + i E12`` and
-    ``E22 - i E21`` are their sum and difference. In block ``(j, k)``, ``L``
-    multiplies the first part by the divided difference of ``e^{i a}`` at
-    ``(-theta_j, -theta_k)`` and the second by the one at ``(theta_j, -theta_k)``.
-    """
-    n = theta.shape[-1]
-    wt = np.swapaxes(w, -1, -2)
-    e = wt @ g @ w
-    phi = _expi_divided_differences(np.concatenate([-theta, theta], axis=-1), -theta)
-    e11_e12 = e[..., :n, :n] + 1j * e[..., :n, n:]
-    e22_e21 = e[..., n:, n:] - 1j * e[..., n:, :n]
-    commuting = phi[..., :n, :] * (0.5 * (e11_e12 + e22_e21))
-    anticommuting = phi[..., n:, :] * (0.5 * (e11_e12 - e22_e21))
-    top, bottom = commuting + anticommuting, commuting - anticommuting
-    f = np.empty_like(e)
-    f[..., :n, :n], f[..., :n, n:] = top.real, top.imag
-    f[..., n:, n:], f[..., n:, :n] = bottom.real, -bottom.imag
-    return w @ f @ wt
-
-
-class StepKernel(NamedTuple):
-    """A spectral decomposition of skew ``K`` and the ``expm`` and adjoint read from it."""
-
-    decompose: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    expm: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    expm_adjoint: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-COMPLEX_KERNEL = StepKernel(skew_eig, expm_from_eig, expm_adjoint_from_eig)
-REAL_KERNEL = StepKernel(skew_schur, expm_from_schur, expm_adjoint_from_schur)
-
-
-def step_kernel(p: int) -> StepKernel:
-    """The faster kernel at dimension ``p`` (see ``REAL_SCHUR_MIN_DIM``)."""
-    return REAL_KERNEL if p >= REAL_SCHUR_MIN_DIM else COMPLEX_KERNEL
+    a_inv_t = np.swapaxes(a_inv, -1, -2)
+    return a_inv_t @ g @ a_inv_t
 
 
 @dataclass(frozen=True)
@@ -313,26 +183,24 @@ def minimize_orbit_objective(
     k0: np.ndarray,
     *,
     max_steps: int,
-    convergence_tol: float,
-    c_bounds: tuple[float, float],
 ) -> list[DescentResult]:
     """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
 
     ``k0`` is an ``(R, p, p)`` stack of starts and ``objective`` holds the
     matching ``(R, p, p)`` stacks; results come back in restart order. A
     restart stops after ``max_steps`` or once its best objective has not
-    improved by ``convergence_tol`` over ``PATIENCE`` consecutive steps. During
+    improved by ``CONVERGENCE_TOL`` over ``PATIENCE`` consecutive steps. During
     a plateau its step size decays every ``ANNEAL_EVERY`` stalled steps so the
     iterate can settle below the fixed-rate noise floor.
 
     Raises ``OptimizerDivergedError`` naming the lowest-index restart whose
     objective or gradient became non-finite, with that restart's trace.
     """
-    log_lo, log_hi = np.log(c_bounds[0]), np.log(c_bounds[1])
+    log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     k = _skew(np.array(k0, dtype=float))
     n_restarts = k.shape[0]
-    # every restart starts at c = 1, clipped into the bounds
-    log_c = np.clip(np.zeros(n_restarts), log_lo, log_hi)
+    # every restart starts at c = 1
+    log_c = np.zeros(n_restarts)
     lr = np.full(n_restarts, LEARN_RATE * (5.0 / k.shape[-1]))
     m_k = np.zeros_like(k)
     v_k = np.zeros_like(k)
@@ -357,10 +225,8 @@ def minimize_orbit_objective(
             trace=trace[r, :steps_kept].tolist(),
         )
 
-    kernel = step_kernel(k.shape[-1])
     for step in range(1, max_steps + 1):
-        angles, basis = kernel.decompose(k)
-        q = kernel.expm(angles, basis)
+        q, a_inv = cayley(k)
         c = np.exp(log_c)
         values, _, grad_q, grad_c = objective.value_and_grads(q, c)
         finite = np.isfinite(values)
@@ -368,7 +234,7 @@ def minimize_orbit_objective(
             raise diverged(~finite, "objective", step, step - 1)
         trace[ids, step - 1] = values
         best_so_far = best_obj[ids]
-        last_improve[ids[values < best_so_far - convergence_tol]] = step
+        last_improve[ids[values < best_so_far - CONVERGENCE_TOL]] = step
         better = values < best_so_far
         rows = ids[better]
         best_obj[rows] = values[better]
@@ -398,8 +264,8 @@ def minimize_orbit_objective(
             ids, k, log_c, lr, m_k, v_k, m_c, v_c = (
                 a[keep] for a in (ids, k, log_c, lr, m_k, v_k, m_c, v_c)
             )
-            angles, basis, grad_q, grad_c, c, stalled = (
-                a[keep] for a in (angles, basis, grad_q, grad_c, c, stalled)
+            a_inv, grad_q, grad_c, c, stalled = (
+                a[keep] for a in (a_inv, grad_q, grad_c, c, stalled)
             )
             objective = objective.take(keep)
 
@@ -407,7 +273,7 @@ def minimize_orbit_objective(
         lr = np.where(anneal, lr * ANNEAL_FACTOR, lr)
         anneals[ids[anneal]] += 1
 
-        grad_k = _skew(kernel.expm_adjoint(angles, basis, grad_q))
+        grad_k = _skew(cayley_adjoint(a_inv, grad_q))
         grad_logc = grad_c * c
         finite = np.isfinite(grad_k).all(axis=(1, 2)) & np.isfinite(grad_logc)
         if not finite.all():

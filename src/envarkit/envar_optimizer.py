@@ -8,16 +8,14 @@ diagonal of ``cQ b_can`` is softly pulled to one:
             + lambda1 ||cQ gamma_can||_1 / norm_a1
             + (mu/2) ||diag(cQ b_can) - 1||_2^2 / norm_hollow
 
-over orthogonal ``Q`` and ``c`` in a wide compact interval. ``Q`` is the matrix
-exponential of a skew-symmetric parameter, evaluated with its adjoint derivative
-from one spectral decomposition per step, so it is exactly orthogonal at every
-step. Below p = 16 that is a complex Hermitian eigendecomposition; from p = 16
-up, past the measured crossover of the two, it is the real Schur form (a
-Householder reduction and a half-size SVD), whose step kernel takes about
-half the time from p = 25 up (see ``_descent.REAL_SCHUR_MIN_DIM``). ``c`` is optimized in the
-log domain. All restarts descend together as one batch. The three
-normalization constants are the raw term values at a fixed random orthogonal
-baseline and ``c = 1``.
+over orthogonal ``Q`` and ``c`` in a wide compact interval. ``Q`` is the Cayley
+transform ``(I - K/2)^{-1} (I + K/2)`` of a skew-symmetric parameter ``K``,
+evaluated with its adjoint derivative from one matrix inverse per step, so it
+is orthogonal at every step. The transform reaches no ``Q`` with eigenvalue
+-1; the random diagonal sign matrix that each later restart folds into its
+base covers those. ``c`` is optimized in the log domain. All restarts descend
+together as one batch. The three normalization constants are the raw term
+values at a fixed random orthogonal baseline and ``c = 1``.
 Because every iterate is an orbit member, every candidate (and the returned
 solution) induces the fitted reduced form exactly.
 """
@@ -44,9 +42,6 @@ from .reduced_estimation import CanonicalRepresentative
 
 _NORM_FLOOR = 1e-12
 _INIT_SCALE = 0.1
-# stopping tolerance of the descent and the interval that holds ``c``
-_CONVERGENCE_TOL = 1e-9
-_C_BOUNDS = (1e-3, 1e3)
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,8 @@ def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
     Runs ``cfg.restarts`` independent descents from random skew starts, stepped
     together as one batch (the first restart searches the rotation component
     directly; later restarts fold a random diagonal sign matrix into the base so
-    reflections are reachable) and returns the lowest-objective solution, ties
+    reflections, and the rotations with eigenvalue -1 that the Cayley map
+    misses, are reachable) and returns the lowest-objective solution, ties
     broken by restart index. The assembled model is
     ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
     """
@@ -227,8 +223,6 @@ def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
         _orbit_objective(cr, cfg, norms, np.array(signs)),
         k0=np.array(starts),
         max_steps=cfg.max_steps,
-        convergence_tol=_CONVERGENCE_TOL,
-        c_bounds=_C_BOUNDS,
     )
     outcomes = [
         replace(result, q=result.q @ np.diag(s)) for result, s in zip(results, signs)

@@ -16,13 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._descent import (
-    OrbitObjective,
-    minimize_orbit_objective,
-    random_signs,
-    random_skew,
-)
-from ._seeding import sub_rng
 from .errors import DimensionError
 from .model_core import (
     _ORTHOGONALITY_TOL,
@@ -38,10 +31,6 @@ _SV_GAP_RTOL = 1e-8
 _VALUE_CLAMP = 1e-9
 # Nuclear norms at or below this are treated as exactly zero (infimum as c -> 0).
 _ALPHA_ZERO = 1e-12
-
-_SEARCH_MAX_STEPS = 5000
-_SEARCH_DIAG_TOL = 1e-6
-_SEARCH_DISTINCT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -206,61 +195,3 @@ def align_sf(m_ref: StructuralModel, m_test: StructuralModel) -> AlignmentResult
     attained (``c_star`` reported as 0).
     """
     return align_obs(m_ref, m_test, eta=0.0)
-
-
-def sym_discrepancy(
-    m1: StructuralModel, m2: StructuralModel, eta: float = 1.0
-) -> float:
-    """Symmetric reporting score: the mean of the two one-sided discrepancies."""
-    return 0.5 * (align_obs(m1, m2, eta).value + align_obs(m2, m1, eta).value)
-
-
-def normalized_orbit_search(
-    m: StructuralModel, seed: int, restarts: int = 16
-) -> list[StructuralModel]:
-    """Search the orbit of ``m`` for representatives with unit diagonal ``B``.
-
-    Minimizes ``||diag(c Q B) - 1||_2^2`` over ``(Q, c)`` from random
-    orthogonal starts. Returns up to ``restarts`` distinct models whose
-    diagonal residual is at most 1e-6, each observationally equivalent to
-    ``m``; the list is empty when no start converges, since normalized
-    representatives need not exist.
-    """
-    _require_admissible(m)
-    restarts = int(restarts)
-    if restarts < 1:
-        raise DimensionError(f"restarts must be >= 1, got {restarts}")
-    p = m.p
-    b = m.b
-    signs, starts = [], []
-    for r in range(restarts):
-        rng = sub_rng(seed, 0x6F72626E, r)
-        # restart 0 descends from the identity element so exact or pure-scale
-        # normalizations are recovered as themselves; later restarts are random
-        signs.append(np.ones(p) if r == 0 else random_signs(p, rng))
-        starts.append(np.zeros((p, p)) if r == 0 else random_skew(p, rng))
-    signs = np.array(signs)
-    objective = OrbitObjective(
-        g_mat=signs[:, :, None] * b, h_mat=np.zeros((restarts, p, p)), w_diag=1.0
-    )
-    results = minimize_orbit_objective(
-        objective,
-        k0=np.array(starts),
-        max_steps=_SEARCH_MAX_STEPS,
-        convergence_tol=1e-12,
-        c_bounds=(1e-6, 1e6),
-    )
-    found: list[StructuralModel] = []
-    for s, result in zip(signs, results):
-        # objective value is the squared 2-norm of the diagonal residual
-        if math.sqrt(max(result.objective, 0.0)) > _SEARCH_DIAG_TOL:
-            continue
-        candidate = _orbit_member(b, m.a1, m.sigma, result.q @ np.diag(s), result.c)
-        if any(
-            np.max(np.abs(candidate.a0 - other.a0)) <= _SEARCH_DISTINCT_TOL
-            and np.max(np.abs(candidate.a1 - other.a1)) <= _SEARCH_DISTINCT_TOL
-            for other in found
-        ):
-            continue
-        found.append(candidate)
-    return found

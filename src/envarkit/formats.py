@@ -462,9 +462,19 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
         fresh_graph=bool(fresh_graph),
     )
     try:
-        manifest.cells()
+        cells = manifest.cells()
     except DimensionError as exc:
         raise DataFormatError(f"{source}: grid.{exc}") from None
+    # a run directory names sigma_std to six significant digits, so two
+    # values that agree that far would write into one directory
+    named = {}
+    for cell in cells:
+        sigma_std = named.setdefault(cell.name, cell.generator.sigma_std)
+        if sigma_std != cell.generator.sigma_std:
+            raise DataFormatError(
+                f"{source}: grid.sigma_std values {sigma_std!r} and "
+                f"{cell.generator.sigma_std!r} share the run directory {cell.name!r}"
+            )
     return manifest
 
 

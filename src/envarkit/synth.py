@@ -17,7 +17,6 @@ import numpy as np
 from ._seeding import sub_rng
 from .errors import DimensionError, GenerationError
 from .model_core import (
-    ReducedForm,
     StructuralModel,
     TimeSeries,
     _freeze,
@@ -161,16 +160,3 @@ def generate_instance(
         f"could not draw an invertible structure in {_MAX_SUPPORT_RETRIES} attempts "
         f"(p={cfg.p}, edge_prob={cfg.edge_prob})"
     )
-
-
-def check_instance(inst: GroundTruthInstance, cfg: GeneratorConfig) -> None:
-    """Invariant self-check: support, stability cap, and a valid generating law."""
-    if np.max(np.abs(np.diag(inst.model.a0))) != 0.0:
-        raise GenerationError("contemporaneous matrix has nonzero diagonal")
-    if spectral_radius(inst.model.a0) > cfg.spectral_cap + 1e-12:
-        raise GenerationError("contemporaneous spectral radius exceeds the cap")
-    if spectral_radius(inst.phi) > cfg.spectral_cap + 1e-12:
-        raise GenerationError("transition spectral radius exceeds the cap")
-    if cfg.sigma_std == 0.0 and np.any(inst.per_node_sigmas != cfg.sigma_nom):
-        raise GenerationError("equal-variance setting must give identical noise scales")
-    ReducedForm(phi=inst.phi, sigma_u=inst.sigma_u)

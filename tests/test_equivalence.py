@@ -10,11 +10,9 @@ from envarkit import (
     StructuralModel,
     align_obs,
     align_sf,
-    normalized_orbit_search,
     obs_equivalent,
     orbit_transform,
     sf_equivalent,
-    sym_discrepancy,
     to_reduced_form,
 )
 from envarkit.equivalence import AlignmentResult, stacked
@@ -266,57 +264,7 @@ class TestZeroDiscrepancyCharacterization:
             assert not obs_equivalent(m, other, tol=1e-6)
 
 
-class TestSymDiscrepancy:
-    def test_zero_on_equal(self):
-        rng = np.random.default_rng(20)
-        m = random_admissible(3, rng)
-        assert sym_discrepancy(m, m, eta=1.0) <= 1e-9
-
-    def test_zero_on_equivalent_pair(self):
-        rng = np.random.default_rng(21)
-        m = random_admissible(3, rng)
-        member = orbit_transform(m, OrbitElement(q=random_orthogonal(3, rng), c=1.3))
-        assert sym_discrepancy(m, member, eta=1.0) <= 1e-8
-
-    def test_is_mean_of_one_sided(self):
-        rng = np.random.default_rng(22)
-        m1 = random_admissible(3, rng)
-        m2 = random_admissible(3, rng)
-        expected = 0.5 * (
-            align_obs(m1, m2, eta=1.0).value + align_obs(m2, m1, eta=1.0).value
-        )
-        assert sym_discrepancy(m1, m2, eta=1.0) == pytest.approx(expected, rel=1e-12)
-
-
-class TestNormalizedOrbitSearch:
-    def test_already_normalized(self):
-        rng = np.random.default_rng(23)
-        m = random_admissible(3, rng)  # normalized by construction
-        reps = normalized_orbit_search(m, seed=1, restarts=4)
-        assert reps
-        for rep in reps:
-            assert np.linalg.norm(np.diag(rep.b) - 1.0) <= 1e-6
-            assert obs_equivalent(m, rep, tol=1e-8)
-
-    def test_pure_scale_case(self):
-        # diag(B) = 2: the representative at c = 1/2, Q = I is reachable
-        a1 = np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.0], [0.1, 0.0, 0.2]])
-        m = StructuralModel(a0=-np.eye(3), a1=a1, sigma=1.0)
-        reps = normalized_orbit_search(m, seed=2, restarts=4)
-        assert reps
-        target_a0 = np.eye(3) - 0.5 * m.b
-        closest = min(reps, key=lambda r: np.max(np.abs(r.a0 - target_a0)))
-        assert np.max(np.abs(closest.a0 - target_a0)) <= 1e-4
-        assert closest.sigma == pytest.approx(0.5, abs=1e-4)
-
-    def test_random_models_self_validate(self):
-        rng = np.random.default_rng(24)
-        m = random_admissible(3, rng, normalized=False)
-        reps = normalized_orbit_search(m, seed=3, restarts=6)
-        for rep in reps:
-            assert np.linalg.norm(np.diag(rep.b) - 1.0) <= 1e-6
-            assert obs_equivalent(m, rep, tol=1e-8)
-
+class TestStacked:
     def test_stacked_shape(self):
         rng = np.random.default_rng(25)
         m = random_admissible(3, rng)

@@ -357,6 +357,9 @@ class TestManifestRejections:
             # a repeated grid value would run its cells twice
             ({"grid": {"p": [2, 2]}}, "grid.p"),
             ({"grid": {"sigma_std": [0.0, -0.0]}}, "grid.sigma_std"),
+            # run directories name sigma_std to six significant digits
+            ({"grid": {"sigma_std": [0.1234567, 0.1234568]}},
+             "grid.sigma_std values 0.1234567 and 0.1234568"),
         ],
     )
     def test_rejected_at_load(self, over, field):
