@@ -11,7 +11,6 @@ from .envar_optimizer import (
     EnvarConfig,
     EnvarSolution,
     default_config,
-    envar_objective,
     solve_envar,
 )
 from .eqvar_gds import GdsResult, fit_eqvar_gds
@@ -87,7 +86,6 @@ __all__ = [
     "centralities",
     "default_config",
     "empirical_orbit_member",
-    "envar_objective",
     "fit_eqvar_gds",
     "fit_ols",
     "generate_instance",

@@ -6,15 +6,18 @@ logarithmic domain and is clamped to ``C_BOUNDS`` after each update. Updates use
 adaptive-moment (Adam) steps on subgradients, with global gradient-norm
 clipping.
 
-Each step makes one batched inverse of ``I - K/2``, and from it ``Q`` and the
-adjoint derivative of the map that takes the ``Q``-gradient to the
-``K``-gradient (Wen & Yin, *Math. Program.* 142, 2013). The map reaches no
-``Q`` with eigenvalue -1; a caller that needs those folds a diagonal +-1 factor
-into the objective's base (Helfrich et al., ICML 2018).
+Each step inverts ``I - K/2`` once per restart, in place with LAPACK
+``getrf``/``getri``, and reads from that inverse ``Q`` and the adjoint
+derivative of the map that takes the ``Q``-gradient to the ``K``-gradient (Wen
+& Yin, *Math. Program.* 142, 2013). The map reaches no ``Q`` with eigenvalue
+-1; a caller that needs those folds a diagonal +-1 factor into the objective's
+base (Helfrich et al., ICML 2018). Each restart's ``(K, log c)`` is one row of
+one array, so one set of Adam moments, one gradient norm and one clip serve
+both.
 
 Independent restarts are stacked as ``(R, p, p)`` arrays and stepped together;
 a restart that stops leaves the batch. Every per-restart quantity is computed
-slice by slice (batched LAPACK/BLAS calls, elementwise updates, row-wise
+slice by slice (per-matrix LAPACK/BLAS calls, elementwise updates, row-wise
 reductions), so a restart's iterates are bitwise the same alone or in a batch.
 
 The objective is
@@ -25,13 +28,18 @@ The objective is
 
 Note ``||offdiag(I - c Q G)||_1 == c * ||offdiag(Q G)||_1`` for ``c > 0``, so
 the first term equals the off-diagonal penalty on the contemporaneous matrix.
+Both l1 terms are one weighted sum over ``Q [G | H]``, so a step makes one
+product for the value and one for the ``Q``-gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf as _getrf
+from scipy.linalg.lapack import dgetri as _getri
 
 from .errors import OptimizerDivergedError
 
@@ -62,16 +70,10 @@ def _sum2(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], -1).sum(axis=-1)
 
 
-def _diagonal(m: np.ndarray) -> np.ndarray:
-    return np.diagonal(m, axis1=-2, axis2=-1)
-
-
-def _offdiag(m: np.ndarray) -> np.ndarray:
-    """Copy of each matrix in a stack with its diagonal set to zero."""
-    off = m.copy()
-    idx = np.arange(m.shape[-1])
-    off[..., idx, idx] = 0.0
-    return off
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """Writable strided view of the leading diagonal of each C-ordered ``(p, n)``
+    matrix in a stack, ``n >= p``."""
+    return x.reshape(*x.shape[:-2], -1)[..., :: x.shape[-1] + 1]
 
 
 @dataclass(frozen=True)
@@ -88,60 +90,80 @@ class OrbitObjective:
     w_lag: float = 0.0
     w_diag: float = 0.0
 
+    @cached_property
+    def gh(self) -> np.ndarray:
+        """``[G | H]``, one ``(p, 2p)`` block per restart."""
+        return np.concatenate(np.broadcast_arrays(self.g_mat, self.h_mat), axis=-1)
+
+    @cached_property
+    def gh_t(self) -> np.ndarray:
+        return np.ascontiguousarray(np.swapaxes(self.gh, -1, -2))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """``[w_off (1 - I) | w_lag]``: the l1 weight of each entry of ``Q [G | H]``."""
+        p = self.gh.shape[-2]
+        return np.hstack([self.w_off * (1.0 - np.eye(p)), np.full((p, p), float(self.w_lag))])
+
     def take(self, rows) -> OrbitObjective:
         """The objective of a subset of the restarts."""
         return replace(self, g_mat=self.g_mat[rows], h_mat=self.h_mat[rows])
 
     def value_and_grads(self, q: np.ndarray, c):
-        """Objective, its three terms, and subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
+        """Objective and its subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
 
-        Returns the values, the unweighted terms ``||offdiag(Q G)||_1``,
-        ``||Q H||_1`` and ``||diag(c Q G) - 1||_2^2`` (zero where the weight is
-        zero) and the ``c``-gradients, each of shape ``q.shape[:-2]``, and the
-        ``Q``-gradient stack, of the shape of ``q``.
+        Returns the values and the ``c``-gradients, each of shape
+        ``q.shape[:-2]``, and the ``Q``-gradient stack, of the shape of ``q``.
+        Both l1 terms are one weighted sum over ``Q [G | H]``, so a term whose
+        weight is zero adds zero to the value and to the subgradients.
         """
         c = np.asarray(c, dtype=float)
-        m = q @ self.g_mat
-        grad_m = np.zeros_like(m)
-        grad_n = None
-        grad_c = np.zeros(q.shape[:-2])
-        total = np.zeros(q.shape[:-2])
-        s_off = l1 = hollow = np.zeros(q.shape[:-2])
-        if self.w_off:
-            off = _offdiag(m)
-            s_off = _sum2(np.abs(off))
-            total += self.w_off * c * s_off
-            grad_m += (self.w_off * c)[..., None, None] * np.sign(off)
-            grad_c += self.w_off * s_off
-        if self.w_lag:
-            n_mat = q @ self.h_mat
-            l1 = _sum2(np.abs(n_mat))
-            total += self.w_lag * c * l1
-            grad_n = (self.w_lag * c)[..., None, None] * np.sign(n_mat)
-            grad_c += self.w_lag * l1
-        if self.w_diag:
-            diag_m = _diagonal(m)
-            d = c[..., None] * diag_m - 1.0
-            hollow = (d * d).sum(axis=-1)
-            total += self.w_diag * hollow
-            idx = np.arange(q.shape[-1])
-            grad_m[..., idx, idx] += 2.0 * self.w_diag * c[..., None] * d
-            grad_c += 2.0 * self.w_diag * (d * diag_m).sum(axis=-1)
-        grad_q = grad_m @ np.swapaxes(self.g_mat, -1, -2)
-        if grad_n is not None:
-            grad_q += grad_n @ np.swapaxes(self.h_mat, -1, -2)
-        return total, (s_off, l1, hollow), grad_q, grad_c
+        mn = q @ self.gh
+        diag_m = _diagonal(mn).copy()
+        d = c[..., None] * diag_m - 1.0
+        # w * sign(MN) is the l1 subgradient at c = 1, and w * sign(MN) * MN = w |MN|;
+        # both are made in place, since fresh temporaries of this size cost page faults
+        grad_mn = np.sign(mn)
+        grad_mn *= self.weights
+        mn *= grad_mn
+        l1 = _sum2(mn)
+        total = c * l1 + self.w_diag * (d * d).sum(axis=-1)
+        grad_mn *= c[..., None, None]
+        _diagonal(grad_mn)[...] += 2.0 * self.w_diag * c[..., None] * d
+        grad_c = l1 + 2.0 * self.w_diag * (d * diag_m).sum(axis=-1)
+        return total, grad_mn @ self.gh_t, grad_c
+
+
+class ZeroPivotError(np.linalg.LinAlgError):
+    """``I - K/2`` of the matrix at ``row`` of a stack has an exactly zero pivot."""
+
+    def __init__(self, row: int):
+        super().__init__(f"I - K/2 of matrix {row} has a zero pivot")
+        self.row = row
 
 
 def cayley(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cayley transform ``Q = (I - K/2)^{-1} (I + K/2)`` of each skew ``K`` in a stack.
 
     Returns ``Q`` and ``A^{-1}``, ``A = I - K/2``. Since ``I + K/2 = 2I - A``,
-    ``Q = 2 A^{-1} - I``: one batched inverse and no product.
+    ``Q = 2 A^{-1} - I``: one inverse per matrix and no product. Each inverse
+    is LAPACK ``getrf``/``getri`` in place. A C-ordered ``A`` is ``A^T`` in
+    Fortran order, and ``(A^T)^{-1}`` in Fortran order is ``A^{-1}`` in C
+    order, so no copy is made.
+
+    Raises ``ZeroPivotError`` naming the first matrix whose ``A`` has an exactly
+    zero pivot.
     """
-    eye = np.eye(k.shape[-1])
-    a_inv = np.linalg.inv(eye - 0.5 * k)
-    return 2.0 * a_inv - eye, a_inv
+    a_inv = np.multiply(k, -0.5, order="C")
+    _diagonal(a_inv)[...] += 1.0
+    for row, a in enumerate(a_inv.reshape(-1, *k.shape[-2:])):
+        lu, piv, info = _getrf(a.T, overwrite_a=True)
+        if info > 0:
+            raise ZeroPivotError(row)
+        _getri(lu, piv, overwrite_lu=True)
+    q = 2.0 * a_inv
+    _diagonal(q)[...] -= 1.0
+    return q, a_inv
 
 
 def cayley_adjoint(a_inv: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -194,24 +216,24 @@ def minimize_orbit_objective(
     iterate can settle below the fixed-rate noise floor.
 
     Raises ``OptimizerDivergedError`` naming the lowest-index restart whose
-    objective or gradient became non-finite, with that restart's trace.
+    objective or gradient became non-finite, or whose ``I - K/2`` met a zero
+    pivot, with that restart's trace.
     """
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
-    k = _skew(np.array(k0, dtype=float))
-    n_restarts = k.shape[0]
-    # every restart starts at c = 1
-    log_c = np.zeros(n_restarts)
-    lr = np.full(n_restarts, LEARN_RATE * (5.0 / k.shape[-1]))
-    m_k = np.zeros_like(k)
-    v_k = np.zeros_like(k)
-    m_c = np.zeros(n_restarts)
-    v_c = np.zeros(n_restarts)
+    k0 = _skew(np.array(k0, dtype=float))
+    n_restarts, p = k0.shape[0], k0.shape[-1]
+    # each row is one restart's (K, log c); every restart starts at c = 1
+    theta = np.zeros((n_restarts, p * p + 1))
+    theta[:, :-1] = k0.reshape(n_restarts, -1)
+    lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
+    m_theta = np.zeros_like(theta)
+    v_theta = np.zeros_like(theta)
     # batch row -> restart index; rows stay in restart order as restarts leave
     ids = np.arange(n_restarts)
 
     trace = np.empty((n_restarts, max_steps))
     best_obj = np.full(n_restarts, np.inf)
-    best_q = np.empty_like(k)
+    best_q = np.empty_like(k0)
     best_logc = np.empty(n_restarts)
     best_step = np.zeros(n_restarts, dtype=int)
     last_improve = np.zeros(n_restarts, dtype=int)
@@ -221,17 +243,21 @@ def minimize_orbit_objective(
     def diverged(rows: np.ndarray, what: str, step: int, steps_kept: int):
         r = int(ids[rows][0])
         return OptimizerDivergedError(
-            f"restart {r}: {what} became non-finite at step {step}",
+            f"restart {r}: {what} at step {step}",
             trace=trace[r, :steps_kept].tolist(),
         )
 
     for step in range(1, max_steps + 1):
-        q, a_inv = cayley(k)
+        log_c = theta[:, -1]
+        try:
+            q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
+        except ZeroPivotError as exc:
+            raise diverged([exc.row], "I - K/2 met a zero pivot", step, step - 1) from None
         c = np.exp(log_c)
-        values, _, grad_q, grad_c = objective.value_and_grads(q, c)
+        values, grad_q, grad_c = objective.value_and_grads(q, c)
         finite = np.isfinite(values)
         if not finite.all():
-            raise diverged(~finite, "objective", step, step - 1)
+            raise diverged(~finite, "objective became non-finite", step, step - 1)
         trace[ids, step - 1] = values
         best_so_far = best_obj[ids]
         last_improve[ids[values < best_so_far - CONVERGENCE_TOL]] = step
@@ -261,8 +287,8 @@ def minimize_orbit_objective(
             if stop.all():
                 break
             keep = ~stop
-            ids, k, log_c, lr, m_k, v_k, m_c, v_c = (
-                a[keep] for a in (ids, k, log_c, lr, m_k, v_k, m_c, v_c)
+            ids, theta, lr, m_theta, v_theta = (
+                a[keep] for a in (ids, theta, lr, m_theta, v_theta)
             )
             a_inv, grad_q, grad_c, c, stalled = (
                 a[keep] for a in (a_inv, grad_q, grad_c, c, stalled)
@@ -273,26 +299,19 @@ def minimize_orbit_objective(
         lr = np.where(anneal, lr * ANNEAL_FACTOR, lr)
         anneals[ids[anneal]] += 1
 
-        grad_k = _skew(cayley_adjoint(a_inv, grad_q))
-        grad_logc = grad_c * c
-        finite = np.isfinite(grad_k).all(axis=(1, 2)) & np.isfinite(grad_logc)
+        grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(ids), -1)
+        grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
+        finite = np.isfinite(grad).all(axis=-1)
         if not finite.all():
-            raise diverged(~finite, "gradient", step, step)
+            raise diverged(~finite, "gradient became non-finite", step, step)
 
-        total_norm = np.sqrt(_sum2(grad_k**2) + grad_logc**2)
-        scale = GRAD_CLIP / np.maximum(total_norm, GRAD_CLIP)
-        grad_k = grad_k * scale[:, None, None]
-        grad_logc = grad_logc * scale
-
-        m_k = ADAM_BETA1 * m_k + (1.0 - ADAM_BETA1) * grad_k
-        v_k = ADAM_BETA2 * v_k + (1.0 - ADAM_BETA2) * grad_k**2
-        m_c = ADAM_BETA1 * m_c + (1.0 - ADAM_BETA1) * grad_logc
-        v_c = ADAM_BETA2 * v_c + (1.0 - ADAM_BETA2) * grad_logc**2
+        grad *= (GRAD_CLIP / np.maximum(np.sqrt((grad * grad).sum(axis=-1)), GRAD_CLIP))[:, None]
+        m_theta = ADAM_BETA1 * m_theta + (1.0 - ADAM_BETA1) * grad
+        v_theta = ADAM_BETA2 * v_theta + (1.0 - ADAM_BETA2) * grad**2
         bias1 = 1.0 - ADAM_BETA1**step
         bias2 = 1.0 - ADAM_BETA2**step
-        k = k - lr[:, None, None] * (m_k / bias1) / (np.sqrt(v_k / bias2) + ADAM_EPS)
-        log_c = log_c - lr * (m_c / bias1) / (np.sqrt(v_c / bias2) + ADAM_EPS)
-        log_c = np.clip(log_c, log_lo, log_hi)
+        theta = theta - lr[:, None] * (m_theta / bias1) / (np.sqrt(v_theta / bias2) + ADAM_EPS)
+        theta[:, -1] = np.clip(theta[:, -1], log_lo, log_hi)
 
     return results
 

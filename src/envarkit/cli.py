@@ -194,14 +194,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     metrics = _metrics_config(args, "ridge_tau", "alpha")
+    steps = {} if args.max_steps is None else {"max_steps": args.max_steps}
+    try:
+        EnvarConfig(**steps)  # the flag's range holds whatever the method
+    except DimensionError as exc:
+        raise UsageError(f"--max-steps: {exc}") from None
     ts = read_series_csv(args.series)
     ts = _preprocess(ts, args.center, args.detrend, args.zscore)
-    envar_cfg = default_config(ts.p, seed=args.seed) if args.method == "envar" else None
-    if envar_cfg is not None and args.max_steps is not None:
-        try:
-            envar_cfg = replace(envar_cfg, max_steps=args.max_steps)
-        except DimensionError as exc:
-            raise UsageError(f"--max-steps: {exc}") from None
+    envar_cfg = (
+        replace(default_config(ts.p, seed=args.seed), **steps) if args.method == "envar" else None
+    )
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, report = _fit_method(ts, args.method, metrics, envar_cfg)
@@ -228,6 +230,10 @@ def cmd_evaluate(args) -> int:
     metrics = _metrics_config(args, "eta", "binarize_mass")
     model, meta = read_model_json(args.model)
     truth = read_truth_json(args.truth)
+    if model.p != truth.model.p:
+        raise DataFormatError(
+            f"{args.model} is {model.p}-dim but {args.truth} is {truth.model.p}-dim"
+        )
     payload = _score_payload(model, truth, metrics, str(meta.get("method", "")))
     out = Path(args.output)
     if out.is_dir():
@@ -380,8 +386,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("ENVAR_KIT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # a value that is not a level name, such as BASIC_FORMAT, means WARNING
+    level = getattr(logging, os.environ.get("ENVAR_KIT_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

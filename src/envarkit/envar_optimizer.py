@@ -10,19 +10,19 @@ diagonal of ``cQ b_can`` is softly pulled to one:
 
 over orthogonal ``Q`` and ``c`` in a wide compact interval. ``Q`` is the Cayley
 transform ``(I - K/2)^{-1} (I + K/2)`` of a skew-symmetric parameter ``K``,
-evaluated with its adjoint derivative from one matrix inverse per step, so it
-is orthogonal at every step. The transform reaches no ``Q`` with eigenvalue
--1; the random diagonal sign matrix that each later restart folds into its
-base covers those. ``c`` is optimized in the log domain. All restarts descend
-together as one batch. The three normalization constants are the raw term
-values at a fixed random orthogonal baseline and ``c = 1``.
+evaluated with its adjoint derivative from one LAPACK ``getrf``/``getri``
+inverse per restart and step, so it is orthogonal at every step. The transform
+reaches no ``Q`` with eigenvalue -1; the random diagonal sign matrix that each
+later restart folds into its base covers those. ``c`` is optimized in the log
+domain. All restarts descend together as one batch. The three normalization
+constants are the raw term values at a fixed random orthogonal baseline and
+``c = 1``.
 Because every iterate is an orbit member, every candidate (and the returned
 solution) induces the fitted reduced form exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,19 +90,6 @@ class NormConstants:
     fallbacks: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ObjectiveBreakdown:
-    """Raw (weighted, unnormalized) and normalized values of each term."""
-
-    raw_offdiag: float
-    raw_lag: float
-    raw_hollow: float
-    term_offdiag: float
-    term_lag: float
-    term_hollow: float
-    norms: NormConstants
-
-
 # Best iterate of one restart, with its stopping telemetry; ``q`` has the
 # restart's sign matrix folded in.
 RestartOutcome = DescentResult
@@ -153,52 +140,17 @@ def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstan
     than silently dividing by zero.
     """
     q0 = _baseline_orthogonal(cr.p, cfg.seed)
-    unweighted = OrbitObjective(
-        g_mat=cr.b_can[None], h_mat=cr.gamma_can[None], w_off=1.0, w_lag=1.0, w_diag=1.0
-    )
-    _, terms, _, _ = unweighted.value_and_grads(q0[None], np.ones(1))
-    raw = {name: float(term[0]) for name, term in zip(("offdiag", "lag", "hollow"), terms)}
-    fallbacks = tuple(name for name, value in raw.items() if value < _NORM_FLOOR)
+    m = q0 @ cr.b_can
+    diag_m = np.diag(m)
+    raw = {
+        "offdiag": float(np.abs(m - np.diag(diag_m)).sum()),
+        "lag": float(np.abs(q0 @ cr.gamma_can).sum()),
+        "hollow": float(np.sum((diag_m - 1.0) ** 2)),
+    }
     return NormConstants(
-        offdiag=raw["offdiag"] if raw["offdiag"] >= _NORM_FLOOR else 1.0,
-        lag=raw["lag"] if raw["lag"] >= _NORM_FLOOR else 1.0,
-        hollow=raw["hollow"] if raw["hollow"] >= _NORM_FLOOR else 1.0,
-        fallbacks=fallbacks,
+        **{name: value if value >= _NORM_FLOOR else 1.0 for name, value in raw.items()},
+        fallbacks=tuple(name for name, value in raw.items() if value < _NORM_FLOOR),
     )
-
-
-def envar_objective(
-    q: np.ndarray,
-    c: float,
-    cr: CanonicalRepresentative,
-    cfg: EnvarConfig,
-    norms: NormConstants | None = None,
-) -> tuple[float, ObjectiveBreakdown]:
-    """Evaluate the penalized selection objective at ``(Q, c)``.
-
-    Returns the total, the value the descent evaluates at that point, together
-    with a per-term breakdown (weighted raw values and their normalized
-    contributions).
-    """
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
-        raise DimensionError(f"c must be a positive finite real, got {c}")
-    if norms is None:
-        norms = norm_constants(cr, cfg)
-    objective = _orbit_objective(cr, cfg, norms, np.ones((1, cr.p)))
-    total, terms, _, _ = objective.value_and_grads(np.asarray(q)[None], np.array([c]))
-    offdiag_l1, lag_l1 = c * float(terms[0][0]), c * float(terms[1][0])
-    hollow_sq = float(terms[2][0])
-    breakdown = ObjectiveBreakdown(
-        raw_offdiag=cfg.lambda0 * offdiag_l1,
-        raw_lag=cfg.lambda1 * lag_l1,
-        raw_hollow=0.5 * cfg.mu * hollow_sq,
-        term_offdiag=cfg.lambda0 * offdiag_l1 / norms.offdiag,
-        term_lag=cfg.lambda1 * lag_l1 / norms.lag,
-        term_hollow=0.5 * cfg.mu * hollow_sq / norms.hollow,
-        norms=norms,
-    )
-    return float(total[0]), breakdown
 
 
 def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:

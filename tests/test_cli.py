@@ -322,6 +322,55 @@ class TestEvaluateCommand:
         ])
         assert code == 2
 
+    def test_dimension_mismatch_exits_2_naming_both_files(self, tmp_path, capsys):
+        from envarkit.formats import write_truth_json
+
+        truth = generate_instance(GeneratorConfig(p=4, t_len=50, seed=4), episode=0)
+        estimate = generate_instance(GeneratorConfig(p=3, t_len=50, seed=4), episode=0)
+        write_truth_json(tmp_path / "truth_model.json", truth, seed=4)
+        write_model_json(tmp_path / "model.json", estimate.model, method="self")
+        code = main([
+            "evaluate", "--model", str(tmp_path / "model.json"),
+            "--truth", str(tmp_path / "truth_model.json"),
+            "--output", str(tmp_path / "score.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "3-dim" in err and "4-dim" in err
+        assert "model.json" in err and "truth_model.json" in err
+        assert not (tmp_path / "score.json").exists()
+
+
+class TestLogLevel:
+    """``ENVAR_KIT_LOG`` names a level; any other value means WARNING. Run in a
+    fresh interpreter, since ``logging.basicConfig`` acts only once."""
+
+    @pytest.mark.parametrize(
+        "value, logged", [("info", True), ("basic_format", False), ("no-such-level", False)]
+    )
+    def test_value_sets_level_or_falls_back(self, tmp_path, value, logged):
+        import os
+        import subprocess
+        import sys
+
+        import envarkit
+        from envarkit.formats import write_truth_json
+
+        inst = generate_instance(GeneratorConfig(p=3, t_len=50, seed=4), episode=0)
+        write_truth_json(tmp_path / "truth.json", inst, seed=4)
+        write_model_json(tmp_path / "model.json", inst.model, method="self")
+        src = str(Path(envarkit.__file__).resolve().parents[1])
+        env = dict(os.environ, ENVAR_KIT_LOG=value, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "envarkit.cli", "evaluate",
+             "--model", str(tmp_path / "model.json"), "--truth", str(tmp_path / "truth.json"),
+             "--output", str(tmp_path / "score.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert ("wrote" in done.stderr) == logged
+        assert (tmp_path / "score.json").exists()
+
 
 class TestFlagRanges:
     """A flag outside the range its manifest field must keep is a usage error."""
@@ -340,11 +389,14 @@ class TestFlagRanges:
         "command, flags",
         [
             ("fit", ["--max-steps", "0"]),
+            ("fit", ["--method", "ols-only", "--max-steps", "0"]),
+            ("fit", ["--method", "eqvar-gds", "--max-steps", "0"]),
             ("fit", ["--method", "eqvar-gds", "--alpha", "2"]),
             ("evaluate", ["--eta", "-1"]),
             ("evaluate", ["--binarize-mass", "2"]),
         ],
-        ids=["max-steps", "alpha", "eta", "binarize-mass"],
+        ids=["max-steps", "max-steps-ols-only", "max-steps-eqvar-gds", "alpha", "eta",
+             "binarize-mass"],
     )
     def test_out_of_range_flag_exits_1(self, files, capsys, command, flags):
         if command == "fit":

@@ -13,7 +13,6 @@ from envarkit import (
     align_sf,
     canonical_from_reduced,
     default_config,
-    envar_objective,
     solve_envar,
     to_reduced_form,
 )
@@ -22,12 +21,14 @@ from envarkit._descent import (
     CONVERGENCE_TOL,
     PATIENCE,
     OrbitObjective,
+    ZeroPivotError,
     cayley,
     cayley_adjoint,
     minimize_orbit_objective,
     random_skew,
 )
-from envarkit.envar_optimizer import norm_constants
+from envarkit import _descent
+from envarkit.envar_optimizer import _orbit_objective, norm_constants
 from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
 from envarkit.synth import GeneratorConfig, generate_instance
@@ -72,22 +73,28 @@ class TestDefaultConfig:
             replace(default_config(5), restarts=0)
 
 
+def _objective_value(q, c, cr, cfg, norms=None):
+    """The selection objective at ``(Q, c)``, as the descent evaluates it."""
+    if norms is None:
+        norms = norm_constants(cr, cfg)
+    objective = _orbit_objective(cr, cfg, norms, np.ones((1, cr.p)))
+    value, _, _ = objective.value_and_grads(np.asarray(q)[None], np.array([c]))
+    return float(value[0])
+
+
 class TestObjective:
     def test_zero_at_clean_identity(self):
         cr = canonical_from_reduced(np.zeros((4, 4)), np.eye(4))
         cfg = default_config(4)
-        value, breakdown = envar_objective(np.eye(4), 1.0, cr, cfg)
-        assert value == 0.0
-        assert breakdown.raw_offdiag == 0.0
-        assert breakdown.raw_lag == 0.0
-        assert breakdown.raw_hollow == 0.0
+        assert _objective_value(np.eye(4), 1.0, cr, cfg) == 0.0
 
     def test_doubled_scale_raw_diag_term(self):
         p = 4
         cr = canonical_from_reduced(np.zeros((p, p)), np.eye(p))
         cfg = default_config(p)
-        _, breakdown = envar_objective(np.eye(p), 2.0, cr, cfg)
-        assert breakdown.raw_hollow == pytest.approx(cfg.mu * p / 2.0)
+        norms = norm_constants(cr, cfg)
+        value = _objective_value(np.eye(p), 2.0, cr, cfg, norms=norms)
+        assert value * norms.hollow == pytest.approx(cfg.mu * p / 2.0)
 
     def test_matches_term_by_term_recomputation(self):
         cr, _ = make_fitted_representative(3, seed=0)
@@ -97,19 +104,17 @@ class TestObjective:
         q = expm(k)
         c = 1.37
         norms = norm_constants(cr, cfg)
-        value, breakdown = envar_objective(q, c, cr, cfg, norms=norms)
+        value = _objective_value(q, c, cr, cfg, norms=norms)
         m = q @ cr.b_can
         off = m - np.diag(np.diag(m))
         t_off = cfg.lambda0 * c * np.abs(off).sum() / norms.offdiag
         t_lag = cfg.lambda1 * c * np.abs(q @ cr.gamma_can).sum() / norms.lag
         t_hollow = 0.5 * cfg.mu * np.sum((c * np.diag(m) - 1.0) ** 2) / norms.hollow
         assert value == pytest.approx(t_off + t_lag + t_hollow, abs=1e-12)
-        assert breakdown.term_offdiag == pytest.approx(t_off, abs=1e-12)
-
-    def test_rejects_nonpositive_scale(self):
-        cr = canonical_from_reduced(np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(DimensionError):
-            envar_objective(np.eye(2), 0.0, cr, default_config(2))
+        off_only = replace(cfg, lambda1=0.0, mu=0.0)
+        assert _objective_value(q, c, cr, off_only, norms=norms) == pytest.approx(
+            t_off, abs=1e-12
+        )
 
     def test_norm_fallback_flagged_for_zero_lag(self):
         cr = canonical_from_reduced(np.zeros((3, 3)), np.eye(3))
@@ -121,10 +126,79 @@ class TestObjective:
         # without the diagonal penalty the sparsity objective vanishes as c -> 0
         cr, _ = make_fitted_representative(3, seed=2)
         cfg = replace(default_config(3), mu=0.0)
-        tiny, _ = envar_objective(np.eye(3), 1e-6, cr, cfg)
-        unit, _ = envar_objective(np.eye(3), 1.0, cr, cfg)
+        tiny = _objective_value(np.eye(3), 1e-6, cr, cfg)
+        unit = _objective_value(np.eye(3), 1.0, cr, cfg)
         assert tiny < unit
         assert tiny == pytest.approx(1e-6 * unit, rel=1e-9)
+
+
+def _three_term_reference(objective, q, c):
+    """Value and subgradients of the objective, one term at a time, skipping a
+    term whose weight is zero."""
+    p = q.shape[-1]
+    m = q @ objective.g_mat
+    n_mat = q @ objective.h_mat
+    value = np.zeros(len(q))
+    grad_m = np.zeros_like(m)
+    grad_n = np.zeros_like(n_mat)
+    grad_c = np.zeros(len(q))
+    for r in range(len(q)):
+        if objective.w_off:
+            off = m[r] - np.diag(np.diag(m[r]))
+            value[r] += objective.w_off * c[r] * np.abs(off).sum()
+            grad_m[r] += objective.w_off * c[r] * np.sign(off)
+            grad_c[r] += objective.w_off * np.abs(off).sum()
+        if objective.w_lag:
+            value[r] += objective.w_lag * c[r] * np.abs(n_mat[r]).sum()
+            grad_n[r] += objective.w_lag * c[r] * np.sign(n_mat[r])
+            grad_c[r] += objective.w_lag * np.abs(n_mat[r]).sum()
+        if objective.w_diag:
+            d = c[r] * np.diag(m[r]) - 1.0
+            value[r] += objective.w_diag * np.sum(d**2)
+            grad_m[r][np.diag_indices(p)] += 2.0 * objective.w_diag * c[r] * d
+            grad_c[r] += 2.0 * objective.w_diag * np.sum(d * np.diag(m[r]))
+    grad_q = grad_m @ np.swapaxes(objective.g_mat, -1, -2)
+    grad_q += grad_n @ np.swapaxes(objective.h_mat, -1, -2)
+    return value, grad_q, grad_c
+
+
+class TestFusedObjective:
+    """``value_and_grads`` makes one weighted sum over ``Q [G | H]``; it must
+    agree with the three separate terms, a zero weight included."""
+
+    @pytest.mark.parametrize("zero", [None, "w_off", "w_lag", "w_diag"])
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_matches_three_term_formula(self, p, zero):
+        rng = np.random.default_rng(300 + p)
+        n = 3
+        weights = {"w_off": 0.7, "w_lag": 0.4, "w_diag": 1.3}
+        if zero is not None:
+            weights[zero] = 0.0
+        g_mat = rng.normal(size=(n, p, p))
+        g_mat[0, 0, -1] = 0.0  # an exact zero of Q G at Q = I: sign(0) = 0
+        objective = OrbitObjective(
+            g_mat=g_mat, h_mat=rng.normal(size=(n, p, p)), **weights
+        )
+        k = np.array([random_skew(p, rng, 0.5) for _ in range(n)])
+        k[0] = 0.0
+        q, _ = cayley(k)
+        c = np.exp(rng.normal(0.0, 0.3, size=n))
+        value, grad_q, grad_c = objective.value_and_grads(q, c)
+        ref_value, ref_grad_q, ref_grad_c = _three_term_reference(objective, q, c)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(grad_q, ref_grad_q, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad_c, ref_grad_c, rtol=1e-13, atol=1e-13)
+
+    def test_zero_weight_term_adds_nothing(self):
+        rng = np.random.default_rng(310)
+        p = 4
+        base = OrbitObjective(
+            g_mat=rng.normal(size=(2, p, p)), h_mat=rng.normal(size=(2, p, p)),
+            w_off=0.0, w_lag=0.0, w_diag=0.0,
+        )
+        q, _ = cayley(np.array([random_skew(p, rng, 0.5) for _ in range(2)]))
+        value, grad_q, grad_c = base.value_and_grads(q, np.array([0.8, 1.9]))
+        assert not value.any() and not grad_q.any() and not grad_c.any()
 
 
 class TestDescentGradients:
@@ -146,15 +220,13 @@ class TestDescentGradients:
         log_c = 0.2
         (q,), (a_inv,) = cayley(k[None])
         c = float(np.exp(log_c))
-        value_qc, terms, grad_q, grad_c = objective.value_and_grads(q, c)
+        value_qc, grad_q, grad_c = objective.value_and_grads(q, c)
         m = q @ objective.g_mat
         expected_terms = (
             np.abs(m - np.diag(np.diag(m))).sum(),
             np.abs(q @ objective.h_mat).sum(),
             np.sum((c * np.diag(m) - 1.0) ** 2),
         )
-        for term, expected in zip(terms, expected_terms):
-            assert term == pytest.approx(expected, abs=1e-12)
         expected_value = (
             0.7 * c * expected_terms[0] + 0.4 * c * expected_terms[1] + 1.3 * expected_terms[2]
         )
@@ -279,15 +351,15 @@ class _NanAfter(OrbitObjective):
         return replace(super().take(rows), flagged=self.flagged[rows])
 
     def value_and_grads(self, q, c):
-        total, terms, grad_q, grad_c = super().value_and_grads(q, c)
+        total, grad_q, grad_c = super().value_and_grads(q, c)
         self.calls.append(None)
         if len(self.calls) > self.after:
             total = np.where(self.flagged, np.nan, total)
-        return total, terms, grad_q, grad_c
+        return total, grad_q, grad_c
 
 
 class TestBatchedDescent:
-    @pytest.mark.parametrize("p", [4, 20])
+    @pytest.mark.parametrize("p", [1, 4, 20])
     def test_restart_is_bitwise_independent_of_batch(self, p):
         objective, k0 = _batch_problem(p, np.random.default_rng(21))
         batch = minimize_orbit_objective(objective, k0, **_BATCH_KW)
@@ -326,6 +398,37 @@ class TestBatchedDescent:
         )
         assert err.value.trace == alone.trace
         assert len(err.value.trace) == 30
+
+
+class TestZeroPivot:
+    def test_cayley_names_the_singular_matrix(self):
+        k = np.zeros((3, 2, 2))
+        k[1] = 2.0 * np.eye(2)  # I - K/2 = 0
+        with pytest.raises(ZeroPivotError) as err:
+            cayley(k)
+        assert err.value.row == 1
+
+    def test_descent_names_restart_and_carries_its_trace(self, monkeypatch):
+        """A zero pivot in batch row 2, after restart 2 has left, is restart 3's."""
+        objective, k0 = _batch_problem(4, np.random.default_rng(23))
+        after = PATIENCE + 10
+        (clean,) = minimize_orbit_objective(
+            objective.take([3]), k0[3:], **dict(_BATCH_KW, max_steps=after)
+        )
+        calls = []
+
+        def singular_after(k):
+            calls.append(None)
+            if len(calls) > after:
+                assert len(k) == 3
+                raise ZeroPivotError(2)
+            return cayley(k)
+
+        monkeypatch.setattr(_descent, "cayley", singular_after)
+        with pytest.raises(OptimizerDivergedError,
+                           match=f"restart 3: I - K/2 met a zero pivot at step {after + 1}") as err:
+            minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        assert err.value.trace == clean.trace
 
 
 def _replay_stopping_rule(trace, patience, tol, max_steps):
@@ -441,7 +544,7 @@ class TestSolveEnvar:
         cr, _ = make_fitted_representative(3, seed=12)
         cfg = replace(default_config(3, seed=5), max_steps=700)
         solution = solve_envar(cr, cfg)
-        value, _ = envar_objective(
+        value = _objective_value(
             solution.q_hat, solution.c_hat, cr, cfg, norms=solution.norms
         )
         assert value == solution.objective
