@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except EnvarKitError as exc:

@@ -103,6 +103,8 @@ def read_json(path: Path | str) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: expected a JSON object at top level")
     return payload
@@ -178,36 +180,39 @@ def read_series_csv(path: Path | str) -> TimeSeries:
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if not header or header[0] != "t" or len(header) < 2:
-            raise DataFormatError(f"{path}: header must be 't,x1,...,xp', got {header}")
-        expected = ["t"] + [f"x{i + 1}" for i in range(len(header) - 1)]
-        if header != expected:
-            raise DataFormatError(f"{path}: header must be {expected}, got {header}")
-        p = len(header) - 1
-        columns: list[list[float]] = []
-        prev_t = None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != p + 1:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {p + 1} fields, got {len(row)}"
-                )
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                t_val = float(row[0])
-                vals = list(map(float, row[1:]))
-            except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
-            if prev_t is not None and t_val <= prev_t:
-                raise DataFormatError(f"{path}: line {lineno}: time index must increase")
-            if not (math.isfinite(t_val) and all(map(math.isfinite, vals))):
-                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
-            prev_t = t_val
-            columns.append(vals)
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file") from None
+            if not header or header[0] != "t" or len(header) < 2:
+                raise DataFormatError(f"{path}: header must be 't,x1,...,xp', got {header}")
+            expected = ["t"] + [f"x{i + 1}" for i in range(len(header) - 1)]
+            if header != expected:
+                raise DataFormatError(f"{path}: header must be {expected}, got {header}")
+            p = len(header) - 1
+            columns: list[list[float]] = []
+            prev_t = None
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != p + 1:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: expected {p + 1} fields, got {len(row)}"
+                    )
+                try:
+                    t_val = float(row[0])
+                    vals = list(map(float, row[1:]))
+                except ValueError:
+                    raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
+                if prev_t is not None and t_val <= prev_t:
+                    raise DataFormatError(f"{path}: line {lineno}: time index must increase")
+                if not (math.isfinite(t_val) and all(map(math.isfinite, vals))):
+                    raise DataFormatError(f"{path}: line {lineno}: non-finite value")
+                prev_t = t_val
+                columns.append(vals)
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
     if len(columns) < 2:
         raise DataFormatError(f"{path}: need at least 2 time steps, got {len(columns)}")
     return TimeSeries(values=np.asarray(columns, dtype=float).T, centered=False)

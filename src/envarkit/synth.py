@@ -51,19 +51,21 @@ class GeneratorConfig:
 
     def __post_init__(self):
         # each message starts with its field's name, which the manifest reader
-        # qualifies with the section: "generator.p must be >= 1, got 0"
+        # qualifies with the section: "generator.p must be a finite number >= 1, got 0"
         for name, ok, what in (
             ("p", self.p >= 1, ">= 1"),
             ("t_len", self.t_len >= 2, ">= 2"),
             ("edge_prob", 0.0 <= self.edge_prob <= 1.0, "in [0, 1]"),
             ("weight_low", self.weight_low < self.weight_high, "< weight_high"),
+            ("weight_high", self.weight_high > self.weight_low, "> weight_low"),
             ("spectral_cap", 0.0 < self.spectral_cap < 1.0, "in (0, 1)"),
             ("sigma_nom", self.sigma_nom > 0.0, "> 0"),
             ("sigma_std", self.sigma_std >= 0.0, ">= 0"),
             ("episodes", self.episodes >= 1, ">= 1"),
         ):
-            if not ok:
-                raise DimensionError(f"{name} must be {what}, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (ok and -np.inf < value < np.inf):  # False for NaN
+                raise DimensionError(f"{name} must be a finite number {what}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,38 @@ class TestFlagRanges:
         assert not (files / "out").exists()
 
 
+class TestOutputBlockedByAFile:
+    """An ``--output`` that is, or lies below, an existing file is a data error."""
+
+    @pytest.mark.parametrize(
+        "command, below",
+        [("simulate", False), ("simulate", True), ("fit", False), ("fit", True),
+         ("evaluate", True), ("benchmark", False), ("benchmark", True)],
+    )
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command, below):
+        from envarkit.formats import write_truth_json
+
+        inst = generate_instance(GeneratorConfig(p=3, t_len=50, seed=4), episode=0)
+        write_series_csv(tmp_path / "series.csv", inst.series)
+        write_truth_json(tmp_path / "truth.json", inst, seed=4)
+        write_model_json(tmp_path / "model.json", inst.model, method="self")
+        manifest = write_manifest(tmp_path / "m.json", tmp_path / "unused")
+        inputs = {
+            "simulate": ["--manifest", str(manifest)],
+            "fit": ["--series", str(tmp_path / "series.csv"), "--method", "ols-only"],
+            "evaluate": ["--model", str(tmp_path / "model.json"),
+                         "--truth", str(tmp_path / "truth.json")],
+            "benchmark": ["--manifest", str(manifest)],
+        }[command]
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        output = blocker / "sub" if below else blocker
+        assert main([command, *inputs, "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(blocker) in err
+        assert blocker.read_text() == ""
+
+
 class TestBenchmarkCommand:
     def test_small_grid_row_counts(self, tmp_path):
         out = tmp_path / "bench"

@@ -16,7 +16,7 @@ from envarkit import (
     solve_envar,
     to_reduced_form,
 )
-from envarkit._descent import (
+from envarkit.envar_optimizer import (
     ANNEAL_EVERY,
     CONVERGENCE_TOL,
     PATIENCE,
@@ -27,7 +27,7 @@ from envarkit._descent import (
     minimize_orbit_objective,
     random_skew,
 )
-from envarkit import _descent
+from envarkit import envar_optimizer
 from envarkit.envar_optimizer import _orbit_objective, norm_constants
 from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
@@ -71,6 +71,9 @@ class TestDefaultConfig:
             replace(default_config(5), mu=-1.0)
         with pytest.raises(DimensionError, match="restarts"):
             replace(default_config(5), restarts=0)
+        for name, value in (("lambda0", np.nan), ("lambda1", np.nan), ("mu", np.inf)):
+            with pytest.raises(DimensionError, match=f"^{name} must be a finite number"):
+                replace(default_config(5), **{name: value})
 
 
 def _objective_value(q, c, cr, cfg, norms=None):
@@ -358,6 +361,19 @@ class _NanAfter(OrbitObjective):
         return total, grad_q, grad_c
 
 
+@dataclass(frozen=True)
+class _NanGradAfter(_NanAfter):
+    """Reports a NaN ``c``-gradient for the flagged restarts from evaluation
+    ``after + 1`` on; the values stay finite."""
+
+    def value_and_grads(self, q, c):
+        total, grad_q, grad_c = OrbitObjective.value_and_grads(self, q, c)
+        self.calls.append(None)
+        if len(self.calls) > self.after:
+            grad_c = np.where(self.flagged, np.nan, grad_c)
+        return total, grad_q, grad_c
+
+
 class TestBatchedDescent:
     @pytest.mark.parametrize("p", [1, 4, 20])
     def test_restart_is_bitwise_independent_of_batch(self, p):
@@ -399,6 +415,19 @@ class TestBatchedDescent:
         assert err.value.trace == alone.trace
         assert len(err.value.trace) == 30
 
+    def test_nonfinite_gradient_names_restart_and_carries_its_trace(self):
+        objective, k0 = _batch_problem(4, np.random.default_rng(23))
+        flagged = np.array([False, True, False, True])
+        poisoned = _NanGradAfter(**vars(objective), flagged=flagged, after=30)
+        with pytest.raises(OptimizerDivergedError,
+                           match="restart 1: gradient became non-finite at step 31") as err:
+            minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
+        (alone,) = minimize_orbit_objective(
+            objective.take([1]), k0[1:2], **dict(_BATCH_KW, max_steps=31)
+        )
+        assert err.value.trace == alone.trace
+        assert len(err.value.trace) == 31
+
 
 class TestZeroPivot:
     def test_cayley_names_the_singular_matrix(self):
@@ -424,7 +453,7 @@ class TestZeroPivot:
                 raise ZeroPivotError(2)
             return cayley(k)
 
-        monkeypatch.setattr(_descent, "cayley", singular_after)
+        monkeypatch.setattr(envar_optimizer, "cayley", singular_after)
         with pytest.raises(OptimizerDivergedError,
                            match=f"restart 3: I - K/2 met a zero pivot at step {after + 1}") as err:
             minimize_orbit_objective(objective, k0, **_BATCH_KW)

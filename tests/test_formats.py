@@ -79,6 +79,16 @@ class TestReadSeriesRejections:
         path.write_text(text)
         assert _raised(read_series_csv, path) == f"{path}: {message}"
 
+    def test_not_utf8_names_the_file(self, tmp_path, capsys):
+        from envarkit.cli import main
+
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t,x1\n1,0.5\n2,\xff\n")
+        assert _raised(read_series_csv, path) == f"{path}: not UTF-8 text"
+        assert main(["fit", "--series", str(path), "--method", "ols-only",
+                     "--output", str(tmp_path)]) == 2
+        assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _EDGES = np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]])
@@ -300,6 +310,16 @@ class TestTruthAndModelRejections:
         assert code == 2
         assert "'sigma'" in err
 
+    def test_model_not_utf8_exits_2(self, tmp_path, capsys):
+        from envarkit.cli import main
+
+        assert _evaluate_exit(tmp_path, capsys) == (0, "")
+        model = tmp_path / "model.json"
+        model.write_bytes(model.read_bytes().replace(b"ols-only", b"ols-\xff"))
+        assert main(["evaluate", "--model", str(model), "--truth", str(tmp_path / "truth.json"),
+                     "--output", str(tmp_path / "score.json")]) == 2
+        assert f"data error: {model}: not UTF-8 text" in capsys.readouterr().err
+
     def test_truth_episode_read_back(self, tmp_path):
         from envarkit.formats import read_truth_json
 
@@ -373,6 +393,15 @@ class TestManifestRejections:
         path.write_text(json.dumps(_manifest_payload(envar={"max_steps": "x"})))
         assert main(["benchmark", "--manifest", str(path), "--output", str(tmp_path)]) == 2
         assert "envar.max_steps" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_benchmark_exits_2_on_non_utf8(self, tmp_path, capsys):
+        from envarkit.cli import main
+
+        path = tmp_path / "m.json"
+        path.write_bytes(json.dumps(_manifest_payload()).encode().replace(b"envar-kit/1", b"\xff"))
+        assert main(["benchmark", "--manifest", str(path), "--output", str(tmp_path)]) == 2
+        assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
     def test_readme_example_loads(self, tmp_path):

@@ -112,6 +112,10 @@ class TestGenerateInstance:
             GeneratorConfig(p=3, t_len=10, spectral_cap=1.0)
         with pytest.raises(DimensionError):
             GeneratorConfig(p=3, t_len=10, weight_low=1.0, weight_high=-1.0)
+        for name, value in (("sigma_std", np.inf), ("sigma_nom", np.inf),
+                            ("weight_high", np.inf), ("weight_low", -np.inf)):
+            with pytest.raises(DimensionError, match=f"^{name} must be a finite number"):
+                GeneratorConfig(p=3, t_len=10, **{name: value})
 
 
 class TestBenchmarkGrid:
