@@ -179,7 +179,7 @@ def cmd_simulate(args) -> int:
         write_json(
             run_dir / "instance_meta.json",
             {
-                "format_version": manifest.format_version,
+                "format_version": FORMAT_VERSION,
                 "generator": asdict(cell.generator),
                 "episode": cell.episode,
                 "fresh_graph": manifest.fresh_graph,

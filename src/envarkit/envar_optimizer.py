@@ -45,8 +45,8 @@ from scipy.linalg.lapack import dgetri as _getri
 
 from ._seeding import sub_rng
 from .equivalence import _orbit_member
-from .errors import DimensionError, OptimizerDivergedError
-from .model_core import StructuralModel
+from .errors import OptimizerDivergedError
+from .model_core import StructuralModel, _check_fields, _setting
 from .reduced_estimation import CanonicalRepresentative
 
 ADAM_BETA1 = 0.9
@@ -85,11 +85,10 @@ class EnvarConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        for name, least in (("lambda0", 0), ("lambda1", 0), ("mu", 0),
-                            ("max_steps", 1), ("restarts", 1)):
-            value = getattr(self, name)
-            if not least <= value < np.inf:  # False for NaN
-                raise DimensionError(f"{name} must be a finite number >= {least}, got {value!r}")
+        weight = (lambda v: v >= 0, ">= 0")
+        count = (lambda v: v >= 1, ">= 1")
+        _check_fields(self, {"lambda0": weight, "lambda1": weight, "mu": weight,
+                             "max_steps": count, "restarts": count})
 
 
 def default_config(p: int, seed: int = 0) -> EnvarConfig:
@@ -98,8 +97,7 @@ def default_config(p: int, seed: int = 0) -> EnvarConfig:
     The hollowness weight steps down with dimension (7.5 up to 25 nodes, 5.0 up
     to 75, 2.5 beyond); larger graphs get a longer step budget.
     """
-    if p < 1:
-        raise DimensionError(f"p must be >= 1, got {p}")
+    p = _setting("p", p, lambda v: v >= 1, ">= 1", integer=True)
     if p <= 25:
         mu = 7.5
     elif p <= 75:

@@ -22,6 +22,7 @@ from .model_core import (
     StructuralModel,
     _check_square,
     _require_admissible,
+    _setting,
     to_reduced_form,
 )
 
@@ -163,9 +164,7 @@ def align_obs(
     """
     if m_ref.p != m_test.p:
         raise DimensionError(f"dimension mismatch: {m_ref.p} vs {m_test.p}")
-    eta = float(eta)
-    if eta < 0.0:
-        raise DimensionError(f"eta must be >= 0, got {eta}")
+    eta = _setting("eta", eta, lambda v: v >= 0.0, ">= 0")
     s_ref, s_test = stacked(m_ref), stacked(m_test)
     alpha, q_star, unique_q = _svd_cross(s_ref, s_test)
     s_ref_sq = float(np.sum(s_ref**2))

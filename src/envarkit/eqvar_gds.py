@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import stdtr
 
 from .errors import DimensionError, RankError
-from .model_core import TimeSeries, _freeze
+from .model_core import TimeSeries, _freeze, _setting
 from .reduced_estimation import OlsFit
 
 _VARIANCE_FLOOR = 1e-12
@@ -54,9 +54,7 @@ def fit_eqvar_gds(ts: TimeSeries, fit: OlsFit, alpha: float = 0.05) -> GdsResult
     """
     if not ts.centered:
         raise DimensionError("series must be centered (see center())")
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DimensionError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = _setting("alpha", alpha, lambda v: 0.0 < v < 1.0, "in (0, 1)")
     u = np.asarray(fit.residuals)
     p, n = u.shape
     if ts.p != p:

@@ -16,7 +16,7 @@ from scipy.special import stdtr
 
 from .equivalence import align_obs, align_sf
 from .errors import DimensionError
-from .model_core import StructuralModel, _freeze, to_reduced_form
+from .model_core import StructuralModel, _freeze, _setting, to_reduced_form
 from .synth import GroundTruthInstance
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -165,9 +165,7 @@ def binarize_cumulative(m: StructuralModel, mass: float) -> np.ndarray:
     matrix total. The contemporaneous diagonal is excluded (no instantaneous
     self-loops); lagged self-loops are allowed.
     """
-    mass = float(mass)
-    if not (0.0 < mass <= 1.0):
-        raise DimensionError(f"mass must be in (0, 1], got {mass}")
+    mass = _setting("mass", mass, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     a0 = np.array(m.a0, copy=True)
     np.fill_diagonal(a0, 0.0)
     bin0 = _binarize_one(a0, mass)

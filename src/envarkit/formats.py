@@ -20,7 +20,7 @@ import numpy as np
 from ._seeding import sub_seed
 from .envar_optimizer import EnvarConfig, default_config
 from .errors import DataFormatError, DimensionError
-from .model_core import StructuralModel, TimeSeries
+from .model_core import StructuralModel, TimeSeries, _check_fields, _is_int, _is_real
 from .synth import GeneratorConfig, GroundTruthInstance, generate_instance
 
 FORMAT_VERSION = "envar-kit/1"
@@ -126,17 +126,6 @@ def _matrix(payload: dict, key: str, path: Path | str) -> np.ndarray:
     except (TypeError, ValueError):
         raise DataFormatError(f"{path}: field {key!r} is not numeric") from None
     return arr
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    try:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _require(ok: bool, where: str, what: str, value) -> None:
@@ -289,15 +278,12 @@ class MetricsConfig:
     ridge_tau: float = 0.0
 
     def __post_init__(self):
-        for name, ok, what in (
-            ("eta", self.eta >= 0, ">= 0"),
-            ("binarize_mass", 0 < self.binarize_mass <= 1, "in (0, 1]"),
-            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
-            ("ridge_tau", self.ridge_tau >= 0, ">= 0"),
-        ):
-            value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
-                raise DimensionError(f"{name} must be a finite number {what}, got {value!r}")
+        _check_fields(self, {
+            "eta": (lambda v: v >= 0, ">= 0"),
+            "binarize_mass": (lambda v: 0 < v <= 1, "in (0, 1]"),
+            "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
+            "ridge_tau": (lambda v: v >= 0, ">= 0"),
+        })
 
 
 @dataclass(frozen=True)
@@ -334,7 +320,6 @@ class ExperimentManifest:
     grid_p: tuple[int, ...]
     grid_sigma_std: tuple[float, ...]
     fresh_graph: bool = True
-    format_version: str = FORMAT_VERSION
 
     def methods(self) -> tuple[str, ...]:
         return tuple(self.method_metrics)
@@ -375,10 +360,9 @@ def _known_keys(raw: dict, known: set, where: str) -> None:
 def _section(raw, where: str, cls, names=None, base=None):
     """Build ``cls`` from one manifest object, or ``base`` with the object's
     fields replaced if given. Its keys must be fields of ``cls`` (of ``names``
-    if given), with every field that has no default; ``int`` fields take
-    integers and the others finite numbers. The range checks of ``cls`` start
-    their message with the field's name, so a value out of range reads
-    ``{where}.eta must be ...``."""
+    if given), with every field that has no default. ``cls`` checks each
+    value's type and range, with a message that starts with the field's name,
+    so a bad value reads ``{where}.eta must be ...``."""
     if not isinstance(raw, dict):
         raise DataFormatError(f"{where} must be an object, got {raw!r}")
     known = {f.name: f for f in fields(cls) if names is None or f.name in names}
@@ -387,11 +371,6 @@ def _section(raw, where: str, cls, names=None, base=None):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise DataFormatError(f"{where} needs {missing}")
-    for key, value in raw.items():
-        if known[key].type in (int, "int"):
-            _require(_is_int(value), f"{where}.{key}", "an integer", value)
-        else:
-            _require(_is_real(value), f"{where}.{key}", "a finite number", value)
     try:
         return cls(**raw) if base is None else replace(base, **raw)
     except DimensionError as exc:

@@ -14,7 +14,8 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -53,6 +54,38 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DimensionError(f"{name} contains non-finite entries")
     return arr
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    try:  # an integer beyond the float range is not finite as a float
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def _setting(name: str, value, ok, what: str, integer: bool = False):
+    """``value`` as an int (``integer``) or a float if it is a finite number of
+    that kind with ``ok(value)`` (None: any); else a DimensionError that names
+    it, such as ``p must be an integer >= 1, got 2.5``."""
+    if _is_real(value) and (_is_int(value) or not integer):
+        x = int(value) if integer else float(value)
+        if ok is None or ok(x):
+            return x
+    kind = f"{'an integer' if integer else 'a finite number'} {what}".rstrip()
+    raise DimensionError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_fields(obj, ranges: dict) -> None:
+    """``_setting`` on each field of dataclass ``obj`` in declaration order: an
+    ``int`` field as an integer, in its ``ranges[name] = (ok, what)`` if any."""
+    for f in fields(obj):
+        ok, what = ranges.get(f.name, (None, ""))
+        _setting(f.name, getattr(obj, f.name), ok, what, integer=f.type in (int, "int"))
 
 
 @dataclass(frozen=True)
@@ -188,7 +221,7 @@ def is_normalized(m: StructuralModel, tol: float = 1e-12) -> bool:
 
 
 def is_admissible(m: StructuralModel) -> AdmissibilityReport:
-    """Check invertibility of ``B``, stability of ``B^{-1} a1``, and ``sigma > 0``.
+    """Check invertibility of ``B`` and stability of ``B^{-1} a1``.
 
     Returns a report that is truthy iff all conditions hold; ``reasons`` names
     each failed condition.
@@ -204,8 +237,6 @@ def is_admissible(m: StructuralModel) -> AdmissibilityReport:
         rho = spectral_radius(np.linalg.solve(b, m.a1))
         if rho >= 1.0:
             reasons.append("unstable")
-    if m.sigma <= 0.0:
-        reasons.append("sigma nonpositive")
     return AdmissibilityReport(
         admissible=not reasons,
         reasons=tuple(reasons),
@@ -330,12 +361,8 @@ def simulate(m: StructuralModel, t_len: int, seed: int, burn_in: int = 100) -> T
     gives bit-identical output.
     """
     _require_admissible(m)
-    t_len = int(t_len)
-    if t_len < 2:
-        raise DimensionError(f"t_len must be >= 2, got {t_len}")
-    burn_in = int(burn_in)
-    if burn_in < 0:
-        raise DimensionError(f"burn_in must be >= 0, got {burn_in}")
+    t_len = _setting("t_len", t_len, lambda v: v >= 2, ">= 2", integer=True)
+    burn_in = _setting("burn_in", burn_in, lambda v: v >= 0, ">= 0", integer=True)
     return _sample(m.b, m.a1, m.sigma, t_len, burn_in, np.random.default_rng(seed))
 
 

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .equivalence import OrbitElement, _orbit_member
 from .errors import DimensionError, NotPositiveDefiniteError, RankError
-from .model_core import StructuralModel, TimeSeries, _freeze, _reduced_form
+from .model_core import StructuralModel, TimeSeries, _freeze, _reduced_form, _setting
 
 logger = logging.getLogger("envarkit.reduced_estimation")
 
@@ -93,9 +93,7 @@ def fit_ols(ts: TimeSeries, ridge_tau: float = 0.0) -> OlsFit:
     """
     if not ts.centered:
         raise DimensionError("series must be centered before fitting (see center())")
-    ridge_tau = float(ridge_tau)
-    if ridge_tau < 0.0:
-        raise DimensionError(f"ridge_tau must be >= 0, got {ridge_tau}")
+    ridge_tau = _setting("ridge_tau", ridge_tau, lambda v: v >= 0.0, ">= 0")
     p, t_len = ts.p, ts.t_len
     if t_len < 3:
         raise DimensionError(f"need T >= 3 observations, got T={t_len}")
@@ -156,17 +154,13 @@ def canonical_from_reduced(
     phi = np.asarray(phi, dtype=float)
     sigma_u = np.asarray(sigma_u, dtype=float)
     p = phi.shape[0]
+    # both factorizations: a sigma_u PD only to roundoff can give a non-PD precision
     try:
-        factor = cho_factor(sigma_u, lower=True)
+        omega = cho_solve(cho_factor(sigma_u, lower=True), np.eye(p))
+        omega = 0.5 * (omega + omega.T)
+        b_can = cholesky(omega, lower=False)  # LAPACK's diagonal is positive
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("sigma_u must be positive definite") from None
-    omega = cho_solve(factor, np.eye(p))
-    omega = 0.5 * (omega + omega.T)
-    b_can = cholesky(omega, lower=False)
-    # force a positive diagonal (LAPACK already returns one; keep the invariant explicit)
-    signs = np.sign(np.diag(b_can))
-    signs[signs == 0] = 1.0
-    b_can = signs[:, None] * b_can
     return CanonicalRepresentative(
         b_can=b_can, gamma_can=b_can @ phi, omega_u_hat=omega
     )

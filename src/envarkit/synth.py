@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import sub_rng
-from .errors import DimensionError, GenerationError
+from .errors import GenerationError
 from .model_core import (
     StructuralModel,
     TimeSeries,
+    _check_fields,
     _freeze,
     _reduced_form,
     _sample,
@@ -50,22 +51,17 @@ class GeneratorConfig:
     episodes: int = 5
 
     def __post_init__(self):
-        # each message starts with its field's name, which the manifest reader
-        # qualifies with the section: "generator.p must be a finite number >= 1, got 0"
-        for name, ok, what in (
-            ("p", self.p >= 1, ">= 1"),
-            ("t_len", self.t_len >= 2, ">= 2"),
-            ("edge_prob", 0.0 <= self.edge_prob <= 1.0, "in [0, 1]"),
-            ("weight_low", self.weight_low < self.weight_high, "< weight_high"),
-            ("weight_high", self.weight_high > self.weight_low, "> weight_low"),
-            ("spectral_cap", 0.0 < self.spectral_cap < 1.0, "in (0, 1)"),
-            ("sigma_nom", self.sigma_nom > 0.0, "> 0"),
-            ("sigma_std", self.sigma_std >= 0.0, ">= 0"),
-            ("episodes", self.episodes >= 1, ">= 1"),
-        ):
-            value = getattr(self, name)
-            if not (ok and -np.inf < value < np.inf):  # False for NaN
-                raise DimensionError(f"{name} must be a finite number {what}, got {value!r}")
+        _check_fields(self, {
+            "p": (lambda v: v >= 1, ">= 1"),
+            "t_len": (lambda v: v >= 2, ">= 2"),
+            "edge_prob": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            # checked after weight_low, which is then a number
+            "weight_high": (lambda v: v > self.weight_low, "> weight_low"),
+            "spectral_cap": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            "sigma_nom": (lambda v: v > 0.0, "> 0"),
+            "sigma_std": (lambda v: v >= 0.0, ">= 0"),
+            "episodes": (lambda v: v >= 1, ">= 1"),
+        })
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,14 @@ class TestDefaultConfig:
         assert default_config(75).mu == 5.0
         assert default_config(76).mu == 2.5
 
+    @pytest.mark.parametrize("p", [0, 2.5, np.nan, True, "5"])
+    def test_rejects_bad_p(self, p):
+        with pytest.raises(DimensionError, match="^p must be an integer >= 1"):
+            default_config(p)
+
+    def test_numpy_integer_p_accepted(self):
+        assert default_config(np.int64(30), seed=np.int64(2)) == default_config(30, seed=2)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(DimensionError, match="mu"):
             replace(default_config(5), mu=-1.0)

@@ -116,6 +116,13 @@ class TestAlignObs:
             member = orbit_transform(m, e)
             assert align_obs(m, member, eta=1.0).value <= 1e-8
 
+    @pytest.mark.parametrize("eta", [-1.0, np.nan, np.inf, 10**400, True, "1"],
+                             ids=["negative", "nan", "inf", "huge-int", "bool", "str"])
+    def test_rejects_bad_eta(self, eta):
+        m = random_admissible(2, np.random.default_rng(7))
+        with pytest.raises(DimensionError, match="^eta must be a finite number >= 0"):
+            align_obs(m, m, eta=eta)
+
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_matches_brute_force(self, eta):
         rng = np.random.default_rng(9)

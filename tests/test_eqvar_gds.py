@@ -82,6 +82,9 @@ class TestOrdering:
         u = np.random.default_rng(5).standard_normal((2, 100))
         with pytest.raises(DimensionError):
             fit_eqvar_gds(dummy_series(2), make_fit(u), alpha=0.0)
+        for alpha in (np.nan, np.inf, True, "0.05"):
+            with pytest.raises(DimensionError, match="^alpha must be a finite number in"):
+                fit_eqvar_gds(dummy_series(2), make_fit(u), alpha=alpha)
 
     def test_too_few_samples_raise(self):
         u = np.random.default_rng(10).standard_normal((5, 5))

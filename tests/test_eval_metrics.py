@@ -64,6 +64,11 @@ class TestScore:
         with pytest.raises(DimensionError):
             score(random_admissible(4, rng), truth)
 
+    def test_rejects_nan_eta(self):
+        truth = make_truth(seed=6, p=3)
+        with pytest.raises(DimensionError, match="^eta must be"):
+            score(truth.model, truth, eta=np.nan)
+
     def test_heteroscedastic_truth_uses_generating_law(self):
         truth = make_truth(seed=8, p=3, sigma_std=0.2)
         report = score(truth.model, truth)
@@ -149,6 +154,9 @@ class TestBinarize:
             binarize_cumulative(m, 0.0)
         with pytest.raises(DimensionError):
             binarize_cumulative(m, 1.1)
+        for mass in (np.nan, np.inf, True, "1"):
+            with pytest.raises(DimensionError, match="^mass must be a finite number in"):
+                binarize_cumulative(m, mass)
 
     def test_contemporaneous_diagonal_excluded(self):
         a0 = np.array([[0.9, 0.1], [0.0, 0.9]])  # diagonal entries dominate

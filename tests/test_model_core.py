@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from envarkit import (
+    EnvarConfig,
+    GeneratorConfig,
     OrbitElement,
     ReducedForm,
     StructuralModel,
@@ -24,6 +28,7 @@ from envarkit.errors import (
     NotPositiveDefiniteError,
     StabilityError,
 )
+from envarkit.formats import MetricsConfig
 from envarkit.model_core import _reduced_form
 
 from conftest import random_admissible, random_orthogonal
@@ -233,6 +238,15 @@ class TestSimulate:
         m = StructuralModel(a0=np.zeros((2, 2)), a1=np.zeros((2, 2)), sigma=1.0)
         with pytest.raises(DimensionError):
             simulate(m, 1, seed=0)
+        # a fractional or infinite length was once truncated or overflowed
+        for t_len in (2.9, np.inf, 10**400, True):
+            with pytest.raises(DimensionError, match="^t_len must be an integer >= 2"):
+                simulate(m, t_len, seed=0)
+        for burn_in in (-1, 1.5):
+            with pytest.raises(DimensionError, match="^burn_in must be an integer >= 0"):
+                simulate(m, 5, seed=0, burn_in=burn_in)
+        assert simulate(m, np.int64(5), seed=0).values.tobytes() == \
+            simulate(m, 5, seed=0).values.tobytes()
 
     def test_gamma1_regression_recovers_phi(self):
         # empirical lag-1 moment times inverse lag-0 moment approaches phi
@@ -245,6 +259,32 @@ class TestSimulate:
         g1 = x[:, 1:] @ x[:, :-1].T / (x.shape[1] - 1)
         phi_emp = g1 @ np.linalg.inv(g0)
         assert np.max(np.abs(phi_emp - rf.phi)) <= 0.05
+
+
+# one valid instance of each config with a range check
+_CONFIGS = (EnvarConfig(), GeneratorConfig(p=3, t_len=10), MetricsConfig())
+_CONFIG_FIELDS = [(cfg, f) for cfg in _CONFIGS for f in fields(cfg)]
+_FIELD_IDS = [f"{type(cfg).__name__}.{f.name}" for cfg, f in _CONFIG_FIELDS]
+
+
+class TestEverySetting:
+    """Every config field, including one added later, goes through the one
+    type-and-range check."""
+
+    @pytest.mark.parametrize(("cfg", "field"), _CONFIG_FIELDS, ids=_FIELD_IDS)
+    def test_rejects_non_numbers(self, cfg, field):
+        bad = [np.nan, np.inf, -np.inf, 10**400, True, "1"]
+        if field.type in (int, "int"):
+            bad.append(2.5)
+        for value in bad:
+            with pytest.raises(DimensionError, match=f"^{field.name} must be "):
+                replace(cfg, **{field.name: value})
+
+    @pytest.mark.parametrize(("cfg", "field"), _CONFIG_FIELDS, ids=_FIELD_IDS)
+    def test_accepts_numpy_scalars(self, cfg, field):
+        value = getattr(cfg, field.name)
+        scalar = np.int64(value) if field.type in (int, "int") else np.float32(value)
+        assert getattr(replace(cfg, **{field.name: scalar}), field.name) == scalar
 
 
 class TestGramOrthogonalFactor:

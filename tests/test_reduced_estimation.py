@@ -16,7 +16,7 @@ from envarkit import (
     simulate,
     to_reduced_form,
 )
-from envarkit.errors import DimensionError, RankError
+from envarkit.errors import DimensionError, NotPositiveDefiniteError, RankError
 
 from conftest import random_admissible, random_orthogonal
 
@@ -73,6 +73,18 @@ class TestFitOls:
     def test_requires_centered_flag(self):
         with pytest.raises(DimensionError, match="center"):
             fit_ols(TimeSeries(values=np.zeros((2, 10)), centered=False))
+
+    @pytest.mark.parametrize("ridge_tau", [-1e-3, np.nan, np.inf, 10**400, True, "1"],
+                             ids=["negative", "nan", "inf", "huge-int", "bool", "str"])
+    def test_rejects_bad_ridge_tau(self, ridge_tau):
+        ts = TimeSeries(values=np.array([[1.0, 0.5, 0.25, 0.125]]), centered=True)
+        with pytest.raises(DimensionError, match="^ridge_tau must be a finite number >= 0"):
+            fit_ols(ts, ridge_tau=ridge_tau)
+
+    def test_numpy_ridge_tau_accepted(self):
+        ts = TimeSeries(values=np.array([[1.0, 0.5, 0.25, 0.125]]), centered=True)
+        fit = fit_ols(ts, ridge_tau=np.float32(0.5))
+        assert type(fit.ridge_tau) is float and fit.ridge_tau == 0.5
 
     def test_singular_gram_raises(self):
         # T < p forces a rank-deficient Z Z^T
@@ -135,6 +147,15 @@ class TestCanonicalRepresentative:
             cr = canonical_from_reduced(rng.normal(size=(3, 3)) * 0.2, sigma_u)
             b_inv = np.linalg.inv(cr.b_can)
             np.testing.assert_allclose(b_inv @ b_inv.T, sigma_u, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("sigma_u", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite: the first factorization fails
+        # PD to roundoff only: its precision matrix fails the second
+        np.array([[1.0, 1.0], [1.0, 1.0 + 3e-16]]),
+    ], ids=["indefinite", "roundoff-pd"])
+    def test_rejects_non_positive_definite(self, sigma_u):
+        with pytest.raises(NotPositiveDefiniteError, match="sigma_u must be positive definite"):
+            canonical_from_reduced(np.zeros((2, 2)), sigma_u)
 
     def test_invariants_from_fit(self):
         rng = np.random.default_rng(9)
