@@ -46,7 +46,7 @@ from scipy.linalg.lapack import dgetri as _getri
 from ._seeding import sub_rng
 from .equivalence import _orbit_member
 from .errors import OptimizerDivergedError
-from .model_core import StructuralModel, _check_fields, _setting
+from .model_core import StructuralModel, _check_fields, _freeze_fields, _setting
 from .reduced_estimation import CanonicalRepresentative
 
 ADAM_BETA1 = 0.9
@@ -137,6 +137,9 @@ class RestartOutcome:
     stop_reason: str
     anneals: int
 
+    def __post_init__(self):
+        _freeze_fields(self)
+
 
 @dataclass(frozen=True)
 class EnvarSolution:
@@ -151,6 +154,9 @@ class EnvarSolution:
     restart_index: int
     restarts: tuple[RestartOutcome, ...]
     norms: NormConstants
+
+    def __post_init__(self):
+        _freeze_fields(self)
 
 
 def _sum2(x: np.ndarray) -> np.ndarray:
@@ -336,7 +342,7 @@ def minimize_orbit_objective(
         if stop.any():
             for row in np.flatnonzero(stop):
                 results[ids[row]] = RestartOutcome(
-                    q=best_q[row].copy(),
+                    q=best_q[row],
                     c=float(best_c[row]),
                     objective=float(best_obj[row]),
                     trace=tuple(trace[row, :step].tolist()),

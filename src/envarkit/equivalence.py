@@ -10,7 +10,6 @@ singular values of ``S S'^T`` where ``S = [B | a1]``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +20,7 @@ from .model_core import (
     _ORTHOGONALITY_TOL,
     StructuralModel,
     _check_square,
+    _freeze_fields,
     _require_admissible,
     _setting,
     to_reduced_form,
@@ -46,13 +46,8 @@ class OrbitElement:
         defect = float(np.linalg.norm(q.T @ q - np.eye(q.shape[0]), "fro"))
         if defect > _ORTHOGONALITY_TOL:
             raise DimensionError(f"q has orthogonality defect {defect:.3e}")
-        c = float(self.c)
-        if not math.isfinite(c) or c <= 0.0:
-            raise DimensionError(f"c must be a positive finite real, got {c}")
-        frozen = np.array(q, dtype=float)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "q", frozen)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _setting("c", self.c, lambda v: v > 0.0, "> 0"))
+        _freeze_fields(self)
 
 
 @dataclass(frozen=True)
@@ -70,6 +65,9 @@ class AlignmentResult:
     alpha: float
     unique_q: bool
     infimum_not_attained: bool = False
+
+    def __post_init__(self):
+        _freeze_fields(self)
 
 
 class SfEquivalence(NamedTuple):
@@ -108,6 +106,7 @@ def orbit_transform(m: StructuralModel, e: OrbitElement) -> StructuralModel:
 
 def obs_equivalent(m1: StructuralModel, m2: StructuralModel, tol: float = 1e-8) -> bool:
     """True iff the induced ``(phi, sigma_u)`` pairs agree entrywise within tol."""
+    tol = _setting("tol", tol, lambda v: v >= 0.0, ">= 0")
     rf1, rf2 = to_reduced_form(m1), to_reduced_form(m2)
     return bool(
         np.max(np.abs(rf1.phi - rf2.phi)) <= tol
@@ -124,6 +123,7 @@ def sf_equivalent(
     requires equal ``phi`` within tol and ``sigma_u' = a sigma_u`` within tol
     relative max-abs.
     """
+    tol = _setting("tol", tol, lambda v: v >= 0.0, ">= 0")
     rf1, rf2 = to_reduced_form(m1), to_reduced_form(m2)
     scale = float(np.trace(rf2.sigma_u) / np.trace(rf1.sigma_u))
     phi_ok = bool(np.max(np.abs(rf1.phi - rf2.phi)) <= tol)

@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import stdtr
 
 from .errors import DimensionError, RankError
-from .model_core import TimeSeries, _freeze, _setting
+from .model_core import TimeSeries, _freeze_fields, _setting
 from .reduced_estimation import OlsFit
 
 _VARIANCE_FLOOR = 1e-12
@@ -41,8 +41,7 @@ class GdsResult:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a0_hat", _freeze(self.a0_hat))
-        object.__setattr__(self, "a1_hat", _freeze(self.a1_hat))
+        _freeze_fields(self)
 
 
 def fit_eqvar_gds(ts: TimeSeries, fit: OlsFit, alpha: float = 0.05) -> GdsResult:

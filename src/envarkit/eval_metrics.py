@@ -16,7 +16,7 @@ from scipy.special import stdtr
 
 from .equivalence import align_obs, align_sf
 from .errors import DimensionError
-from .model_core import StructuralModel, _freeze, _setting, to_reduced_form
+from .model_core import StructuralModel, _freeze_fields, _setting, to_reduced_form
 from .synth import GroundTruthInstance
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -62,9 +62,7 @@ class CentralityReport:
     net_flow: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "in_degree", _freeze(self.in_degree))
-        object.__setattr__(self, "out_degree", _freeze(self.out_degree))
-        object.__setattr__(self, "net_flow", _freeze(self.net_flow))
+        _freeze_fields(self)
 
 
 def gated_pearson(x: np.ndarray, y: np.ndarray) -> PearsonGate:

@@ -141,7 +141,7 @@ def _structural_model(payload: dict, path: Path | str) -> StructuralModel:
     sigma = payload["sigma"]
     _require(_is_real(sigma) and sigma > 0, f"{path}: 'sigma'", "a positive finite number", sigma)
     try:
-        return StructuralModel(a0=a0, a1=a1, sigma=float(sigma))
+        return StructuralModel(a0=a0, a1=a1, sigma=sigma)
     except DimensionError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -312,9 +312,8 @@ class ExperimentManifest:
 
     generator: GeneratorConfig
     envar_overrides: dict
-    metrics: MetricsConfig
-    # each method's settings, in run order: ENVAR first, with ``metrics``; a
-    # baseline with ``metrics`` and its manifest entry's params applied
+    # each method's settings, in run order: ENVAR first, with the manifest's
+    # ``metrics``; a baseline with those and its manifest entry's params applied
     method_metrics: dict[str, MetricsConfig]
     output_dir: str
     grid_p: tuple[int, ...]
@@ -438,7 +437,6 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     manifest = ExperimentManifest(
         generator=generator,
         envar_overrides=dict(envar_raw),
-        metrics=metrics,
         method_metrics=method_metrics,
         output_dir=output_dir,
         grid_p=tuple(grid_p),

@@ -8,7 +8,10 @@ which together determine the stationary law of the observed process.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs plus an explicit seed, so they are safe to call
-concurrently.
+concurrently. Every value type in the package holds its array fields as
+read-only float copies, stored by the one helper ``_freeze_fields``
+(``TimeSeries`` first makes its C-order copy), and numeric settings are
+checked by ``_setting``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,13 @@ def _check_fields(obj, ranges: dict) -> None:
         _setting(f.name, getattr(obj, f.name), ok, what, integer=f.type in (int, "int"))
 
 
+def _freeze_fields(obj) -> None:
+    """Store each ``np.ndarray`` field of dataclass ``obj`` as a read-only float copy."""
+    for f in fields(obj):
+        if f.type in (np.ndarray, "np.ndarray"):
+            object.__setattr__(obj, f.name, _freeze(getattr(obj, f.name)))
+
+
 @dataclass(frozen=True)
 class StructuralModel:
     """Structural VAR(1) parameters ``(a0, a1, sigma)``.
@@ -109,12 +119,8 @@ class StructuralModel:
             raise DimensionError(
                 f"a0 and a1 must have the same shape, got {a0.shape} and {a1.shape}"
             )
-        sigma = float(self.sigma)
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DimensionError(f"sigma must be a positive finite real, got {sigma}")
-        object.__setattr__(self, "a0", _freeze(a0))
-        object.__setattr__(self, "a1", _freeze(a1))
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _setting("sigma", self.sigma, lambda v: v > 0.0, "> 0"))
+        _freeze_fields(self)
 
     @property
     def p(self) -> int:
@@ -145,12 +151,12 @@ class ReducedForm:
             raise DimensionError(
                 f"sigma_u asymmetry {asym:.3e} exceeds tolerance {_SYMMETRY_TOL:.0e}"
             )
+        object.__setattr__(self, "sigma_u", 0.5 * (sigma_u + sigma_u.T))
         try:
-            np.linalg.cholesky(0.5 * (sigma_u + sigma_u.T))
+            np.linalg.cholesky(self.sigma_u)
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError("sigma_u is not positive definite") from None
-        object.__setattr__(self, "phi", _freeze(phi))
-        object.__setattr__(self, "sigma_u", _freeze(0.5 * (sigma_u + sigma_u.T)))
+        _freeze_fields(self)
 
     @property
     def p(self) -> int:
@@ -165,8 +171,7 @@ class StationaryLaw:
     gamma1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_x", _freeze(self.sigma_x))
-        object.__setattr__(self, "gamma1", _freeze(self.gamma1))
+        _freeze_fields(self)
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,7 @@ def spectral_radius(m: np.ndarray) -> float:
 
 def is_normalized(m: StructuralModel, tol: float = 1e-12) -> bool:
     """True when ``diag(a0) = 0`` entrywise, i.e. ``diag(B) = 1``."""
+    tol = _setting("tol", tol, lambda v: v >= 0.0, ">= 0")
     return bool(np.max(np.abs(np.diag(m.a0))) <= tol)
 
 
@@ -305,22 +311,6 @@ def stationary_covariance(rf: ReducedForm) -> StationaryLaw:
     return StationaryLaw(sigma_x=sigma_x, gamma1=phi @ sigma_x)
 
 
-def _drive_recursion(
-    b: np.ndarray, a1: np.ndarray, shocks: np.ndarray, x0: np.ndarray
-) -> np.ndarray:
-    """Iterate ``x_t = B^{-1}(a1 x_{t-1} + e_t)`` over the columns of ``shocks``."""
-    p, n = shocks.shape
-    b_inv = np.linalg.solve(b, np.eye(p))
-    trans = b_inv @ a1
-    driven = b_inv @ shocks
-    out = np.empty((p, n))
-    x = np.asarray(x0, dtype=float)
-    for t in range(n):
-        x = trans @ x + driven[:, t]
-        out[:, t] = x
-    return out
-
-
 def _sample(
     b: np.ndarray,
     a1: np.ndarray,
@@ -346,9 +336,14 @@ def _sample(
         # PD in exact arithmetic; nudge out of a borderline numerical failure.
         jitter = 1e-12 * (1.0 + np.trace(sigma_x) / p)
         chol = np.linalg.cholesky(sigma_x + jitter * np.eye(p))
-    x0 = chol @ rng.standard_normal(p)
+    x = chol @ rng.standard_normal(p)
     shocks = np.reshape(noise_sd, (-1, 1)) * rng.standard_normal((p, burn_in + t_len))
-    path = _drive_recursion(b, a1, shocks, x0)
+    b_inv = np.linalg.solve(b, np.eye(p))
+    trans, driven = b_inv @ a1, b_inv @ shocks
+    path = np.empty(shocks.shape)
+    for t in range(shocks.shape[1]):
+        x = trans @ x + driven[:, t]
+        path[:, t] = x
     return TimeSeries(values=path[:, burn_in:], centered=False)
 
 
@@ -363,6 +358,7 @@ def simulate(m: StructuralModel, t_len: int, seed: int, burn_in: int = 100) -> T
     _require_admissible(m)
     t_len = _setting("t_len", t_len, lambda v: v >= 2, ">= 2", integer=True)
     burn_in = _setting("burn_in", burn_in, lambda v: v >= 0, ">= 0", integer=True)
+    seed = _setting("seed", seed, lambda v: v >= 0, ">= 0", integer=True)
     return _sample(m.b, m.a1, m.sigma, t_len, burn_in, np.random.default_rng(seed))
 
 
@@ -380,9 +376,7 @@ def gram_orthogonal_factor(
     d = _check_square(d_mat, "d_mat")
     if c.shape != d.shape:
         raise DimensionError(f"shape mismatch: {c.shape} vs {d.shape}")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise FactorizationError(f"lambda must be positive, got {lam}")
+    lam = _setting("lam", lam, lambda v: v > 0.0, "> 0")
     gram_c = lam * (c.T @ c)
     gram_d = d.T @ d
     denom = max(np.linalg.norm(gram_c, "fro"), np.finfo(float).tiny)

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .equivalence import OrbitElement, _orbit_member
 from .errors import DimensionError, NotPositiveDefiniteError, RankError
-from .model_core import StructuralModel, TimeSeries, _freeze, _reduced_form, _setting
+from .model_core import StructuralModel, TimeSeries, _freeze_fields, _reduced_form, _setting
 
 logger = logging.getLogger("envarkit.reduced_estimation")
 
@@ -41,9 +41,7 @@ class OlsFit:
     ridge_tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi_hat", _freeze(self.phi_hat))
-        object.__setattr__(self, "sigma_u_hat", _freeze(self.sigma_u_hat))
-        object.__setattr__(self, "residuals", _freeze(self.residuals))
+        _freeze_fields(self)
 
     @property
     def p(self) -> int:
@@ -63,9 +61,7 @@ class CanonicalRepresentative:
     omega_u_hat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b_can", _freeze(self.b_can))
-        object.__setattr__(self, "gamma_can", _freeze(self.gamma_can))
-        object.__setattr__(self, "omega_u_hat", _freeze(self.omega_u_hat))
+        _freeze_fields(self)
 
     @property
     def p(self) -> int:

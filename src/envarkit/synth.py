@@ -20,15 +20,15 @@ from .model_core import (
     StructuralModel,
     TimeSeries,
     _check_fields,
-    _freeze,
+    _freeze_fields,
     _reduced_form,
     _sample,
+    _setting,
     spectral_radius,
 )
 
 BURN_IN = 100
 _MAX_SUPPORT_RETRIES = 20
-_MAX_RESCALINGS = 100
 # keep a hair inside the cap so rescaling never lands exactly on the boundary
 _RESCALE_SLACK = 0.999
 _SIGMA_FLOOR_FRACTION = 0.05
@@ -78,7 +78,7 @@ class GroundTruthInstance:
     episode_index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "per_node_sigmas", _freeze(self.per_node_sigmas))
+        _freeze_fields(self)
 
     @property
     def phi(self) -> np.ndarray:
@@ -111,14 +111,10 @@ def _draw_structure(cfg: GeneratorConfig, rng: np.random.Generator):
     svals = np.linalg.svd(b, compute_uv=False)
     if svals[-1] <= _INVERTIBILITY_RTOL * svals[0]:
         return None
-    for _ in range(_MAX_RESCALINGS):
-        phi = np.linalg.solve(b, a1)
-        rho = spectral_radius(phi)
-        if rho <= cfg.spectral_cap:
-            break
+    # phi = B^{-1} a1 is linear in a1, so one rescale brings rho(phi) under the cap
+    rho = spectral_radius(np.linalg.solve(b, a1))
+    if rho > cfg.spectral_cap:
         a1 = a1 * (cfg.spectral_cap / rho * _RESCALE_SLACK)
-    else:
-        return None
     return a0, a1
 
 
@@ -131,8 +127,10 @@ def generate_instance(
     fixed graph can be replayed with fresh noise; by default each episode draws
     a fresh graph. Output is deterministic in ``(seed, episode)``.
     """
-    episode = int(episode)
-    g_episode = episode if graph_episode is None else int(graph_episode)
+    episode = _setting("episode", episode, lambda v: v >= 0, ">= 0", integer=True)
+    g_episode = episode if graph_episode is None else _setting(
+        "graph_episode", graph_episode, lambda v: v >= 0, ">= 0", integer=True
+    )
     for attempt in range(_MAX_SUPPORT_RETRIES):
         rng_graph = sub_rng(cfg.seed, 0x677261, g_episode, attempt)
         drawn = _draw_structure(cfg, rng_graph)

@@ -512,7 +512,7 @@ class TestBenchmarkCommand:
         assert manifest.generator.p == 3
         assert manifest.methods() == ("envar", "eqvar-gds", "ols-only")
         assert manifest.grid_p == (3,)
-        assert manifest.metrics.binarize_mass == 0.85
+        assert manifest.method_metrics["envar"].binarize_mass == 0.85
 
     def test_partial_failure_records_error_rows(self, tmp_path):
         # T = 3 makes the Gram matrix rank deficient at p = 3: every run errors

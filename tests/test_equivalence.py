@@ -62,6 +62,12 @@ class TestOrbitTransform:
             OrbitElement(q=np.array([[1.0, 0.2], [0.0, 1.0]]), c=1.0)
         with pytest.raises(DimensionError):
             OrbitElement(q=np.eye(2), c=-1.0)
+        # a string or a bool was once stored as a float
+        for c in ("3", True, 0.0, np.nan, np.inf):
+            with pytest.raises(DimensionError, match="^c must be a finite number > 0"):
+                OrbitElement(q=np.eye(2), c=c)
+        e = OrbitElement(q=np.eye(2), c=np.float32(2.0))
+        assert type(e.c) is float and e.c == 2.0
 
 
 class TestEquivalencePredicates:
@@ -98,6 +104,16 @@ class TestEquivalencePredicates:
         m1 = StructuralModel(np.zeros((2, 2)), 0.5 * np.eye(2), 1.0)
         m2 = StructuralModel(np.zeros((2, 2)), 0.3 * np.eye(2), 1.0)
         assert not sf_equivalent(m1, m2).equivalent
+
+    def test_rejects_bad_tol(self):
+        # a NaN or negative tolerance once made a model differ from itself
+        m = random_admissible(2, np.random.default_rng(7))
+        for predicate in (obs_equivalent, sf_equivalent):
+            for tol in (np.nan, -1.0, True, "1e-8"):
+                with pytest.raises(DimensionError, match="^tol must be a finite number >= 0"):
+                    predicate(m, m, tol=tol)
+        assert obs_equivalent(m, m, tol=np.float32(0.0))
+        assert sf_equivalent(m, m, tol=np.float64(1e-8)).equivalent
 
 
 class TestAlignObs:

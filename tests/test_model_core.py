@@ -1,16 +1,28 @@
 from __future__ import annotations
 
-from dataclasses import fields, replace
+import importlib
+import pkgutil
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+import envarkit
 from envarkit import (
+    AlignmentResult,
+    CanonicalRepresentative,
+    CentralityReport,
     EnvarConfig,
+    EnvarSolution,
+    GdsResult,
     GeneratorConfig,
+    GroundTruthInstance,
+    OlsFit,
     OrbitElement,
     ReducedForm,
+    StationaryLaw,
     StructuralModel,
+    TimeSeries,
     gram_orthogonal_factor,
     is_admissible,
     is_normalized,
@@ -28,6 +40,7 @@ from envarkit.errors import (
     NotPositiveDefiniteError,
     StabilityError,
 )
+from envarkit.envar_optimizer import NormConstants, RestartOutcome
 from envarkit.formats import MetricsConfig
 from envarkit.model_core import _reduced_form
 
@@ -78,6 +91,12 @@ class TestAdmissibility:
     def test_sigma_must_be_positive_at_construction(self):
         with pytest.raises(DimensionError):
             StructuralModel(a0=np.zeros((2, 2)), a1=np.zeros((2, 2)), sigma=0.0)
+        # a string or a bool was once stored as a float
+        for sigma in ("2", True, -1.0, np.nan, np.inf):
+            with pytest.raises(DimensionError, match="^sigma must be a finite number > 0"):
+                StructuralModel(a0=np.zeros((2, 2)), a1=np.zeros((2, 2)), sigma=sigma)
+        m = StructuralModel(a0=np.zeros((2, 2)), a1=np.zeros((2, 2)), sigma=np.float32(2.0))
+        assert type(m.sigma) is float and m.sigma == 2.0
 
     def test_normalized_predicate(self):
         rng = np.random.default_rng(0)
@@ -85,6 +104,11 @@ class TestAdmissibility:
         assert is_normalized(m)
         bad = StructuralModel(a0=0.1 * np.eye(2), a1=np.zeros((2, 2)), sigma=1.0)
         assert not is_normalized(bad)
+        # a NaN tolerance once made every model non-normalized
+        for tol in (np.nan, -1.0, True, "0"):
+            with pytest.raises(DimensionError, match="^tol must be a finite number >= 0"):
+                is_normalized(m, tol=tol)
+        assert is_normalized(m, tol=np.float32(1e-12))
 
 
 class TestReducedForm:
@@ -247,6 +271,12 @@ class TestSimulate:
                 simulate(m, 5, seed=0, burn_in=burn_in)
         assert simulate(m, np.int64(5), seed=0).values.tobytes() == \
             simulate(m, 5, seed=0).values.tobytes()
+        # a bool seed once ran as seed 1, a negative one raised from numpy
+        for seed in (1.5, -1, True, "1"):
+            with pytest.raises(DimensionError, match="^seed must be an integer >= 0"):
+                simulate(m, 10, seed=seed)
+        assert simulate(m, 10, seed=np.int64(3)).values.tobytes() == \
+            simulate(m, 10, seed=3).values.tobytes()
 
     def test_gamma1_regression_recovers_phi(self):
         # empirical lag-1 moment times inverse lag-0 moment approaches phi
@@ -318,3 +348,75 @@ class TestGramOrthogonalFactor:
         d = np.array([[1.0, 0.2], [0.0, 1.0]])
         with pytest.raises(FactorizationError, match="Gram mismatch"):
             gram_orthogonal_factor(c, d, 1.0)
+
+    def test_rejects_bad_lam(self):
+        c = np.array([[2.0, 1.0], [0.0, 1.0]])
+        for lam in ("2", True, 0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DimensionError, match="^lam must be a finite number > 0"):
+                gram_orthogonal_factor(c, c, lam)
+        assert np.array_equal(gram_orthogonal_factor(c, c, np.float32(1.0)),
+                              gram_orthogonal_factor(c, c, 1.0))
+
+
+def _model() -> dict:
+    return dict(a0=np.zeros((2, 2)), a1=0.5 * np.eye(2), sigma=1.0)
+
+
+def _restart() -> dict:
+    return dict(q=np.eye(2), c=1.0, objective=0.5, trace=(0.5,), steps=1, best_step=1,
+                stop_reason="budget", anneals=0)
+
+
+# a small valid argument set for each value type with an array field
+_VALUE_TYPES = {
+    StructuralModel: _model,
+    ReducedForm: lambda: dict(phi=0.5 * np.eye(2), sigma_u=np.eye(2)),
+    StationaryLaw: lambda: dict(sigma_x=np.eye(2), gamma1=0.5 * np.eye(2)),
+    TimeSeries: lambda: dict(values=np.ones((2, 3))),
+    OrbitElement: lambda: dict(q=np.eye(2), c=1.0),
+    AlignmentResult: lambda: dict(value=0.0, q_star=np.eye(2), c_star=1.0, alpha=2.0,
+                                  unique_q=True),
+    OlsFit: lambda: dict(phi_hat=0.5 * np.eye(2), sigma_u_hat=np.eye(2), n_eff=3,
+                         residuals=np.ones((2, 3)), ridge_tau=0.0),
+    CanonicalRepresentative: lambda: dict(b_can=np.eye(2), gamma_can=0.5 * np.eye(2),
+                                          omega_u_hat=np.eye(2)),
+    GroundTruthInstance: lambda: dict(model=StructuralModel(**_model()),
+                                      per_node_sigmas=np.ones(2), series=None, episode_index=0),
+    CentralityReport: lambda: dict(in_degree=np.array([1, 0]), out_degree=np.array([0, 1]),
+                                   net_flow=np.array([-1, 1])),
+    GdsResult: lambda: dict(ordering=(0, 1), a0_hat=np.zeros((2, 2)), a1_hat=np.eye(2),
+                            alpha=0.05),
+    RestartOutcome: _restart,
+    EnvarSolution: lambda: dict(model=StructuralModel(**_model()), q_hat=np.eye(2), c_hat=1.0,
+                                objective=0.5, objective_trace=(0.5,), diag_residual=0.0,
+                                restart_index=0, restarts=(RestartOutcome(**_restart()),),
+                                norms=NormConstants(1.0, 1.0, 1.0, ())),
+}
+
+
+def _array_fields(cls) -> list[str]:
+    return [f.name for f in fields(cls) if "ndarray" in str(f.type)]
+
+
+def test_every_value_type_freezes_its_arrays():
+    """Every dataclass in the package with an array field, including one added
+    later, holds read-only copies of its arrays. OrbitObjective holds the
+    descent's working matrices, not a result."""
+    found = set()
+    for info in pkgutil.iter_modules(envarkit.__path__):
+        module = importlib.import_module(f"envarkit.{info.name}")
+        found.update(
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == module.__name__
+            and _array_fields(obj) and obj.__name__ != "OrbitObjective"
+        )
+    assert found == set(_VALUE_TYPES)
+    for cls, make in _VALUE_TYPES.items():
+        kwargs = make()
+        obj = cls(**kwargs)
+        for name in _array_fields(cls):
+            stored = getattr(obj, name)
+            assert not stored.flags.writeable, f"{cls.__name__}.{name}"
+            before = stored.copy()
+            kwargs[name][...] = 7
+            assert np.array_equal(getattr(obj, name), before), f"{cls.__name__}.{name}"

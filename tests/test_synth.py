@@ -45,6 +45,13 @@ class TestGenerateInstance:
         assert spectral_radius(inst.phi) <= 0.85 + 1e-12
         assert is_admissible(inst.model)
         assert inst.series.t_len == 1000
+        # one rescale of a1 brings rho(phi) under the cap, at every size and density
+        for p in (2, 10, 50, 100):
+            for edge_prob in (0.3, 1.0):
+                cfg = GeneratorConfig(p=p, t_len=10, edge_prob=edge_prob, seed=2)
+                inst = generate_instance(cfg, episode=0)
+                assert spectral_radius(inst.model.a0) <= 0.85
+                assert spectral_radius(inst.phi) <= 0.85
 
     def test_seed_episode_determinism(self):
         cfg = GeneratorConfig(p=4, t_len=100, seed=3)
@@ -62,6 +69,21 @@ class TestGenerateInstance:
         np.testing.assert_array_equal(a.model.a0, b.model.a0)
         np.testing.assert_array_equal(a.model.a1, b.model.a1)
         assert a.series.values.tobytes() != b.series.values.tobytes()
+
+    def test_rejects_bad_episode(self):
+        cfg = GeneratorConfig(p=3, t_len=10, seed=4)
+        # a fraction or a string was once run as another episode, and a
+        # negative one wrote a truth file that could not be read back
+        for episode in (1.5, "1", -1, True):
+            with pytest.raises(DimensionError, match="^episode must be an integer >= 0"):
+                generate_instance(cfg, episode)
+        for graph_episode in (0.7, -1, True):
+            with pytest.raises(DimensionError, match="^graph_episode must be an integer >= 0"):
+                generate_instance(cfg, 1, graph_episode=graph_episode)
+        a = generate_instance(cfg, np.int64(1), graph_episode=np.int64(0))
+        b = generate_instance(cfg, 1, graph_episode=0)
+        assert a.series.values.tobytes() == b.series.values.tobytes()
+        assert a.episode_index == 1
 
     def test_graphs_coupled_across_sigma_std(self):
         # same (seed, episode) with different sigma_std keeps the same graph
