@@ -142,7 +142,7 @@ def _fit_method(
             ],
         )
     elif method == "eqvar-gds":
-        gds = fit_eqvar_gds(ts, fit, alpha=metrics.alpha)
+        gds = fit_eqvar_gds(fit, alpha=metrics.alpha)
         model = StructuralModel(a0=gds.a0_hat, a1=gds.a1_hat, sigma=1.0)
         report.update(ordering=list(gds.ordering), alpha=gds.alpha)
     else:
@@ -316,8 +316,10 @@ def cmd_benchmark(args) -> int:
         for cell in manifest.cells()
         for method, metrics in manifest.method_metrics.items()
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool starts all its workers at once, so no more than there are tasks
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_benchmark_task, tasks))
     else:
         rows = [_benchmark_task(task) for task in tasks]

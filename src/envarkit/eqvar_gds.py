@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import stdtr
 
-from .errors import DimensionError, RankError
-from .model_core import TimeSeries, _freeze_fields, _setting
+from .errors import RankError
+from .model_core import _freeze_fields, _setting
 from .reduced_estimation import OlsFit
 
 _VARIANCE_FLOOR = 1e-12
@@ -44,20 +44,16 @@ class GdsResult:
         _freeze_fields(self)
 
 
-def fit_eqvar_gds(ts: TimeSeries, fit: OlsFit, alpha: float = 0.05) -> GdsResult:
+def fit_eqvar_gds(fit: OlsFit, alpha: float = 0.05) -> GdsResult:
     """Estimate ``(ordering, a0_hat, a1_hat)`` from a fitted reduced form.
 
     ``alpha`` is the two-sided t-test level used to prune regression
     coefficients; ties in conditional variance break toward the smallest node
     index, making the procedure deterministic.
     """
-    if not ts.centered:
-        raise DimensionError("series must be centered (see center())")
     alpha = _setting("alpha", alpha, lambda v: 0.0 < v < 1.0, "in (0, 1)")
     u = np.asarray(fit.residuals)
     p, n = u.shape
-    if ts.p != p:
-        raise DimensionError(f"series has {ts.p} rows but fit has {p}")
 
     # Pivoted Cholesky of S = u u^T / n: the Schur complement's diagonal holds
     # each remaining node's variance given the nodes already eliminated.

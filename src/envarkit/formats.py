@@ -1,9 +1,11 @@
 """Versioned on-disk formats: series CSV, model/truth/score JSON, manifests.
 
-JSON artifacts carry ``format_version`` and are written with sorted keys so a
-rerun with the same inputs produces byte-identical files. Floats serialize via
-their shortest round-trip representation, so write-then-read is exact; NaN is
-mapped to null.
+JSON artifacts carry ``format_version`` and are written on one line with
+sorted keys so a rerun with the same inputs produces byte-identical files.
+Floats serialize via their shortest round-trip representation, so
+write-then-read is exact. A non-finite float is refused; the one undefined
+value written, a NaN p-value in ``score.json``, is written as null by
+``score_report_to_dict``.
 """
 
 from __future__ import annotations
@@ -25,74 +27,22 @@ from .synth import GeneratorConfig, GroundTruthInstance, generate_instance
 
 FORMAT_VERSION = "envar-kit/1"
 
-_encode_str = json.encoder.encode_basestring_ascii
 
-
-def _encode(obj: Any, newline: str, out: list[str]) -> None:
-    """Append the text of ``json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False)`` to ``out``, byte for byte, once ``obj`` is mapped to
-    plain JSON values: numpy arrays and scalars become lists and Python
-    scalars, keys become ``str(k)``, and non-finite floats become null.
-
-    ``newline`` is a line break plus the current indent. ``json.dumps`` with an
-    indent runs CPython's pure-Python encoder; here a list of floats is one
-    ``str.join`` over ``float.__repr__``, the call json makes per float.
-    """
-    if isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif obj is None:
-        out.append("null")
-    # bool is a subclass of int, so it is tested first
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        try:
-            floats = ("," + inner).join(map(float.__repr__, obj))
-        except TypeError:  # not all floats
-            floats = None
-        if floats is not None and all(map(math.isfinite, obj)):
-            out.append("[" + inner + floats + newline + "]")
-            return
-        # mixed items, or a non-finite float, which is written as null
-        for i, value in enumerate(obj):
-            out.append(inner if i else "[" + inner)
-            _encode(value, inner, out)
-            out.append(",")
-        out[-1] = newline + "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-        for i, (key, value) in enumerate(items):
-            out.append((inner if i else "{" + inner) + _encode_str(key) + ": ")
-            _encode(value, inner, out)
-            out.append(",")
-        out[-1] = newline + "}"
-    elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), newline, out)
-    elif isinstance(obj, np.generic):
-        _encode(obj.item(), newline, out)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _plain(obj: Any) -> Any:
+    """The ``default`` hook of ``write_json``: numpy arrays and scalars as
+    Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path | str, payload: dict) -> None:
-    out: list[str] = []
-    _encode(payload, "\n", out)
-    out.append("\n")
-    Path(path).write_text("".join(out), encoding="utf-8")
+    """Write ``payload`` as one line with sorted keys and a final newline.
+
+    A non-finite float raises ``ValueError`` and writes nothing.
+    """
+    text = json.dumps(payload, sort_keys=True, allow_nan=False, default=_plain)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_json(path: Path | str) -> dict:
@@ -121,10 +71,17 @@ def _require_version(payload: dict, path: Path | str) -> None:
 def _matrix(payload: dict, key: str, path: Path | str) -> np.ndarray:
     if key not in payload:
         raise DataFormatError(f"{path}: missing field {key!r}")
+    value = payload[key]
     try:
-        arr = np.asarray(payload[key], dtype=float)
-    except (TypeError, ValueError):
-        raise DataFormatError(f"{path}: field {key!r} is not numeric") from None
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    # numpy reads "0.5" and true as numbers, so each entry's type is checked
+    entries = [value]
+    for _ in range(0 if arr is None else arr.ndim):
+        entries = [v for row in entries for v in row]
+    if arr is None or not {type(v) for v in entries} <= {int, float}:
+        raise DataFormatError(f"{path}: field {key!r} is not numeric")
     return arr
 
 
@@ -476,11 +433,15 @@ def score_report_to_dict(report, centrality, binarize_mass: float) -> dict:
         "pearson_sigma_u": report.pearson_sigma_u,
         "pearson_a0": report.pearson_a0,
         "pearson_a1": report.pearson_a1,
+        # a p-value is NaN where the correlation is undefined; JSON has null
         "p_values": {
-            "phi": report.p_value_phi,
-            "sigma_u": report.p_value_sigma_u,
-            "a0": report.p_value_a0,
-            "a1": report.p_value_a1,
+            name: None if math.isnan(value) else value
+            for name, value in (
+                ("phi", report.p_value_phi),
+                ("sigma_u", report.p_value_sigma_u),
+                ("a0", report.p_value_a0),
+                ("a1", report.p_value_a1),
+            )
         },
         "method_name": report.method_name,
         "p": report.p,

@@ -199,7 +199,7 @@ def _run_benchmark_cell(p, sigma_std, episodes, base_seed):
         cr = canonical_representative(fit)
         solution = solve_envar(cr, default_config(p, seed=1000 + ep))
         envar_vals.append(score(solution.model, inst, method_name="envar").sf_oad)
-        gds = fit_eqvar_gds(ts, fit, alpha=0.05)
+        gds = fit_eqvar_gds(fit, alpha=0.05)
         gds_model = StructuralModel(gds.a0_hat, gds.a1_hat, 1.0)
         gds_vals.append(score(gds_model, inst, method_name="eqvar-gds").sf_oad)
         pearson_vals.append(gated_pearson(inst.phi, fit.phi_hat).r)

@@ -18,6 +18,7 @@ from envarkit import (
     solve_envar,
     to_reduced_form,
 )
+from envarkit import cli
 from envarkit.cli import _preprocess, main
 from envarkit.equivalence import OrbitElement
 from envarkit.errors import DataFormatError
@@ -288,6 +289,23 @@ class TestEvaluateCommand:
         assert "centralities" in payload
         assert payload["binarize_mass"] == 0.85
 
+    def test_undefined_p_value_is_written_as_null(self, tmp_path):
+        # at p = 2, a0 has two off-diagonal entries: too few for a correlation
+        model = StructuralModel(a0=np.zeros((2, 2)), a1=0.5 * np.eye(2), sigma=1.0)
+        (tmp_path / "truth.json").write_text(json.dumps({
+            "format_version": "envar-kit/1", "a0": model.a0.tolist(),
+            "a1": model.a1.tolist(), "sigma": 1.0, "per_node_sigmas": [1.0, 1.0],
+        }))
+        write_model_json(tmp_path / "model.json", model, method="self")
+        out = tmp_path / "score.json"
+        assert main(["evaluate", "--model", str(tmp_path / "model.json"),
+                     "--truth", str(tmp_path / "truth.json"), "--output", str(out)]) == 0
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        p_values = json.loads(text)["p_values"]
+        assert p_values["a0"] is None
+        assert p_values["a1"] == 0.0
+
     def test_orbit_transformed_truth_scores_near_zero(self, tmp_path):
         from envarkit import OrbitElement, orbit_transform
         from envarkit.formats import write_truth_json
@@ -487,10 +505,34 @@ class TestBenchmarkCommand:
             manifest = write_manifest(tmp_path / f"m{jobs}.json", out)
             assert main(["benchmark", "--manifest", str(manifest),
                          "--jobs", str(jobs)]) == 0
-            outputs[jobs] = [
-                (out / name).read_bytes() for name in ("summary.csv", "aggregate.csv")
-            ]
+            files = sorted(out.glob("runs/*/*/*.json"))
+            files += [out / "summary.csv", out / "aggregate.csv"]
+            outputs[jobs] = {str(f.relative_to(out)): f.read_bytes() for f in files}
+        # a model.json and a score.json per task
+        assert len(outputs[1]) == 2 * 6 + 2
         assert outputs[1] == outputs[8]
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 6), (2, 2)])
+    def test_pool_has_at_most_one_worker_per_task(self, tmp_path, monkeypatch, jobs, workers):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        manifest = write_manifest(tmp_path / "m.json", tmp_path / "out")
+        assert main(["benchmark", "--manifest", str(manifest), "--jobs", str(jobs)]) == 0
+        assert started == [workers]
 
     def test_manifest_validation_errors(self, tmp_path, capsys):
         bad = tmp_path / "m.json"

@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from envarkit import TimeSeries
 from envarkit.errors import DataFormatError
 from envarkit.formats import (
-    _encode,
     load_manifest,
     manifest_from_dict,
     read_series_csv,
@@ -119,21 +118,24 @@ class TestSeriesMatchesReference:
             assert back.values.tobytes() == reference_read_series_csv(ours).values.tobytes()
 
 
-def _json_dumps_text(obj) -> str:
-    out: list[str] = []
-    _encode(obj, "\n", out)
-    return "".join(out)
+def _written_text(obj) -> str:
+    """The text ``write_json`` writes for ``obj``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json(path, obj)
+        return path.read_bytes().decode("utf-8")
 
 
 def _reference_text(obj) -> str:
     """What ``json.dumps`` writes for the reference conversion of ``obj``."""
-    return json.dumps(reference_jsonify(obj), sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(reference_jsonify(obj), sort_keys=True, allow_nan=False) + "\n"
 
 
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _FLOAT_ARRAYS = arrays(
     st.sampled_from([np.float64, np.float32]),
     st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
-    elements=st.floats(width=32),
+    elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
 )
 _INT_ARRAYS = arrays(
     st.sampled_from([np.int64, np.int8, np.uint16]),
@@ -141,12 +143,12 @@ _INT_ARRAYS = arrays(
 )
 _BOOL_ARRAYS = arrays(np.bool_, st.lists(st.integers(0, 4), max_size=3).map(tuple))
 _SCALARS = st.one_of(
-    st.floats(),
+    _FINITE_FLOATS,
     st.integers(-(2**70), 2**70),
     st.booleans(),
     st.text(max_size=3),
     st.none(),
-    st.floats().map(np.float64),
+    _FINITE_FLOATS.map(np.float64),
     st.integers(-(2**31), 2**31).map(np.int64),
     st.booleans().map(np.bool_),
 )
@@ -165,34 +167,22 @@ _NESTED = st.recursive(
 class TestJsonifyMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(_NESTED)
-    @example(np.array([1.0, np.nan, -np.inf, np.inf, -0.0]))
-    @example(np.array(np.nan))
+    @example(np.array([1.0, -0.0, 5e-324, 1e308]))
     @example(np.array(2.5))
     @example(np.array(True))
     @example(np.zeros((0, 3)))
+    @example(np.float32(0.1))
     @example({"flags": np.array([True, False]), "n": np.int64(3), "ok": True})
     def test_same_values_and_types(self, obj):
-        assert _json_dumps_text(obj) == _reference_text(obj)
+        assert _written_text(obj) == _reference_text(obj)
 
-    def test_non_finite_becomes_null_and_bool_stays_bool(self):
-        payload = {"x": np.array([[1.0, np.nan], [np.inf, -np.inf]]), "flag": True,
+    def test_bools_and_numpy_scalars_keep_their_types(self):
+        payload = {"x": np.array([[1.0, 0.5], [-0.0, 2.0]]), "flag": True,
                    "flags": np.array([False, True]), "count": np.int64(2)}
-        assert json.loads(_json_dumps_text(payload)) == {
-            "x": [[1.0, None], [None, None]], "flag": True,
+        assert json.loads(_written_text(payload)) == {
+            "x": [[1.0, 0.5], [-0.0, 2.0]], "flag": True,
             "flags": [False, True], "count": 2,
         }
-
-
-_PLAIN = st.recursive(
-    st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.booleans(), st.none(),
-              st.text(max_size=3)),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(st.floats(), max_size=4),
-        st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    ),
-    max_leaves=10,
-)
 
 
 class TestWriteJsonMatchesJsonDumps:
@@ -202,24 +192,23 @@ class TestWriteJsonMatchesJsonDumps:
     @example([[1.0, 2], [True, None], 5e-324, -0.0, 1e300])
     def test_file_bytes(self, obj):
         payload = {"x": obj, "format_version": "envar-kit/1"}
-        expected = _reference_text(payload) + "\n"
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "out.json"
-            write_json(path, payload)
-            assert path.read_bytes() == expected.encode("utf-8")
+        text = _written_text(payload)
+        assert text == _reference_text(payload)
+        assert text.count("\n") == 1 and text.endswith("\n")
 
-    @settings(max_examples=300, deadline=None)
-    @given(_PLAIN)
-    @example([1.0, float("nan")])
-    @example({"a": [[0.5], [float("-inf")]]})
-    @example([1, float("inf")])
-    @example(float("nan"))
-    def test_encoder_matches_json_with_non_finite_as_null(self, obj):
-        assert _json_dumps_text(obj) == _reference_text(obj)
+    @pytest.mark.parametrize("obj", [
+        float("nan"), [1.0, float("inf")], {"a": [[0.5], [float("-inf")]]},
+        np.float64("-inf"), np.float32("nan"), np.array([[1.0], [np.nan]]),
+    ])
+    def test_non_finite_float_raises_value_error(self, tmp_path, obj):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"x": obj})
+        assert not path.exists()
 
     def test_unknown_type_raises_type_error(self):
         with pytest.raises(TypeError):
-            _json_dumps_text({"a": [object()]})
+            _written_text({"a": [object()]})
 
 
 def _manifest_payload(**over) -> dict:
@@ -297,6 +286,11 @@ class TestTruthAndModelRejections:
             ("episode", 1.5),
             ("a0", [[None, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             ("a0", [[0.0]]),
+            ("a0", [["0.5", 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            ("a1", [[0.5, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 0.5]]),
+            ("a1", [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 10**400]]),
+            ("per_node_sigmas", [1.0, "1.0", 1.0]),
+            ("per_node_sigmas", [1.0, True, 1.0]),
         ],
     )
     def test_bad_truth_field_exits_2(self, tmp_path, capsys, field, value):
@@ -309,6 +303,14 @@ class TestTruthAndModelRejections:
         code, err = _evaluate_exit(tmp_path, capsys, model={"sigma": value})
         assert code == 2
         assert "'sigma'" in err
+
+    @pytest.mark.parametrize("field, entry", [("a0", "0.0"), ("a1", True)])
+    def test_non_number_model_entry_exits_2(self, tmp_path, capsys, field, entry):
+        matrix = np.zeros((3, 3)).tolist()
+        matrix[2][1] = entry
+        code, err = _evaluate_exit(tmp_path, capsys, model={field: matrix})
+        assert code == 2
+        assert f"field {field!r} is not numeric" in err
 
     def test_model_not_utf8_exits_2(self, tmp_path, capsys):
         from envarkit.cli import main
