@@ -11,6 +11,7 @@ from .envar_optimizer import (
     EnvarConfig,
     EnvarSolution,
     default_config,
+    envar_descents,
     solve_envar,
 )
 from .eqvar_gds import GdsResult, fit_eqvar_gds
@@ -86,6 +87,7 @@ __all__ = [
     "centralities",
     "default_config",
     "empirical_orbit_member",
+    "envar_descents",
     "fit_eqvar_gds",
     "fit_ols",
     "generate_instance",

@@ -15,12 +15,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .envar_optimizer import EnvarConfig, default_config, solve_envar
+from .envar_optimizer import EnvarConfig, default_config, envar_descents, solve_envar
 from .equivalence import OrbitElement
 from .eqvar_gds import fit_eqvar_gds
 from .errors import DataFormatError, DimensionError, EnvarKitError
@@ -42,6 +43,7 @@ from .formats import (
 )
 from .model_core import StructuralModel, TimeSeries, _reduced_form
 from .reduced_estimation import (
+    OlsFit,
     canonical_representative,
     center,
     empirical_orbit_member,
@@ -109,6 +111,21 @@ def _preprocess(ts: TimeSeries, do_center: bool, do_detrend: bool, do_zscore: bo
     return TimeSeries(values=values, centered=centered)
 
 
+def _baseline_model(
+    fit: OlsFit, method: str, metrics: MetricsConfig
+) -> tuple[StructuralModel, dict]:
+    """A baseline's model from an OLS fit, and its details for the fit report;
+    ``metrics`` gives ``eqvar-gds`` its ``alpha``."""
+    if method == "ols-only":
+        cr = canonical_representative(fit)
+        return empirical_orbit_member(cr, OrbitElement(q=np.eye(cr.p), c=1.0)), {}
+    if method == "eqvar-gds":
+        gds = fit_eqvar_gds(fit, alpha=metrics.alpha)
+        model = StructuralModel(a0=gds.a0_hat, a1=gds.a1_hat, sigma=1.0)
+        return model, {"ordering": list(gds.ordering), "alpha": gds.alpha}
+    raise UsageError(f"unknown method {method!r}")
+
+
 def _fit_method(
     ts: TimeSeries, method: str, metrics: MetricsConfig, envar_cfg: EnvarConfig | None,
 ) -> tuple[StructuralModel, dict]:
@@ -122,31 +139,24 @@ def _fit_method(
         "n_eff": fit.n_eff,
         "ridge_tau": fit.ridge_tau,
     }
-    if method == "ols-only":
-        cr = canonical_representative(fit)
-        model = empirical_orbit_member(cr, OrbitElement(q=np.eye(cr.p), c=1.0))
-    elif method == "envar":
-        cr = canonical_representative(fit)
-        solution = solve_envar(cr, envar_cfg)
+    if method == "envar":
+        solution = solve_envar(canonical_representative(fit), envar_cfg)
         model = solution.model
         report.update(
             objective=solution.objective,
             diag_residual=solution.diag_residual,
             restart_index=solution.restart_index,
             c_hat=solution.c_hat,
-            objective_trace=list(solution.objective_trace),
+            objective_trace=solution.objective_trace,
             restarts=[
                 {"steps": r.steps, "best_step": r.best_step,
                  "stop_reason": r.stop_reason, "anneals": r.anneals}
                 for r in solution.restarts
             ],
         )
-    elif method == "eqvar-gds":
-        gds = fit_eqvar_gds(fit, alpha=metrics.alpha)
-        model = StructuralModel(a0=gds.a0_hat, a1=gds.a1_hat, sigma=1.0)
-        report.update(ordering=list(gds.ordering), alpha=gds.alpha)
     else:
-        raise UsageError(f"unknown method {method!r}")
+        model, details = _baseline_model(fit, method, metrics)
+        report.update(details)
     # induced reduced form, recorded without the stability gate so unit-root
     # edge cases still produce a report
     phi, sigma_u = _reduced_form(model.b, model.a1, model.sigma**2)
@@ -246,31 +256,123 @@ def cmd_evaluate(args) -> int:
 # ----------------------------------------------------------------- benchmark
 
 
-def _benchmark_task(task: tuple) -> dict:
-    """Fit one method on one cell and score it, with the method's settings,
-    as ``fit`` and ``evaluate`` do; writes the run directory under
-    ``out_root`` and returns a summary row."""
-    cell, method, metrics, out_root = task
-    row = {
-        "p": cell.generator.p, "sigma_std": cell.generator.sigma_std,
-        "method": method, "episode": cell.episode,
-        **dict.fromkeys(_METRIC_COLUMNS), "error": "",
-    }
+# The most restart·p² entries in the descent batch of one benchmark task. At
+# small p a descent step costs mostly per-call overhead, paid once per batch
+# step however wide the batch, and the saving fades as p grows: two fits of 4
+# restarts as one batch took 0.55x the time of one after the other at p = 5,
+# 0.76x at p = 25, 0.99x at p = 50 and 1.07x at p = 100 (2 vCPUs, one BLAS
+# thread).
+BATCH_ENTRIES = 10_000
+
+
+def _benchmark_tasks(manifest: ExperimentManifest, out_root: Path, jobs: int) -> list[tuple]:
+    """The manifest's cells as benchmark tasks: runs of consecutive cells of one
+    p, in grid order. A task holds at most ``BATCH_ENTRIES`` restart·p² entries
+    (but at least one cell) and at most ⌈cells of that p / jobs⌉ cells, so
+    ``jobs`` workers share the cells of every p."""
+    by_p: dict[int, list] = {}
+    for cell in manifest.cells():
+        by_p.setdefault(cell.generator.p, []).append(cell)
+    tasks = []
+    for p, cells in by_p.items():
+        # every cell has the manifest's restart count
+        under_cap = BATCH_ENTRIES // (cells[0].envar.restarts * p * p)
+        per_worker = -(-len(cells) // jobs)  # the ceiling
+        size = max(1, min(under_cap, per_worker))
+        tasks += [(cells[i:i + size], manifest.method_metrics, out_root)
+                  for i in range(0, len(cells), size)]
+    return tasks
+
+
+@contextmanager
+def _timed(rows):
+    """Share the block's time equally among ``rows``' ``wall_ms``; an
+    EnvarKitError it raises becomes each row's error and ends the block."""
     started = time.perf_counter()
     try:
-        inst = cell.instance()
-        model, _ = _fit_method(center(inst.series), method, metrics, cell.envar)
-        # scored before the run directory exists, so a failed cell leaves none
-        payload = _score_payload(model, inst, metrics, method)
-        run_dir = out_root / "runs" / cell.name / method
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_model_json(run_dir / "model.json", model, method=method)
-        write_json(run_dir / "score.json", payload)
-        row.update((col, payload[col]) for col in _METRIC_COLUMNS)
+        yield
     except EnvarKitError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    row["wall_ms"] = (time.perf_counter() - started) * 1000.0
-    return row
+        for row in rows:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+    finally:
+        share = (time.perf_counter() - started) * 1000.0 / len(rows)
+        for row in rows:
+            row["wall_ms"] += share
+
+
+def _write_run(row: dict, run_dir: Path, method: str, metrics: MetricsConfig,
+               model: StructuralModel, truth) -> None:
+    """Score ``model`` as ``evaluate`` does, write the run directory and put the
+    scores in ``row``. Scored before the directory exists, so a failed run
+    leaves none."""
+    payload = _score_payload(model, truth, metrics, method)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_model_json(run_dir / "model.json", model, method=method)
+    write_json(run_dir / "score.json", payload)
+    row.update((col, payload[col]) for col in _METRIC_COLUMNS)
+
+
+def _run_baselines(cell, cell_rows: dict, method_metrics: dict, out_root: Path):
+    """Generate and center the cell's series and fit OLS once; fit, score and
+    write every baseline from that fit. Returns ENVAR's canonical
+    representative and the truth without its series, or None if the cell
+    failed before ENVAR could start, with the error in its rows."""
+    fit = cr = None
+    with _timed(cell_rows.values()):
+        inst = cell.instance()
+        truth = replace(inst, series=None)
+        # a baseline's params set its alpha only, so every method fits at the
+        # manifest's ridge_tau
+        fit = fit_ols(center(inst.series), ridge_tau=method_metrics["envar"].ridge_tau)
+    if fit is None:
+        return None
+    for method, metrics in method_metrics.items():
+        if method != "envar":
+            with _timed([cell_rows[method]]):
+                model, _ = _baseline_model(fit, method, metrics)
+                _write_run(cell_rows[method], out_root / "runs" / cell.name / method,
+                           method, metrics, model, truth)
+    with _timed([cell_rows["envar"]]):
+        cr = canonical_representative(fit)
+    return None if cr is None else (cr, truth)
+
+
+def _benchmark_task(task: tuple) -> list[dict]:
+    """Fit every method on a chunk of cells of one p and score each fit, with
+    the method's settings, as ``fit`` and ``evaluate`` do; writes the run
+    directories under ``out_root`` and returns the summary rows.
+
+    The baselines of each cell run first (``_run_baselines``), and only each
+    cell's canonical representative and truth are kept for ENVAR. The ENVAR
+    restarts of all the chunk's cells then descend as one batch. A row's
+    ``wall_ms`` is its method's own work plus an equal share of its cell's
+    generation and OLS fit and, for ENVAR, an equal share of the chunk's
+    descent."""
+    cells, method_metrics, out_root = task
+    rows, envar_runs = [], []
+    for cell in cells:
+        cell_rows = {
+            method: {"p": cell.generator.p, "sigma_std": cell.generator.sigma_std,
+                     "method": method, "episode": cell.episode,
+                     **dict.fromkeys(_METRIC_COLUMNS), "error": "", "wall_ms": 0.0}
+            for method in method_metrics
+        }
+        rows += cell_rows.values()
+        kept = _run_baselines(cell, cell_rows, method_metrics, out_root)
+        if kept is not None:
+            envar_runs.append((cell, *kept, cell_rows["envar"]))
+
+    started = time.perf_counter()
+    outcomes = envar_descents([(cr, cell.envar) for cell, cr, _, _ in envar_runs])
+    share = (time.perf_counter() - started) * 1000.0 / max(len(envar_runs), 1)
+    for (cell, cr, truth, row), outcome in zip(envar_runs, outcomes):
+        row["wall_ms"] += share
+        with _timed([row]):
+            # cfg positional: perfbench/spans.py reads it there
+            model = solve_envar(cr, cell.envar, outcomes=outcome).model
+            _write_run(row, out_root / "runs" / cell.name / "envar", "envar",
+                       method_metrics["envar"], model, truth)
+    return rows
 
 
 def _write_rows(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
@@ -311,18 +413,14 @@ def cmd_benchmark(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     manifest, out_root = _manifest_and_output(args)
-    tasks = [
-        (cell, method, metrics, out_root)
-        for cell in manifest.cells()
-        for method, metrics in manifest.method_metrics.items()
-    ]
+    tasks = _benchmark_tasks(manifest, out_root, args.jobs)
     # a pool starts all its workers at once, so no more than there are tasks
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_benchmark_task, tasks))
+            rows = [row for chunk in pool.map(_benchmark_task, tasks) for row in chunk]
     else:
-        rows = [_benchmark_task(task) for task in tasks]
+        rows = [row for task in tasks for row in _benchmark_task(task)]
     rows.sort(key=lambda r: (r["p"], r["sigma_std"], r["method"], r["episode"]))
     _write_rows(out_root / "summary.csv", SUMMARY_COLUMNS, rows)
     _write_rows(

@@ -27,9 +27,11 @@ random diagonal +-1 matrix into its base ``[G | H]`` (Helfrich et al., ICML
 2018), which makes those rotations, and the reflections, reachable.
 
 All restarts descend together as one ``(R, p, p)`` batch, and a restart that
-stops leaves it. Every per-restart quantity is computed slice by slice
+stops leaves it. Each row carries its own fixed matrices, weights and step
+budget, so one batch can hold the restarts of several fits of one dimension
+(``envar_descents``). Every per-restart quantity is computed slice by slice
 (per-matrix LAPACK/BLAS calls, elementwise updates, row-wise reductions), so a
-restart's iterates are bitwise the same alone or in a batch. Because every
+restart's iterates are bitwise the same alone or in any batch. Because every
 iterate is an orbit member, every candidate (and the returned solution)
 induces the fitted reduced form exactly.
 """
@@ -45,7 +47,7 @@ from scipy.linalg.lapack import dgetri as _getri
 
 from ._seeding import sub_rng
 from .equivalence import _orbit_member
-from .errors import OptimizerDivergedError
+from .errors import DimensionError, OptimizerDivergedError
 from .model_core import StructuralModel, _check_fields, _freeze_fields, _setting
 from .reduced_estimation import CanonicalRepresentative
 
@@ -131,7 +133,7 @@ class RestartOutcome:
     q: np.ndarray
     c: float
     objective: float
-    trace: tuple[float, ...]
+    trace: np.ndarray
     steps: int
     best_step: int
     stop_reason: str
@@ -149,7 +151,7 @@ class EnvarSolution:
     q_hat: np.ndarray
     c_hat: float
     objective: float
-    objective_trace: tuple[float, ...]
+    objective_trace: np.ndarray
     diag_residual: float
     restart_index: int
     restarts: tuple[RestartOutcome, ...]
@@ -175,14 +177,15 @@ class OrbitObjective:
     """Weights and fixed matrices defining the descent problem of each restart.
 
     ``g_mat`` and ``h_mat`` are ``(p, p)`` matrices or ``(R, p, p)`` stacks with
-    one matrix per restart; the weights are shared by all restarts.
+    one matrix per restart; each weight is a scalar shared by all restarts or
+    an ``(R,)`` array with one weight per restart.
     """
 
     g_mat: np.ndarray
     h_mat: np.ndarray
-    w_off: float
-    w_lag: float
-    w_diag: float
+    w_off: float | np.ndarray
+    w_lag: float | np.ndarray
+    w_diag: float | np.ndarray
 
     @cached_property
     def gh(self) -> np.ndarray:
@@ -195,13 +198,20 @@ class OrbitObjective:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """``[w_off (1 - I) | w_lag]``: the l1 weight of each entry of ``Q [G | H]``."""
+        """``[w_off (1 - I) | w_lag]``: the l1 weight of each entry of ``Q [G | H]``,
+        one ``(p, 2p)`` block per restart."""
         p = self.gh.shape[-2]
-        return np.hstack([self.w_off * (1.0 - np.eye(p)), np.full((p, p), float(self.w_lag))])
+        off = np.asarray(self.w_off, dtype=float)[..., None, None] * (1.0 - np.eye(p))
+        lag = np.asarray(self.w_lag, dtype=float)[..., None, None]
+        return np.concatenate(np.broadcast_arrays(off, lag), axis=-1)
 
     def take(self, rows) -> OrbitObjective:
-        """The objective of a subset of the restarts."""
-        return replace(self, g_mat=self.g_mat[rows], h_mat=self.h_mat[rows])
+        """The objective of a subset of the restarts; a scalar weight stays shared."""
+        weights = {name: getattr(self, name) for name in ("w_off", "w_lag", "w_diag")}
+        return replace(
+            self, g_mat=self.g_mat[rows], h_mat=self.h_mat[rows],
+            **{name: w[rows] for name, w in weights.items() if np.ndim(w)},
+        )
 
     def value_and_grads(self, q: np.ndarray, c):
         """Objective and its subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
@@ -212,6 +222,7 @@ class OrbitObjective:
         subgradients.
         """
         c = np.asarray(c, dtype=float)
+        w_diag = np.asarray(self.w_diag, dtype=float)
         mn = q @ self.gh
         diag_m = _diagonal(mn).copy()
         d = c[..., None] * diag_m - 1.0
@@ -221,10 +232,10 @@ class OrbitObjective:
         grad_mn *= self.weights
         mn *= grad_mn
         l1 = _sum2(mn)
-        total = c * l1 + self.w_diag * (d * d).sum(axis=-1)
+        total = c * l1 + w_diag * (d * d).sum(axis=-1)
         grad_mn *= c[..., None, None]
-        _diagonal(grad_mn)[...] += 2.0 * self.w_diag * c[..., None] * d
-        grad_c = l1 + 2.0 * self.w_diag * (d * diag_m).sum(axis=-1)
+        _diagonal(grad_mn)[...] += 2.0 * w_diag[..., None] * c[..., None] * d
+        grad_c = l1 + 2.0 * w_diag * (d * diag_m).sum(axis=-1)
         return total, grad_mn @ self.gh_t, grad_c
 
 
@@ -278,33 +289,36 @@ def minimize_orbit_objective(
     objective: OrbitObjective,
     k0: np.ndarray,
     *,
-    max_steps: int,
+    max_steps: int | np.ndarray,
 ) -> list[RestartOutcome]:
     """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
 
     ``k0`` is an ``(R, p, p)`` stack of skew starts and ``objective`` holds the
-    matching ``(R, p, p)`` stacks; results come back in restart order. A
-    restart stops after ``max_steps`` or once its best objective has not
-    improved by ``CONVERGENCE_TOL`` over ``PATIENCE`` consecutive steps. During
-    a plateau its step size decays every ``ANNEAL_EVERY`` stalled steps so the
-    iterate can settle below the fixed-rate noise floor.
+    matching ``(R, p, p)`` stacks; results come back in restart order.
+    ``max_steps`` is one step budget for all restarts or an ``(R,)`` array of
+    budgets. A restart stops after its budget or once its best objective has
+    not improved by ``CONVERGENCE_TOL`` over ``PATIENCE`` consecutive steps.
+    During a plateau its step size decays every ``ANNEAL_EVERY`` stalled steps
+    so the iterate can settle below the fixed-rate noise floor.
 
     Raises ``OptimizerDivergedError`` naming the lowest-index restart whose
     objective or gradient became non-finite, or whose ``I - K/2`` met a zero
-    pivot, with that restart's trace.
+    pivot, with that restart's trace and its index as ``row``.
     """
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     n_restarts, p = k0.shape[0], k0.shape[-1]
     # every array below is indexed by batch row, and all are compacted together
     # as restarts leave; ids names each row's restart, in restart order
     ids = np.arange(n_restarts)
+    max_steps = np.broadcast_to(max_steps, n_restarts)
+    last_step = int(max_steps.max())
     # each row is one restart's (K, log c); every restart starts at c = 1
     theta = np.zeros((n_restarts, p * p + 1))
     theta[:, :-1] = k0.reshape(n_restarts, -1)
     m_theta = np.zeros_like(theta)
     v_theta = np.zeros_like(theta)
     lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
-    trace = np.empty((n_restarts, max_steps))
+    trace = np.empty((n_restarts, last_step))
     best_obj = np.full(n_restarts, np.inf)
     best_q = np.empty((n_restarts, p, p))
     best_c = np.empty(n_restarts)
@@ -315,10 +329,11 @@ def minimize_orbit_objective(
 
     def diverged(row: int, what: str, step: int, steps_kept: int):
         return OptimizerDivergedError(
-            f"restart {ids[row]}: {what} at step {step}", trace=trace[row, :steps_kept].tolist()
+            f"restart {ids[row]}: {what} at step {step}",
+            trace=trace[row, :steps_kept].tolist(), row=int(ids[row]),
         )
 
-    for step in range(1, max_steps + 1):
+    for step in range(1, last_step + 1):
         try:
             q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
         except ZeroPivotError as exc:
@@ -345,7 +360,7 @@ def minimize_orbit_objective(
                     q=best_q[row],
                     c=float(best_c[row]),
                     objective=float(best_obj[row]),
-                    trace=tuple(trace[row, :step].tolist()),
+                    trace=trace[row, :step],
                     steps=step,
                     best_step=int(best_step[row]),
                     stop_reason="patience" if patient[row] else "budget",
@@ -354,11 +369,11 @@ def minimize_orbit_objective(
             if stop.all():
                 break
             keep = ~stop
-            (ids, theta, m_theta, v_theta, lr, trace, best_obj, best_q, best_c, best_step,
-             last_improve, anneals, a_inv, grad_q, grad_c, c, stalled) = (
-                a[keep] for a in (ids, theta, m_theta, v_theta, lr, trace, best_obj, best_q,
-                                  best_c, best_step, last_improve, anneals, a_inv, grad_q,
-                                  grad_c, c, stalled)
+            (ids, max_steps, theta, m_theta, v_theta, lr, trace, best_obj, best_q, best_c,
+             best_step, last_improve, anneals, a_inv, grad_q, grad_c, c, stalled) = (
+                a[keep] for a in (ids, max_steps, theta, m_theta, v_theta, lr, trace, best_obj,
+                                  best_q, best_c, best_step, last_improve, anneals, a_inv,
+                                  grad_q, grad_c, c, stalled)
             )
             objective = objective.take(keep)
 
@@ -402,12 +417,13 @@ def _orbit_objective(
     cr: CanonicalRepresentative, cfg: EnvarConfig, norms: NormConstants, signs: np.ndarray
 ) -> OrbitObjective:
     """The selection objective of each restart, with its sign matrix folded into the base."""
+    n = len(signs)
     return OrbitObjective(
         g_mat=signs[:, :, None] * cr.b_can,
         h_mat=signs[:, :, None] * cr.gamma_can,
-        w_off=cfg.lambda0 / norms.offdiag,
-        w_lag=cfg.lambda1 / norms.lag,
-        w_diag=0.5 * cfg.mu / norms.hollow,
+        w_off=np.full(n, cfg.lambda0 / norms.offdiag),
+        w_lag=np.full(n, cfg.lambda1 / norms.lag),
+        w_diag=np.full(n, 0.5 * cfg.mu / norms.hollow),
     )
 
 
@@ -431,30 +447,82 @@ def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstan
     )
 
 
-def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
+def _batch(problems):
+    """The objective and skew starts of the restarts of all ``problems``, as one
+    batch in order, and each problem's ``(R, p)`` sign vectors: a fit's first
+    restart has no sign fold, the others each a random one."""
+    objectives, starts, signs = [], [], []
+    for cr, cfg in problems:
+        fit_signs = []
+        for r in range(cfg.restarts):
+            rng = sub_rng(cfg.seed, 0x656E7672, r)
+            fit_signs.append(
+                np.ones(cr.p) if r == 0 else np.where(rng.random(cr.p) < 0.5, -1.0, 1.0))
+            starts.append(random_skew(cr.p, rng))
+        signs.append(np.array(fit_signs))
+        objectives.append(_orbit_objective(cr, cfg, norm_constants(cr, cfg), signs[-1]))
+    batch = OrbitObjective(**{
+        name: np.concatenate([getattr(o, name) for o in objectives])
+        for name in ("g_mat", "h_mat", "w_off", "w_lag", "w_diag")
+    })
+    return batch, np.array(starts), signs
+
+
+def envar_descents(problems) -> list[tuple[RestartOutcome, ...] | OptimizerDivergedError]:
+    """Descend the restarts of several ``(cr, cfg)`` fits of one dimension as one batch.
+
+    Returns one entry per problem, in order: its ``RestartOutcome``s in restart
+    order, with each restart's sign matrix folded into ``q``, or the
+    ``OptimizerDivergedError`` its descent raises alone. A restart's iterates
+    are bitwise the same in any batch, so each entry is what the problem's
+    own descent gives. When a restart diverges, its problem descends again
+    alone, so the error names the restart and carries the trace of a lone
+    descent, and the other problems descend again as one batch.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    if len({cr.p for cr, _ in problems}) > 1:
+        raise DimensionError("envar_descents needs fits of one dimension p")
+    batch, starts, signs = _batch(problems)
+    counts = [cfg.restarts for _, cfg in problems]
+    try:
+        results = minimize_orbit_objective(
+            batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts)
+        )
+    except OptimizerDivergedError as exc:
+        if len(problems) == 1:
+            return [exc]
+        failed = int(np.searchsorted(np.cumsum(counts), exc.row, side="right"))
+        others = envar_descents(problems[:failed] + problems[failed + 1:])
+        return others[:failed] + envar_descents(problems[failed:failed + 1]) + others[failed:]
+    return [
+        tuple(replace(result, q=result.q @ np.diag(sign))
+              for result, sign in zip(results[end - len(fit_signs):end], fit_signs))
+        for end, fit_signs in zip(np.cumsum(counts), signs)
+    ]
+
+
+def solve_envar(
+    cr: CanonicalRepresentative, cfg: EnvarConfig, *, outcomes=None
+) -> EnvarSolution:
     """Minimize the penalized objective over the empirical orbit.
 
-    Runs ``cfg.restarts`` independent descents from random skew starts, stepped
-    together as one batch (the first with no sign fold, the others each with
-    a random one), and returns the lowest-objective solution, ties broken by
-    restart index. The assembled model is
-    ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
+    Runs ``cfg.restarts`` independent descents from random skew starts (the
+    first with no sign fold, the others each with a random one) and returns
+    the lowest-objective solution, ties broken by restart index. The
+    assembled model is ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
+
+    ``outcomes``, if given, is the entry of ``(cr, cfg)`` in what an
+    ``envar_descents`` call over it returned; the restarts then do not descend
+    again, and the solution is bitwise the one of a lone descent. An
+    ``OptimizerDivergedError`` entry is raised. Without ``outcomes`` the
+    restarts descend here, as one batch of their own.
     """
-    p = cr.p
-    norms = norm_constants(cr, cfg)
-    signs, starts = [], []
-    for r in range(cfg.restarts):
-        rng = sub_rng(cfg.seed, 0x656E7672, r)
-        signs.append(np.ones(p) if r == 0 else np.where(rng.random(p) < 0.5, -1.0, 1.0))
-        starts.append(random_skew(p, rng))
-    results = minimize_orbit_objective(
-        _orbit_objective(cr, cfg, norms, np.array(signs)),
-        k0=np.array(starts),
-        max_steps=cfg.max_steps,
-    )
-    outcomes = [
-        replace(result, q=result.q @ np.diag(s)) for result, s in zip(results, signs)
-    ]
+    if outcomes is None:
+        (outcomes,) = envar_descents([(cr, cfg)])
+    if isinstance(outcomes, OptimizerDivergedError):
+        raise outcomes
     best_index = min(range(len(outcomes)), key=lambda i: (outcomes[i].objective, i))
     best = outcomes[best_index]
     # diag(a0) = 1 - diag(c Q b_can) exactly, so its norm is the diagonal residual
@@ -468,5 +536,5 @@ def solve_envar(cr: CanonicalRepresentative, cfg: EnvarConfig) -> EnvarSolution:
         diag_residual=float(np.linalg.norm(np.diag(model.a0))),
         restart_index=best_index,
         restarts=tuple(outcomes),
-        norms=norms,
+        norms=norm_constants(cr, cfg),
     )

@@ -48,11 +48,13 @@ class GenerationError(EnvarKitError, RuntimeError):
 
 
 class OptimizerDivergedError(EnvarKitError, RuntimeError):
-    """The optimizer produced non-finite values; the objective trace is attached."""
+    """The optimizer produced non-finite values; the objective trace is attached,
+    and ``row`` is the diverged restart's row of the descent batch, if known."""
 
-    def __init__(self, message: str, trace=()):
+    def __init__(self, message: str, trace=(), row: int | None = None):
         super().__init__(message)
         self.trace = tuple(trace)
+        self.row = row
 
 
 class DataFormatError(EnvarKitError, ValueError):

@@ -22,6 +22,7 @@ from envarkit import (
     align_sf,
     default_config,
     empirical_orbit_member,
+    envar_descents,
     fit_eqvar_gds,
     generate_instance,
     gram_orthogonal_factor,
@@ -163,21 +164,28 @@ def test_criterion_5_envar_preserves_the_law():
     worst_phi = 0.0
     worst_su = 0.0
     worst_orth = 0.0
-    for i, p in enumerate([5] * 10 + [10] * 10):
-        cfg = GeneratorConfig(p=p, t_len=1000, seed=500 + i)
-        inst = generate_instance(cfg, episode=0)
-        fit = fit_ols(center(inst.series))
-        cr = canonical_representative(fit)
-        solution = solve_envar(cr, default_config(p, seed=i))
-        rf = to_reduced_form(solution.model)
-        scale_phi = 1.0 + float(np.max(np.abs(fit.phi_hat)))
-        scale_su = 1.0 + float(np.max(np.abs(fit.sigma_u_hat)))
-        worst_phi = max(worst_phi, float(np.max(np.abs(rf.phi - fit.phi_hat))) / scale_phi)
-        worst_su = max(worst_su, float(np.max(np.abs(rf.sigma_u - fit.sigma_u_hat))) / scale_su)
-        worst_orth = max(
-            worst_orth,
-            float(np.linalg.norm(solution.q_hat.T @ solution.q_hat - np.eye(p), "fro")),
-        )
+    # the ten instances of each p descend as one batch; each solution is
+    # bitwise the one of its own descent
+    for p, seeds in ((5, range(10)), (10, range(10, 20))):
+        fits = [
+            fit_ols(center(generate_instance(
+                GeneratorConfig(p=p, t_len=1000, seed=500 + i), episode=0).series))
+            for i in seeds
+        ]
+        problems = [(canonical_representative(fit), default_config(p, seed=i))
+                    for fit, i in zip(fits, seeds)]
+        for fit, (cr, cfg), outcomes in zip(fits, problems, envar_descents(problems)):
+            solution = solve_envar(cr, cfg, outcomes=outcomes)
+            rf = to_reduced_form(solution.model)
+            scale_phi = 1.0 + float(np.max(np.abs(fit.phi_hat)))
+            scale_su = 1.0 + float(np.max(np.abs(fit.sigma_u_hat)))
+            worst_phi = max(worst_phi, float(np.max(np.abs(rf.phi - fit.phi_hat))) / scale_phi)
+            worst_su = max(worst_su,
+                           float(np.max(np.abs(rf.sigma_u - fit.sigma_u_hat))) / scale_su)
+            worst_orth = max(
+                worst_orth,
+                float(np.linalg.norm(solution.q_hat.T @ solution.q_hat - np.eye(p), "fro")),
+            )
     ok = max(worst_phi, worst_su) <= 1e-8 and worst_orth <= 1e-8 and budget.within()
     report(5, "selected representative induces the fitted law", ok,
            f"phi {worst_phi:.2e}, sigma_u {worst_su:.2e}, orth {worst_orth:.2e}, "
@@ -189,15 +197,18 @@ def test_criterion_5_envar_preserves_the_law():
 
 
 def _run_benchmark_cell(p, sigma_std, episodes, base_seed):
-    """sf-discrepancies for the sparse selector and the greedy baseline."""
+    """sf-discrepancies for the sparse selector and the greedy baseline. The
+    episodes' ENVAR restarts descend as one batch."""
     cfg = GeneratorConfig(p=p, t_len=1000, sigma_std=sigma_std, seed=base_seed)
+    instances = [generate_instance(cfg, episode=ep) for ep in range(episodes)]
+    fits = [fit_ols(center(inst.series)) for inst in instances]
+    problems = [(canonical_representative(fit), default_config(p, seed=1000 + ep))
+                for ep, fit in enumerate(fits)]
     envar_vals, gds_vals, pearson_vals = [], [], []
-    for ep in range(episodes):
-        inst = generate_instance(cfg, episode=ep)
-        ts = center(inst.series)
-        fit = fit_ols(ts)
-        cr = canonical_representative(fit)
-        solution = solve_envar(cr, default_config(p, seed=1000 + ep))
+    for inst, fit, (cr, envar_cfg), outcomes in zip(
+        instances, fits, problems, envar_descents(problems)
+    ):
+        solution = solve_envar(cr, envar_cfg, outcomes=outcomes)
         envar_vals.append(score(solution.model, inst, method_name="envar").sf_oad)
         gds = fit_eqvar_gds(fit, alpha=0.05)
         gds_model = StructuralModel(gds.a0_hat, gds.a1_hat, 1.0)

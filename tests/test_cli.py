@@ -498,19 +498,40 @@ class TestBenchmarkCommand:
         )
 
     def test_more_jobs_than_tasks_is_byte_identical(self, tmp_path):
-        # 1 p x 1 sigma x 2 episodes x 3 methods = 6 tasks for 8 workers
+        # 2 p x 3 episodes: per p, one task of 3 cells at --jobs 1, tasks of 2
+        # and 1 cells at --jobs 2, and one cell per task at --jobs 3 and 8
+        # (6 tasks for 8 workers)
         outputs = {}
-        for jobs in (1, 8):
+        for jobs in (1, 2, 3, 8):
             out = tmp_path / f"jobs{jobs}"
-            manifest = write_manifest(tmp_path / f"m{jobs}.json", out)
+            manifest = write_manifest(
+                tmp_path / f"m{jobs}.json", out, grid={"p": [3, 4]},
+                generator={"p": 3, "t_len": 120, "seed": 7, "episodes": 3, "edge_prob": 0.3},
+            )
             assert main(["benchmark", "--manifest", str(manifest),
                          "--jobs", str(jobs)]) == 0
             files = sorted(out.glob("runs/*/*/*.json"))
             files += [out / "summary.csv", out / "aggregate.csv"]
             outputs[jobs] = {str(f.relative_to(out)): f.read_bytes() for f in files}
-        # a model.json and a score.json per task
-        assert len(outputs[1]) == 2 * 6 + 2
-        assert outputs[1] == outputs[8]
+        # a model.json and a score.json per run: 6 cells x 3 methods
+        assert len(outputs[1]) == 2 * 18 + 2
+        assert outputs[1] == outputs[2] == outputs[3] == outputs[8]
+
+    def test_tasks_are_chunks_of_one_p_within_the_batch_cap(self, tmp_path):
+        manifest = load_manifest(write_manifest(
+            tmp_path / "m.json", tmp_path / "o", grid={"p": [5, 50], "sigma_std": [0.0, 0.075]},
+            generator={"p": 5, "t_len": 120, "seed": 7, "episodes": 3}, envar={"restarts": 4},
+        ))
+        # 4 restarts x 50^2 fill the cap, so every p = 50 task is one cell
+        assert cli.BATCH_ENTRIES == 4 * 50**2
+        for jobs, p5_sizes in ((1, [6]), (2, [3, 3]), (4, [2, 2, 2]), (8, [1] * 6)):
+            tasks = cli._benchmark_tasks(manifest, tmp_path, jobs)
+            chunks = [cells for cells, _, _ in tasks]
+            assert [c for cells in chunks for c in cells] == list(manifest.cells())
+            assert all(len({c.generator.p for c in cells}) == 1 for cells in chunks)
+            sizes = {p: [len(cells) for cells in chunks if cells[0].generator.p == p]
+                     for p in (5, 50)}
+            assert sizes == {5: p5_sizes, 50: [1] * 6}
 
     @pytest.mark.parametrize("jobs, workers", [(64, 6), (2, 2)])
     def test_pool_has_at_most_one_worker_per_task(self, tmp_path, monkeypatch, jobs, workers):
@@ -530,7 +551,8 @@ class TestBenchmarkCommand:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        manifest = write_manifest(tmp_path / "m.json", tmp_path / "out")
+        # 3 p x 2 episodes: 6 one-cell tasks from --jobs 2 up
+        manifest = write_manifest(tmp_path / "m.json", tmp_path / "out", grid={"p": [3, 4, 5]})
         assert main(["benchmark", "--manifest", str(manifest), "--jobs", str(jobs)]) == 0
         assert started == [workers]
 

@@ -24,6 +24,7 @@ from envarkit.envar_optimizer import (
     ZeroPivotError,
     cayley,
     cayley_adjoint,
+    envar_descents,
     minimize_orbit_objective,
     random_skew,
 )
@@ -394,7 +395,7 @@ class TestBatchedDescent:
             (alone,) = minimize_orbit_objective(
                 objective.take([r]), k0[r:r + 1], **_BATCH_KW
             )
-            assert alone.trace == batch[r].trace
+            assert np.array_equal(alone.trace, batch[r].trace)
             assert np.array_equal(alone.q, batch[r].q)
             assert alone.c == batch[r].c
             assert alone.steps == batch[r].steps
@@ -407,7 +408,7 @@ class TestBatchedDescent:
         cfg = replace(default_config(3, seed=2), max_steps=300)
         alone = solve_envar(cr, replace(cfg, restarts=1)).restarts[0]
         batched = solve_envar(cr, cfg).restarts[0]
-        assert alone.trace == batched.trace
+        assert np.array_equal(alone.trace, batched.trace)
         assert np.array_equal(alone.q, batched.q)
         assert alone.c == batched.c
 
@@ -420,7 +421,7 @@ class TestBatchedDescent:
         (alone,) = minimize_orbit_objective(
             objective.take([3]), k0[3:], **dict(_BATCH_KW, max_steps=30)
         )
-        assert err.value.trace == alone.trace
+        assert np.array_equal(err.value.trace, alone.trace)
         assert len(err.value.trace) == 30
 
     def test_nonfinite_gradient_names_restart_and_carries_its_trace(self):
@@ -433,8 +434,88 @@ class TestBatchedDescent:
         (alone,) = minimize_orbit_objective(
             objective.take([1]), k0[1:2], **dict(_BATCH_KW, max_steps=31)
         )
-        assert err.value.trace == alone.trace
+        assert np.array_equal(err.value.trace, alone.trace)
         assert len(err.value.trace) == 31
+
+
+def _descent_problems():
+    """Four p = 3 fits that differ in data, seed, weights, restart count and
+    step budget; restarts stop by patience and by budget."""
+    base = default_config(3)
+    return [
+        (make_fitted_representative(3, seed=30)[0], replace(base, seed=1, max_steps=3000)),
+        (make_fitted_representative(3, seed=31)[0],
+         replace(base, seed=2, restarts=2, max_steps=3000, lambda0=1.25, mu=3.0)),
+        (make_fitted_representative(3, seed=32)[0], replace(base, seed=3, restarts=1,
+                                                            max_steps=700)),
+        (canonical_from_reduced(np.zeros((3, 3)), np.eye(3)),
+         replace(base, seed=4, restarts=3, max_steps=3000, lambda1=0.5)),
+    ]
+
+
+def _assert_same_solution(a, b):
+    assert a.restart_index == b.restart_index
+    assert np.array_equal(a.model.a0, b.model.a0)
+    assert np.array_equal(a.model.a1, b.model.a1)
+    assert a.model.sigma == b.model.sigma
+    assert np.array_equal(a.objective_trace, b.objective_trace)
+    assert len(a.restarts) == len(b.restarts)
+    for x, y in zip(a.restarts, b.restarts):
+        assert np.array_equal(x.q, y.q)
+        assert np.array_equal(x.trace, y.trace)
+        assert (x.c, x.objective, x.steps, x.best_step, x.stop_reason, x.anneals) == (
+            y.c, y.objective, y.steps, y.best_step, y.stop_reason, y.anneals)
+
+
+class TestEnvarDescents:
+    """Several fits of one p descend as one batch; each fit's solution is
+    bitwise the one of its own descent."""
+
+    def test_batch_reproduces_each_lone_solve(self):
+        problems = _descent_problems()
+        batched = envar_descents(problems)
+        assert len(batched) == len(problems)
+        reasons = set()
+        for (cr, cfg), outcomes in zip(problems, batched):
+            solution = solve_envar(cr, cfg, outcomes=outcomes)
+            _assert_same_solution(solution, solve_envar(cr, cfg))
+            assert len(solution.restarts) == cfg.restarts
+            reasons.update(r.stop_reason for r in solution.restarts)
+        assert reasons == {"patience", "budget"}
+
+    def test_mixed_dimensions_are_refused(self):
+        problems = [(make_fitted_representative(p, seed=33)[0], default_config(p))
+                    for p in (3, 4)]
+        with pytest.raises(DimensionError, match="one dimension"):
+            envar_descents(problems)
+        assert envar_descents([]) == []
+
+    def test_divergence_stays_with_its_problem(self, monkeypatch):
+        """Problem 1's restarts report NaN from their 31st step, in any batch."""
+        problems = _descent_problems()
+        alone = [solve_envar(cr, cfg) for cr, cfg in problems]
+        cr, cfg = problems[1]
+        poisoned_w_off = cfg.lambda0 / norm_constants(cr, cfg).offdiag
+        real = envar_optimizer.minimize_orbit_objective
+
+        def poisoned(objective, k0, **kwargs):
+            flagged = objective.w_off == poisoned_w_off
+            return real(_NanAfter(**vars(objective), flagged=flagged, after=30), k0, **kwargs)
+
+        monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
+        with pytest.raises(OptimizerDivergedError) as lone:
+            solve_envar(cr, cfg)
+        assert str(lone.value) == "restart 0: objective became non-finite at step 31"
+        batched = envar_descents(problems)
+        error = batched[1]
+        assert isinstance(error, OptimizerDivergedError)
+        assert str(error) == str(lone.value)
+        assert np.array_equal(error.trace, lone.value.trace)
+        with pytest.raises(OptimizerDivergedError) as raised:
+            solve_envar(cr, cfg, outcomes=error)
+        assert raised.value is error
+        for i in (0, 2, 3):
+            _assert_same_solution(solve_envar(*problems[i], outcomes=batched[i]), alone[i])
 
 
 class TestZeroPivot:
@@ -465,7 +546,7 @@ class TestZeroPivot:
         with pytest.raises(OptimizerDivergedError,
                            match=f"restart 3: I - K/2 met a zero pivot at step {after + 1}") as err:
             minimize_orbit_objective(objective, k0, **_BATCH_KW)
-        assert err.value.trace == clean.trace
+        assert np.array_equal(err.value.trace, clean.trace)
 
 
 def _replay_stopping_rule(trace, patience, tol, max_steps):
@@ -512,7 +593,7 @@ class TestSolveEnvar:
         cfg = replace(default_config(3, seed=9), max_steps=600)
         a = solve_envar(cr, cfg)
         b = solve_envar(cr, cfg)
-        assert a.objective_trace == b.objective_trace
+        assert np.array_equal(a.objective_trace, b.objective_trace)
         assert a.objective == b.objective
         assert np.array_equal(a.model.a0, b.model.a0)
         assert np.array_equal(a.q_hat, b.q_hat)

@@ -363,8 +363,8 @@ def _model() -> dict:
 
 
 def _restart() -> dict:
-    return dict(q=np.eye(2), c=1.0, objective=0.5, trace=(0.5,), steps=1, best_step=1,
-                stop_reason="budget", anneals=0)
+    return dict(q=np.eye(2), c=1.0, objective=0.5, trace=np.array([0.5]), steps=1,
+                best_step=1, stop_reason="budget", anneals=0)
 
 
 # a small valid argument set for each value type with an array field
@@ -388,8 +388,9 @@ _VALUE_TYPES = {
                             alpha=0.05),
     RestartOutcome: _restart,
     EnvarSolution: lambda: dict(model=StructuralModel(**_model()), q_hat=np.eye(2), c_hat=1.0,
-                                objective=0.5, objective_trace=(0.5,), diag_residual=0.0,
-                                restart_index=0, restarts=(RestartOutcome(**_restart()),),
+                                objective=0.5, objective_trace=np.array([0.5]),
+                                diag_residual=0.0, restart_index=0,
+                                restarts=(RestartOutcome(**_restart()),),
                                 norms=NormConstants(1.0, 1.0, 1.0, ())),
 }
 
