@@ -74,6 +74,10 @@ ANNEAL_FACTOR = 0.3
 
 _NORM_FLOOR = 1e-12
 
+# The stop reasons of a restart whose objective or gradient became non-finite.
+NONFINITE_OBJECTIVE = "objective became non-finite"
+NONFINITE_GRADIENT = "gradient became non-finite"
+
 
 @dataclass(frozen=True)
 class EnvarConfig:
@@ -88,9 +92,10 @@ class EnvarConfig:
 
     def __post_init__(self):
         weight = (lambda v: v >= 0, ">= 0")
-        count = (lambda v: v >= 1, ">= 1")
+        # a descent's trace is (R, max_steps); 10**6 is 100 times the largest default
+        budget = (lambda v: 1 <= v <= 10**6, "in [1, 1000000]")
         _check_fields(self, {"lambda0": weight, "lambda1": weight, "mu": weight,
-                             "max_steps": count, "restarts": count})
+                             "max_steps": budget, "restarts": (lambda v: v >= 1, ">= 1")})
 
 
 def default_config(p: int, seed: int = 0) -> EnvarConfig:
@@ -124,10 +129,12 @@ class RestartOutcome:
     """Best iterate of one restart, with why and when its descent stopped.
 
     ``stop_reason`` is ``"patience"`` (no improvement by the tolerance for
-    ``PATIENCE`` steps) or ``"budget"`` (``max_steps`` reached); ``best_step``
-    is the step that evaluated the best iterate; ``anneals`` counts the
-    step-size decays. In ``EnvarSolution.restarts``, ``q`` has the restart's
-    sign matrix folded in.
+    ``PATIENCE`` steps), ``"budget"`` (``max_steps`` reached), or
+    ``NONFINITE_OBJECTIVE`` or ``NONFINITE_GRADIENT`` at step ``steps``, after
+    ``steps - 1`` or ``steps`` traced values; ``best_step`` is the step that
+    evaluated the best iterate; ``anneals`` counts the step-size decays. In
+    ``EnvarSolution.restarts``, where no restart diverged (such a fit raises),
+    ``q`` has the restart's sign matrix folded in.
     """
 
     q: np.ndarray
@@ -239,14 +246,6 @@ class OrbitObjective:
         return total, grad_mn @ self.gh_t, grad_c
 
 
-class ZeroPivotError(np.linalg.LinAlgError):
-    """``I - K/2`` of the matrix at ``row`` of a stack has an exactly zero pivot."""
-
-    def __init__(self, row: int):
-        super().__init__(f"I - K/2 of matrix {row} has a zero pivot")
-        self.row = row
-
-
 def cayley(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cayley transform ``Q = (I - K/2)^{-1} (I + K/2)`` of each skew ``K`` in a stack.
 
@@ -256,16 +255,17 @@ def cayley(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Fortran order, and ``(A^T)^{-1}`` in Fortran order is ``A^{-1}`` in C
     order, so no copy is made.
 
-    Raises ``ZeroPivotError`` naming the first matrix whose ``A`` has an exactly
-    zero pivot.
+    A matrix whose ``A`` has an exactly zero pivot, which no finite skew ``K``
+    gives, gets a NaN inverse and ``Q``.
     """
     a_inv = np.multiply(k, -0.5, order="C")
     _diagonal(a_inv)[...] += 1.0
-    for row, a in enumerate(a_inv.reshape(-1, *k.shape[-2:])):
+    for a in a_inv.reshape(-1, *k.shape[-2:]):
         lu, piv, info = _getrf(a.T, overwrite_a=True)
         if info > 0:
-            raise ZeroPivotError(row)
-        _getri(lu, piv, overwrite_lu=True)
+            a[...] = np.nan
+        else:
+            _getri(lu, piv, overwrite_lu=True)
     q = 2.0 * a_inv
     _diagonal(q)[...] -= 1.0
     return q, a_inv
@@ -301,9 +301,9 @@ def minimize_orbit_objective(
     During a plateau its step size decays every ``ANNEAL_EVERY`` stalled steps
     so the iterate can settle below the fixed-rate noise floor.
 
-    Raises ``OptimizerDivergedError`` naming the lowest-index restart whose
-    objective or gradient became non-finite, or whose ``I - K/2`` met a zero
-    pivot, with that restart's trace and its index as ``row``.
+    A restart also stops when its objective (``NONFINITE_OBJECTIVE``) or its
+    gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
+    objective, then patience, budget and the gradient.
     """
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     n_restarts, p = k0.shape[0], k0.shape[-1]
@@ -320,29 +320,18 @@ def minimize_orbit_objective(
     lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
     trace = np.empty((n_restarts, last_step))
     best_obj = np.full(n_restarts, np.inf)
-    best_q = np.empty((n_restarts, p, p))
-    best_c = np.empty(n_restarts)
+    # NaN until a finite objective is seen, which a restart may never see
+    best_q = np.full((n_restarts, p, p), np.nan)
+    best_c = np.full(n_restarts, np.nan)
     best_step = np.zeros(n_restarts, dtype=int)
     last_improve = np.zeros(n_restarts, dtype=int)
     anneals = np.zeros(n_restarts, dtype=int)
     results: list[RestartOutcome | None] = [None] * n_restarts
 
-    def diverged(row: int, what: str, step: int, steps_kept: int):
-        return OptimizerDivergedError(
-            f"restart {ids[row]}: {what} at step {step}",
-            trace=trace[row, :steps_kept].tolist(), row=int(ids[row]),
-        )
-
     for step in range(1, last_step + 1):
-        try:
-            q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
-        except ZeroPivotError as exc:
-            raise diverged(exc.row, "I - K/2 met a zero pivot", step, step - 1) from None
+        q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
         c = np.exp(theta[:, -1])
         values, grad_q, grad_c = objective.value_and_grads(q, c)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise diverged(np.argmin(finite), "objective became non-finite", step, step - 1)
         trace[:, step - 1] = values
         last_improve[values < best_obj - CONVERGENCE_TOL] = step
         better = values < best_obj
@@ -351,41 +340,44 @@ def minimize_orbit_objective(
         best_c[better] = c[better]
         best_step[better] = step
         stalled = step - last_improve
+        grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(ids), -1)
+        grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
 
-        patient = stalled >= PATIENCE
-        stop = patient | (step == max_steps)
+        # each stop reason and the rows it stops, in the order they are checked
+        reasons = {
+            NONFINITE_OBJECTIVE: ~np.isfinite(values),
+            "patience": stalled >= PATIENCE,
+            "budget": step == max_steps,
+            NONFINITE_GRADIENT: ~np.isfinite(grad).all(axis=-1),
+        }
+        stop = np.logical_or.reduce(list(reasons.values()))
         if stop.any():
             for row in np.flatnonzero(stop):
+                reason = next(name for name, hit in reasons.items() if hit[row])
                 results[ids[row]] = RestartOutcome(
                     q=best_q[row],
                     c=float(best_c[row]),
                     objective=float(best_obj[row]),
-                    trace=trace[row, :step],
+                    trace=trace[row, :step - (reason == NONFINITE_OBJECTIVE)],
                     steps=step,
                     best_step=int(best_step[row]),
-                    stop_reason="patience" if patient[row] else "budget",
+                    stop_reason=reason,
                     anneals=int(anneals[row]),
                 )
             if stop.all():
                 break
             keep = ~stop
             (ids, max_steps, theta, m_theta, v_theta, lr, trace, best_obj, best_q, best_c,
-             best_step, last_improve, anneals, a_inv, grad_q, grad_c, c, stalled) = (
+             best_step, last_improve, anneals, stalled, grad) = (
                 a[keep] for a in (ids, max_steps, theta, m_theta, v_theta, lr, trace, best_obj,
-                                  best_q, best_c, best_step, last_improve, anneals, a_inv,
-                                  grad_q, grad_c, c, stalled)
+                                  best_q, best_c, best_step, last_improve, anneals, stalled,
+                                  grad)
             )
             objective = objective.take(keep)
 
         anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
         lr = np.where(anneal, lr * ANNEAL_FACTOR, lr)
         anneals += anneal
-
-        grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(ids), -1)
-        grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
-        finite = np.isfinite(grad).all(axis=-1)
-        if not finite.all():
-            raise diverged(np.argmin(finite), "gradient became non-finite", step, step)
 
         grad *= (GRAD_CLIP / np.maximum(np.sqrt((grad * grad).sum(axis=-1)), GRAD_CLIP))[:, None]
         m_theta = ADAM_BETA1 * m_theta + (1.0 - ADAM_BETA1) * grad
@@ -472,12 +464,12 @@ def envar_descents(problems) -> list[tuple[RestartOutcome, ...] | OptimizerDiver
     """Descend the restarts of several ``(cr, cfg)`` fits of one dimension as one batch.
 
     Returns one entry per problem, in order: its ``RestartOutcome``s in restart
-    order, with each restart's sign matrix folded into ``q``, or the
-    ``OptimizerDivergedError`` its descent raises alone. A restart's iterates
-    are bitwise the same in any batch, so each entry is what the problem's
-    own descent gives. When a restart diverges, its problem descends again
-    alone, so the error names the restart and carries the trace of a lone
-    descent, and the other problems descend again as one batch.
+    order, with each restart's sign matrix folded into ``q``, or, if a restart
+    diverged, an ``OptimizerDivergedError`` naming, with its step and trace,
+    the first to diverge: the earliest step, at one step an objective fault
+    before a gradient fault, then the lowest index within the fit. A restart's
+    iterates are bitwise the same in any batch, so each entry is what the
+    problem's own descent gives.
     """
     problems = list(problems)
     if not problems:
@@ -486,21 +478,24 @@ def envar_descents(problems) -> list[tuple[RestartOutcome, ...] | OptimizerDiver
         raise DimensionError("envar_descents needs fits of one dimension p")
     batch, starts, signs = _batch(problems)
     counts = [cfg.restarts for _, cfg in problems]
-    try:
-        results = minimize_orbit_objective(
-            batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts)
-        )
-    except OptimizerDivergedError as exc:
-        if len(problems) == 1:
-            return [exc]
-        failed = int(np.searchsorted(np.cumsum(counts), exc.row, side="right"))
-        others = envar_descents(problems[:failed] + problems[failed + 1:])
-        return others[:failed] + envar_descents(problems[failed:failed + 1]) + others[failed:]
-    return [
-        tuple(replace(result, q=result.q @ np.diag(sign))
-              for result, sign in zip(results[end - len(fit_signs):end], fit_signs))
-        for end, fit_signs in zip(np.cumsum(counts), signs)
-    ]
+    results = minimize_orbit_objective(
+        batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts)
+    )
+    entries = []
+    for end, fit_signs in zip(np.cumsum(counts), signs):
+        outcomes = results[end - len(fit_signs):end]
+        diverged = [(r.steps, r.stop_reason == NONFINITE_GRADIENT, i)
+                    for i, r in enumerate(outcomes)
+                    if r.stop_reason in (NONFINITE_OBJECTIVE, NONFINITE_GRADIENT)]
+        if diverged:
+            step, _, i = min(diverged)
+            entries.append(OptimizerDivergedError(
+                f"restart {i}: {outcomes[i].stop_reason} at step {step}",
+                trace=outcomes[i].trace.tolist()))
+        else:
+            entries.append(tuple(replace(r, q=r.q @ np.diag(sign))
+                                 for r, sign in zip(outcomes, fit_signs)))
+    return entries
 
 
 def solve_envar(

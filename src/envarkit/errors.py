@@ -48,13 +48,12 @@ class GenerationError(EnvarKitError, RuntimeError):
 
 
 class OptimizerDivergedError(EnvarKitError, RuntimeError):
-    """The optimizer produced non-finite values; the objective trace is attached,
-    and ``row`` is the diverged restart's row of the descent batch, if known."""
+    """A restart of the optimizer met a non-finite objective or gradient; the
+    message names the restart and step, and ``trace`` holds its finite values."""
 
-    def __init__(self, message: str, trace=(), row: int | None = None):
+    def __init__(self, message: str, trace=()):
         super().__init__(message)
         self.trace = tuple(trace)
-        self.row = row
 
 
 class DataFormatError(EnvarKitError, ValueError):

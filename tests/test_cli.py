@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from envarkit import (
     solve_envar,
     to_reduced_form,
 )
-from envarkit import cli
+from envarkit import cli, envar_optimizer
 from envarkit.cli import _preprocess, main
 from envarkit.equivalence import OrbitElement
 from envarkit.errors import DataFormatError
@@ -33,6 +34,19 @@ from envarkit.formats import (
 from envarkit.synth import GeneratorConfig, generate_instance
 
 from conftest import random_admissible
+from test_envar_optimizer import _NanAfter
+
+
+def poison_descents(monkeypatch, flagged):
+    """Make the ENVAR descent report NaN objectives from step 31 on for the
+    batch rows ``flagged(rows)`` picks from ``rows = arange(batch size)``."""
+    real = envar_optimizer.minimize_orbit_objective
+
+    def poisoned(objective, k0, **kwargs):
+        flags = flagged(np.arange(len(k0)))
+        return real(_NanAfter(**vars(objective), flagged=flags, after=30), k0, **kwargs)
+
+    monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
 
 
 def write_manifest(path: Path, output_dir: Path, **over) -> Path:
@@ -259,6 +273,19 @@ class TestFitCommand:
         ]
         assert len(report["restarts"]) == default_config(3).restarts
 
+    def test_diverged_envar_fit_exits_3(self, tmp_path, capsys, monkeypatch):
+        inst = generate_instance(GeneratorConfig(p=3, t_len=200, seed=2), episode=0)
+        write_series_csv(tmp_path / "series.csv", inst.series)
+        poison_descents(monkeypatch, lambda rows: rows == 0)
+        code = main([
+            "fit", "--series", str(tmp_path / "series.csv"), "--method", "envar",
+            "--output", str(tmp_path / "out"), "--max-steps", "300",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == ("numerical error: OptimizerDivergedError: "
+                                           "restart 0: objective became non-finite at step 31\n")
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_uncentered_data_without_centering_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         values = rng.normal(5.0, 1.0, size=(2, 50))
@@ -407,14 +434,15 @@ class TestFlagRanges:
         "command, flags",
         [
             ("fit", ["--max-steps", "0"]),
+            ("fit", ["--max-steps", "1000000000000"]),
             ("fit", ["--method", "ols-only", "--max-steps", "0"]),
             ("fit", ["--method", "eqvar-gds", "--max-steps", "0"]),
             ("fit", ["--method", "eqvar-gds", "--alpha", "2"]),
             ("evaluate", ["--eta", "-1"]),
             ("evaluate", ["--binarize-mass", "2"]),
         ],
-        ids=["max-steps", "max-steps-ols-only", "max-steps-eqvar-gds", "alpha", "eta",
-             "binarize-mass"],
+        ids=["max-steps", "max-steps-unbounded", "max-steps-ols-only", "max-steps-eqvar-gds",
+             "alpha", "eta", "binarize-mass"],
     )
     def test_out_of_range_flag_exits_1(self, files, capsys, command, flags):
         if command == "fit":
@@ -592,6 +620,31 @@ class TestBenchmarkCommand:
         error_col = header.index("error")
         for line in lines[1:]:
             assert "RankError" in line.split(",")[error_col]
+
+    def test_divergence_stays_with_its_cell(self, tmp_path, monkeypatch):
+        """Cell 1 of a 3-cell chunk diverges: only its ENVAR row has the error,
+        and every other run is the bytes of an unpatched run."""
+        generator = {"p": 3, "t_len": 120, "seed": 7, "episodes": 3, "edge_prob": 0.3}
+        outputs = {}
+        for poisoned in (False, True):
+            out = tmp_path / str(poisoned)
+            manifest = write_manifest(tmp_path / "m.json", out, generator=generator)
+            if poisoned:
+                # 2 restarts per cell, in cell order
+                poison_descents(monkeypatch, lambda rows: rows // 2 == 1)
+            assert main(["benchmark", "--manifest", str(manifest)]) == 0
+            outputs[poisoned] = {str(f.relative_to(out)): f.read_bytes()
+                                 for f in sorted(out.glob("runs/*/*/*.json"))}
+        with open(tmp_path / "True" / "summary.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 9
+        errors = {(r["method"], r["episode"]): r["error"] for r in rows if r["error"]}
+        assert errors == {("envar", "1"): "OptimizerDivergedError: restart 0: "
+                                          "objective became non-finite at step 31"}
+        clean = outputs[False]
+        assert len(clean) == 2 * 9
+        assert outputs[True] == {name: data for name, data in clean.items()
+                                 if not name.startswith("runs/p3_s0_e1/envar/")}
 
     def test_cell_is_fit_then_evaluate(self, tmp_path):
         """Each run directory holds what ``fit`` and ``evaluate`` write from

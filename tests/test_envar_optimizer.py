@@ -19,9 +19,10 @@ from envarkit import (
 from envarkit.envar_optimizer import (
     ANNEAL_EVERY,
     CONVERGENCE_TOL,
+    NONFINITE_GRADIENT,
+    NONFINITE_OBJECTIVE,
     PATIENCE,
     OrbitObjective,
-    ZeroPivotError,
     cayley,
     cayley_adjoint,
     envar_descents,
@@ -351,6 +352,13 @@ def _batch_problem(p, rng):
 _BATCH_KW = dict(max_steps=PATIENCE + 100)
 
 
+def _assert_same_outcome(x, y):
+    assert np.array_equal(x.q, y.q)
+    assert np.array_equal(x.trace, y.trace)
+    assert (x.c, x.objective, x.steps, x.best_step, x.stop_reason, x.anneals) == (
+        y.c, y.objective, y.steps, y.best_step, y.stop_reason, y.anneals)
+
+
 @dataclass(frozen=True)
 class _NanAfter(OrbitObjective):
     """Reports NaN for the flagged restarts from evaluation ``after + 1`` on."""
@@ -372,14 +380,19 @@ class _NanAfter(OrbitObjective):
 
 @dataclass(frozen=True)
 class _NanGradAfter(_NanAfter):
-    """Reports a NaN ``c``-gradient for the flagged restarts from evaluation
-    ``after + 1`` on; the values stay finite."""
+    """As ``_NanAfter``, and reports a NaN ``c``-gradient for the
+    ``grad_flagged`` restarts from evaluation ``grad_after + 1`` on."""
+
+    grad_flagged: np.ndarray = None
+    grad_after: int = 0
+
+    def take(self, rows):
+        return replace(super().take(rows), grad_flagged=self.grad_flagged[rows])
 
     def value_and_grads(self, q, c):
-        total, grad_q, grad_c = OrbitObjective.value_and_grads(self, q, c)
-        self.calls.append(None)
-        if len(self.calls) > self.after:
-            grad_c = np.where(self.flagged, np.nan, grad_c)
+        total, grad_q, grad_c = super().value_and_grads(q, c)
+        if len(self.calls) > self.grad_after:
+            grad_c = np.where(self.grad_flagged, np.nan, grad_c)
         return total, grad_q, grad_c
 
 
@@ -413,29 +426,49 @@ class TestBatchedDescent:
         assert alone.c == batched.c
 
     def test_divergence_names_restart_and_carries_its_trace(self):
+        """Restart 3's objective is NaN from step 31: it stops there with the
+        30 finite values, and the other restarts run on untouched."""
         objective, k0 = _batch_problem(4, np.random.default_rng(23))
         flagged = np.array([False, False, False, True])
         poisoned = _NanAfter(**vars(objective), flagged=flagged, after=30)
-        with pytest.raises(OptimizerDivergedError, match="restart 3: objective") as err:
-            minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
+        batch = minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
+        assert (batch[3].stop_reason, batch[3].steps) == (NONFINITE_OBJECTIVE, 31)
         (alone,) = minimize_orbit_objective(
             objective.take([3]), k0[3:], **dict(_BATCH_KW, max_steps=30)
         )
-        assert np.array_equal(err.value.trace, alone.trace)
-        assert len(err.value.trace) == 30
+        assert np.array_equal(batch[3].trace, alone.trace)
+        assert len(batch[3].trace) == 30
+        assert np.array_equal(batch[3].q, alone.q) and batch[3].best_step == alone.best_step
+        clean = minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        for r in range(3):
+            _assert_same_outcome(batch[r], clean[r])
+
+    def test_divergence_at_the_first_step_has_no_iterate(self):
+        objective, k0 = _batch_problem(4, np.random.default_rng(23))
+        flagged = np.array([True, False, False, False])
+        (first, *_) = minimize_orbit_objective(
+            _NanAfter(**vars(objective), flagged=flagged, after=0), k0, max_steps=50)
+        assert (first.stop_reason, first.steps, len(first.trace)) == (NONFINITE_OBJECTIVE, 1, 0)
+        assert np.isnan(first.q).all() and np.isnan(first.c) and first.objective == np.inf
 
     def test_nonfinite_gradient_names_restart_and_carries_its_trace(self):
         objective, k0 = _batch_problem(4, np.random.default_rng(23))
         flagged = np.array([False, True, False, True])
-        poisoned = _NanGradAfter(**vars(objective), flagged=flagged, after=30)
-        with pytest.raises(OptimizerDivergedError,
-                           match="restart 1: gradient became non-finite at step 31") as err:
-            minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
-        (alone,) = minimize_orbit_objective(
-            objective.take([1]), k0[1:2], **dict(_BATCH_KW, max_steps=31)
-        )
-        assert np.array_equal(err.value.trace, alone.trace)
-        assert len(err.value.trace) == 31
+        poisoned = _NanGradAfter(**vars(objective), flagged=np.zeros(4, dtype=bool),
+                                 grad_flagged=flagged, grad_after=30)
+        batch = minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
+        clean = minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        for r in range(4):
+            if not flagged[r]:
+                _assert_same_outcome(batch[r], clean[r])
+                continue
+            assert (batch[r].stop_reason, batch[r].steps) == (NONFINITE_GRADIENT, 31)
+            (alone,) = minimize_orbit_objective(
+                objective.take([r]), k0[r:r + 1], **dict(_BATCH_KW, max_steps=31)
+            )
+            assert np.array_equal(batch[r].trace, alone.trace)
+            assert len(batch[r].trace) == 31
+            assert np.array_equal(batch[r].q, alone.q) and batch[r].best_step == alone.best_step
 
 
 def _descent_problems():
@@ -461,10 +494,7 @@ def _assert_same_solution(a, b):
     assert np.array_equal(a.objective_trace, b.objective_trace)
     assert len(a.restarts) == len(b.restarts)
     for x, y in zip(a.restarts, b.restarts):
-        assert np.array_equal(x.q, y.q)
-        assert np.array_equal(x.trace, y.trace)
-        assert (x.c, x.objective, x.steps, x.best_step, x.stop_reason, x.anneals) == (
-            y.c, y.objective, y.steps, y.best_step, y.stop_reason, y.anneals)
+        _assert_same_outcome(x, y)
 
 
 class TestEnvarDescents:
@@ -517,17 +547,68 @@ class TestEnvarDescents:
         for i in (0, 2, 3):
             _assert_same_solution(solve_envar(*problems[i], outcomes=batched[i]), alone[i])
 
+    def test_first_divergence_is_the_earliest_step(self, monkeypatch):
+        """Restart 2's gradient is NaN from step 30 and restart 0's objective
+        from step 31; both traces hold 30 values, and the error is the one
+        of step 30."""
+        cr, cfg = _descent_problems()[0]
+        real = envar_optimizer.minimize_orbit_objective
+
+        def poisoned(objective, k0, **kwargs):
+            rows = np.arange(len(k0))
+            return real(_NanGradAfter(**vars(objective), flagged=rows == 0, after=30,
+                                      grad_flagged=rows == 2, grad_after=29), k0, **kwargs)
+
+        monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
+        with pytest.raises(OptimizerDivergedError) as err:
+            solve_envar(cr, cfg)
+        assert str(err.value) == "restart 2: gradient became non-finite at step 30"
+        monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", real)
+        (clean,) = envar_descents([(cr, replace(cfg, max_steps=30))])
+        assert np.array_equal(err.value.trace, clean[2].trace)
+
+    def test_two_divergences_each_stay_with_their_problem(self, monkeypatch):
+        """Problem 1's objective is NaN from step 31 and problem 3's gradient
+        from step 41, in any batch."""
+        problems = _descent_problems()
+        alone = [solve_envar(cr, cfg) for cr, cfg in problems]
+        w_obj, w_grad = (cfg.lambda0 / norm_constants(cr, cfg).offdiag
+                         for cr, cfg in (problems[1], problems[3]))
+        real = envar_optimizer.minimize_orbit_objective
+
+        def poisoned(objective, k0, **kwargs):
+            return real(_NanGradAfter(**vars(objective), flagged=objective.w_off == w_obj,
+                                      after=30, grad_flagged=objective.w_off == w_grad,
+                                      grad_after=40), k0, **kwargs)
+
+        monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
+        batched = envar_descents(problems)
+        for i, message in ((1, "restart 0: objective became non-finite at step 31"),
+                           (3, "restart 0: gradient became non-finite at step 41")):
+            with pytest.raises(OptimizerDivergedError) as lone:
+                solve_envar(*problems[i])
+            assert str(lone.value) == message
+            assert isinstance(batched[i], OptimizerDivergedError)
+            assert str(batched[i]) == message
+            assert batched[i].trace == lone.value.trace
+        for i in (0, 2):
+            _assert_same_solution(solve_envar(*problems[i], outcomes=batched[i]), alone[i])
+
 
 class TestZeroPivot:
     def test_cayley_names_the_singular_matrix(self):
+        """A matrix whose I - K/2 is singular gets a NaN inverse and Q; the
+        others are unaffected."""
         k = np.zeros((3, 2, 2))
         k[1] = 2.0 * np.eye(2)  # I - K/2 = 0
-        with pytest.raises(ZeroPivotError) as err:
-            cayley(k)
-        assert err.value.row == 1
+        q, a_inv = cayley(k)
+        assert np.isnan(q[1]).all() and np.isnan(a_inv[1]).all()
+        assert np.array_equal(q[[0, 2]], np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert np.array_equal(a_inv[[0, 2]], q[[0, 2]])
 
     def test_descent_names_restart_and_carries_its_trace(self, monkeypatch):
-        """A zero pivot in batch row 2, after restart 2 has left, is restart 3's."""
+        """A singular I - K/2 in batch row 2, after restart 2 has left, is
+        restart 3's: it stops as a non-finite objective, with a clean trace."""
         objective, k0 = _batch_problem(4, np.random.default_rng(23))
         after = PATIENCE + 10
         (clean,) = minimize_orbit_objective(
@@ -537,16 +618,16 @@ class TestZeroPivot:
 
         def singular_after(k):
             calls.append(None)
-            if len(calls) > after:
+            if len(calls) == after + 1:
                 assert len(k) == 3
-                raise ZeroPivotError(2)
+                k = k.copy()
+                k[2] = 2.0 * np.eye(k.shape[-1])  # I - K/2 = 0
             return cayley(k)
 
         monkeypatch.setattr(envar_optimizer, "cayley", singular_after)
-        with pytest.raises(OptimizerDivergedError,
-                           match=f"restart 3: I - K/2 met a zero pivot at step {after + 1}") as err:
-            minimize_orbit_objective(objective, k0, **_BATCH_KW)
-        assert np.array_equal(err.value.trace, clean.trace)
+        batch = minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        assert (batch[3].stop_reason, batch[3].steps) == (NONFINITE_OBJECTIVE, after + 1)
+        assert np.array_equal(batch[3].trace, clean.trace)
 
 
 def _replay_stopping_rule(trace, patience, tol, max_steps):

@@ -382,6 +382,8 @@ class TestManifestRejections:
             # run directories name sigma_std to six significant digits
             ({"grid": {"sigma_std": [0.1234567, 0.1234568]}},
              "grid.sigma_std values 0.1234567 and 0.1234568"),
+            # a descent holds an (R, max_steps) trace
+            ({"envar": {"max_steps": 10**12}}, "envar.max_steps"),
         ],
     )
     def test_rejected_at_load(self, over, field):
