@@ -499,6 +499,9 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"data error: input too large for memory: {exc}", file=sys.stderr)
+        return 2
     except EnvarKitError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

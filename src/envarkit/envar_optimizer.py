@@ -38,7 +38,7 @@ induces the fitted reduced form exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -92,10 +92,11 @@ class EnvarConfig:
 
     def __post_init__(self):
         weight = (lambda v: v >= 0, ">= 0")
-        # a descent's trace is (R, max_steps); 10**6 is 100 times the largest default
-        budget = (lambda v: 1 <= v <= 10**6, "in [1, 1000000]")
+        # a descent's trace is (R, max_steps); 10**6 is 100 times the largest
+        # default budget and 1000 is 250 times the default restart count
         _check_fields(self, {"lambda0": weight, "lambda1": weight, "mu": weight,
-                             "max_steps": budget, "restarts": (lambda v: v >= 1, ">= 1")})
+                             "max_steps": (lambda v: 1 <= v <= 10**6, "in [1, 1000000]"),
+                             "restarts": (lambda v: 1 <= v <= 1000, "in [1, 1000]")})
 
 
 def default_config(p: int, seed: int = 0) -> EnvarConfig:
@@ -183,21 +184,21 @@ def _diagonal(x: np.ndarray) -> np.ndarray:
 class OrbitObjective:
     """Weights and fixed matrices defining the descent problem of each restart.
 
-    ``g_mat`` and ``h_mat`` are ``(p, p)`` matrices or ``(R, p, p)`` stacks with
-    one matrix per restart; each weight is a scalar shared by all restarts or
-    an ``(R,)`` array with one weight per restart.
+    Every field holds one entry per restart: ``g_mat`` and ``h_mat`` are
+    ``(R, p, p)`` stacks and ``w_off``, ``w_lag`` and ``w_diag`` are ``(R,)``
+    arrays.
     """
 
     g_mat: np.ndarray
     h_mat: np.ndarray
-    w_off: float | np.ndarray
-    w_lag: float | np.ndarray
-    w_diag: float | np.ndarray
+    w_off: np.ndarray
+    w_lag: np.ndarray
+    w_diag: np.ndarray
 
     @cached_property
     def gh(self) -> np.ndarray:
         """``[G | H]``, one ``(p, 2p)`` block per restart."""
-        return np.concatenate(np.broadcast_arrays(self.g_mat, self.h_mat), axis=-1)
+        return np.concatenate((self.g_mat, self.h_mat), axis=-1)
 
     @cached_property
     def gh_t(self) -> np.ndarray:
@@ -207,29 +208,23 @@ class OrbitObjective:
     def weights(self) -> np.ndarray:
         """``[w_off (1 - I) | w_lag]``: the l1 weight of each entry of ``Q [G | H]``,
         one ``(p, 2p)`` block per restart."""
-        p = self.gh.shape[-2]
-        off = np.asarray(self.w_off, dtype=float)[..., None, None] * (1.0 - np.eye(p))
-        lag = np.asarray(self.w_lag, dtype=float)[..., None, None]
-        return np.concatenate(np.broadcast_arrays(off, lag), axis=-1)
+        off = self.w_off[:, None, None] * (1.0 - np.eye(self.gh.shape[-2]))
+        lag = np.broadcast_to(self.w_lag[:, None, None], off.shape)
+        return np.concatenate((off, lag), axis=-1)
 
     def take(self, rows) -> OrbitObjective:
-        """The objective of a subset of the restarts; a scalar weight stays shared."""
-        weights = {name: getattr(self, name) for name in ("w_off", "w_lag", "w_diag")}
-        return replace(
-            self, g_mat=self.g_mat[rows], h_mat=self.h_mat[rows],
-            **{name: w[rows] for name, w in weights.items() if np.ndim(w)},
-        )
+        """The objective of a subset of the restarts."""
+        return replace(self, **{f.name: getattr(self, f.name)[rows]
+                                for f in fields(OrbitObjective)})
 
-    def value_and_grads(self, q: np.ndarray, c):
+    def value_and_grads(self, q: np.ndarray, c: np.ndarray):
         """Objective and its subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
 
-        Returns the values and the ``c``-gradients, each of shape
-        ``q.shape[:-2]``, and the ``Q``-gradient stack, of the shape of ``q``.
-        A term whose weight is zero adds zero to the value and to the
-        subgradients.
+        ``q`` is an ``(R, p, p)`` stack and ``c`` an ``(R,)`` array, one entry
+        per restart. Returns the ``(R,)`` values, the ``(R, p, p)``
+        ``Q``-gradient stack and the ``(R,)`` ``c``-gradients. A term whose
+        weight is zero adds zero to the value and to the subgradients.
         """
-        c = np.asarray(c, dtype=float)
-        w_diag = np.asarray(self.w_diag, dtype=float)
         mn = q @ self.gh
         diag_m = _diagonal(mn).copy()
         d = c[..., None] * diag_m - 1.0
@@ -239,10 +234,10 @@ class OrbitObjective:
         grad_mn *= self.weights
         mn *= grad_mn
         l1 = _sum2(mn)
-        total = c * l1 + w_diag * (d * d).sum(axis=-1)
+        total = c * l1 + self.w_diag * (d * d).sum(axis=-1)
         grad_mn *= c[..., None, None]
-        _diagonal(grad_mn)[...] += 2.0 * w_diag[..., None] * c[..., None] * d
-        grad_c = l1 + 2.0 * w_diag * (d * diag_m).sum(axis=-1)
+        _diagonal(grad_mn)[...] += 2.0 * self.w_diag[..., None] * c[..., None] * d
+        grad_c = l1 + 2.0 * self.w_diag * (d * diag_m).sum(axis=-1)
         return total, grad_mn @ self.gh_t, grad_c
 
 
@@ -289,17 +284,17 @@ def minimize_orbit_objective(
     objective: OrbitObjective,
     k0: np.ndarray,
     *,
-    max_steps: int | np.ndarray,
+    max_steps: np.ndarray,
 ) -> list[RestartOutcome]:
     """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
 
-    ``k0`` is an ``(R, p, p)`` stack of skew starts and ``objective`` holds the
-    matching ``(R, p, p)`` stacks; results come back in restart order.
-    ``max_steps`` is one step budget for all restarts or an ``(R,)`` array of
-    budgets. A restart stops after its budget or once its best objective has
-    not improved by ``CONVERGENCE_TOL`` over ``PATIENCE`` consecutive steps.
-    During a plateau its step size decays every ``ANNEAL_EVERY`` stalled steps
-    so the iterate can settle below the fixed-rate noise floor.
+    ``k0`` is an ``(R, p, p)`` stack of skew starts, ``objective`` holds the
+    matching rows and ``max_steps`` is the ``(R,)`` array of step budgets;
+    results come back in restart order. A restart stops after its budget or
+    once its best objective has not improved by ``CONVERGENCE_TOL`` over
+    ``PATIENCE`` consecutive steps. During a plateau its step size decays
+    every ``ANNEAL_EVERY`` stalled steps so the iterate can settle below the
+    fixed-rate noise floor.
 
     A restart also stops when its objective (``NONFINITE_OBJECTIVE``) or its
     gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
@@ -310,7 +305,6 @@ def minimize_orbit_objective(
     # every array below is indexed by batch row, and all are compacted together
     # as restarts leave; ids names each row's restart, in restart order
     ids = np.arange(n_restarts)
-    max_steps = np.broadcast_to(max_steps, n_restarts)
     last_step = int(max_steps.max())
     # each row is one restart's (K, log c); every restart starts at c = 1
     theta = np.zeros((n_restarts, p * p + 1))
@@ -405,20 +399,6 @@ def _baseline_orthogonal(p: int, seed: int) -> np.ndarray:
     return q * signs
 
 
-def _orbit_objective(
-    cr: CanonicalRepresentative, cfg: EnvarConfig, norms: NormConstants, signs: np.ndarray
-) -> OrbitObjective:
-    """The selection objective of each restart, with its sign matrix folded into the base."""
-    n = len(signs)
-    return OrbitObjective(
-        g_mat=signs[:, :, None] * cr.b_can,
-        h_mat=signs[:, :, None] * cr.gamma_can,
-        w_off=np.full(n, cfg.lambda0 / norms.offdiag),
-        w_lag=np.full(n, cfg.lambda1 / norms.lag),
-        w_diag=np.full(n, 0.5 * cfg.mu / norms.hollow),
-    )
-
-
 def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstants:
     """Raw term values at the baseline projection and ``c = 1``.
 
@@ -441,23 +421,26 @@ def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstan
 
 def _batch(problems):
     """The objective and skew starts of the restarts of all ``problems``, as one
-    batch in order, and each problem's ``(R, p)`` sign vectors: a fit's first
-    restart has no sign fold, the others each a random one."""
-    objectives, starts, signs = [], [], []
+    batch in order, and each problem's ``(R, p)`` sign vectors.
+
+    Each restart draws its sign vector and start from its own sub-seed (a
+    fit's first restart has no sign fold, the others each a random one) and
+    adds one row: its signed ``G`` and ``H`` and its fit's three weights."""
+    rows, signs = [], []
     for cr, cfg in problems:
+        norms = norm_constants(cr, cfg)
+        weights = (cfg.lambda0 / norms.offdiag, cfg.lambda1 / norms.lag,
+                   0.5 * cfg.mu / norms.hollow)
         fit_signs = []
         for r in range(cfg.restarts):
             rng = sub_rng(cfg.seed, 0x656E7672, r)
-            fit_signs.append(
-                np.ones(cr.p) if r == 0 else np.where(rng.random(cr.p) < 0.5, -1.0, 1.0))
-            starts.append(random_skew(cr.p, rng))
+            sign = np.ones(cr.p) if r == 0 else np.where(rng.random(cr.p) < 0.5, -1.0, 1.0)
+            fit_signs.append(sign)
+            rows.append((sign[:, None] * cr.b_can, sign[:, None] * cr.gamma_can, *weights,
+                         random_skew(cr.p, rng)))
         signs.append(np.array(fit_signs))
-        objectives.append(_orbit_objective(cr, cfg, norm_constants(cr, cfg), signs[-1]))
-    batch = OrbitObjective(**{
-        name: np.concatenate([getattr(o, name) for o in objectives])
-        for name in ("g_mat", "h_mat", "w_off", "w_lag", "w_diag")
-    })
-    return batch, np.array(starts), signs
+    *columns, starts = (np.array(column) for column in zip(*rows))
+    return OrbitObjective(*columns), starts, signs
 
 
 def envar_descents(problems) -> list[tuple[RestartOutcome, ...] | OptimizerDivergedError]:

@@ -19,7 +19,7 @@ from envarkit import (
     solve_envar,
     to_reduced_form,
 )
-from envarkit import cli, envar_optimizer
+from envarkit import cli, envar_optimizer, formats
 from envarkit.cli import _preprocess, main
 from envarkit.equivalence import OrbitElement
 from envarkit.errors import DataFormatError
@@ -161,6 +161,17 @@ class TestSimulateCommand:
         first = (out / "p2_s0_e0" / "series.csv").read_bytes()
         main(["simulate", "--manifest", str(manifest)])
         assert (out / "p2_s0_e0" / "series.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_input_too_large_for_memory_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(formats, "generate_instance", too_large)
+        manifest = write_manifest(tmp_path / "m.json", tmp_path / "out")
+        assert main([command, "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: input too large for memory: Unable to allocate 74.5 GiB\n")
 
 
 class TestFitCommand:

@@ -30,7 +30,7 @@ from envarkit.envar_optimizer import (
     random_skew,
 )
 from envarkit import envar_optimizer
-from envarkit.envar_optimizer import _orbit_objective, norm_constants
+from envarkit.envar_optimizer import _batch, norm_constants
 from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
 from envarkit.synth import GeneratorConfig, generate_instance
@@ -79,18 +79,18 @@ class TestDefaultConfig:
     def test_invalid_config_rejected(self):
         with pytest.raises(DimensionError, match="mu"):
             replace(default_config(5), mu=-1.0)
-        with pytest.raises(DimensionError, match="restarts"):
-            replace(default_config(5), restarts=0)
+        for restarts in (0, 1001):
+            with pytest.raises(DimensionError, match="restarts"):
+                replace(default_config(5), restarts=restarts)
         for name, value in (("lambda0", np.nan), ("lambda1", np.nan), ("mu", np.inf)):
             with pytest.raises(DimensionError, match=f"^{name} must be a finite number"):
                 replace(default_config(5), **{name: value})
 
 
-def _objective_value(q, c, cr, cfg, norms=None):
-    """The selection objective at ``(Q, c)``, as the descent evaluates it."""
-    if norms is None:
-        norms = norm_constants(cr, cfg)
-    objective = _orbit_objective(cr, cfg, norms, np.ones((1, cr.p)))
+def _objective_value(q, c, cr, cfg):
+    """The selection objective at ``(Q, c)``, as the descent evaluates it:
+    restart 0 of the fit's batch, which has no sign fold."""
+    objective, _, _ = _batch([(cr, replace(cfg, restarts=1))])
     value, _, _ = objective.value_and_grads(np.asarray(q)[None], np.array([c]))
     return float(value[0])
 
@@ -106,7 +106,7 @@ class TestObjective:
         cr = canonical_from_reduced(np.zeros((p, p)), np.eye(p))
         cfg = default_config(p)
         norms = norm_constants(cr, cfg)
-        value = _objective_value(np.eye(p), 2.0, cr, cfg, norms=norms)
+        value = _objective_value(np.eye(p), 2.0, cr, cfg)
         assert value * norms.hollow == pytest.approx(cfg.mu * p / 2.0)
 
     def test_matches_term_by_term_recomputation(self):
@@ -117,7 +117,7 @@ class TestObjective:
         q = expm(k)
         c = 1.37
         norms = norm_constants(cr, cfg)
-        value = _objective_value(q, c, cr, cfg, norms=norms)
+        value = _objective_value(q, c, cr, cfg)
         m = q @ cr.b_can
         off = m - np.diag(np.diag(m))
         t_off = cfg.lambda0 * c * np.abs(off).sum() / norms.offdiag
@@ -125,7 +125,7 @@ class TestObjective:
         t_hollow = 0.5 * cfg.mu * np.sum((c * np.diag(m) - 1.0) ** 2) / norms.hollow
         assert value == pytest.approx(t_off + t_lag + t_hollow, abs=1e-12)
         off_only = replace(cfg, lambda1=0.0, mu=0.0)
-        assert _objective_value(q, c, cr, off_only, norms=norms) == pytest.approx(
+        assert _objective_value(q, c, cr, off_only) == pytest.approx(
             t_off, abs=1e-12
         )
 
@@ -146,8 +146,8 @@ class TestObjective:
 
 
 def _three_term_reference(objective, q, c):
-    """Value and subgradients of the objective, one term at a time, skipping a
-    term whose weight is zero."""
+    """Value and subgradients of the objective, one restart and one term at a
+    time, skipping a term whose weight is zero."""
     p = q.shape[-1]
     m = q @ objective.g_mat
     n_mat = q @ objective.h_mat
@@ -156,20 +156,21 @@ def _three_term_reference(objective, q, c):
     grad_n = np.zeros_like(n_mat)
     grad_c = np.zeros(len(q))
     for r in range(len(q)):
-        if objective.w_off:
+        w_off, w_lag, w_diag = objective.w_off[r], objective.w_lag[r], objective.w_diag[r]
+        if w_off:
             off = m[r] - np.diag(np.diag(m[r]))
-            value[r] += objective.w_off * c[r] * np.abs(off).sum()
-            grad_m[r] += objective.w_off * c[r] * np.sign(off)
-            grad_c[r] += objective.w_off * np.abs(off).sum()
-        if objective.w_lag:
-            value[r] += objective.w_lag * c[r] * np.abs(n_mat[r]).sum()
-            grad_n[r] += objective.w_lag * c[r] * np.sign(n_mat[r])
-            grad_c[r] += objective.w_lag * np.abs(n_mat[r]).sum()
-        if objective.w_diag:
+            value[r] += w_off * c[r] * np.abs(off).sum()
+            grad_m[r] += w_off * c[r] * np.sign(off)
+            grad_c[r] += w_off * np.abs(off).sum()
+        if w_lag:
+            value[r] += w_lag * c[r] * np.abs(n_mat[r]).sum()
+            grad_n[r] += w_lag * c[r] * np.sign(n_mat[r])
+            grad_c[r] += w_lag * np.abs(n_mat[r]).sum()
+        if w_diag:
             d = c[r] * np.diag(m[r]) - 1.0
-            value[r] += objective.w_diag * np.sum(d**2)
-            grad_m[r][np.diag_indices(p)] += 2.0 * objective.w_diag * c[r] * d
-            grad_c[r] += 2.0 * objective.w_diag * np.sum(d * np.diag(m[r]))
+            value[r] += w_diag * np.sum(d**2)
+            grad_m[r][np.diag_indices(p)] += 2.0 * w_diag * c[r] * d
+            grad_c[r] += 2.0 * w_diag * np.sum(d * np.diag(m[r]))
     grad_q = grad_m @ np.swapaxes(objective.g_mat, -1, -2)
     grad_q += grad_n @ np.swapaxes(objective.h_mat, -1, -2)
     return value, grad_q, grad_c
@@ -177,16 +178,18 @@ def _three_term_reference(objective, q, c):
 
 class TestFusedObjective:
     """``value_and_grads`` makes one weighted sum over ``Q [G | H]``; it must
-    agree with the three separate terms, a zero weight included."""
+    agree with the three separate terms, each row with its own weights, a zero
+    weight included."""
 
     @pytest.mark.parametrize("zero", [None, "w_off", "w_lag", "w_diag"])
     @pytest.mark.parametrize("p", [1, 3, 7])
     def test_matches_three_term_formula(self, p, zero):
         rng = np.random.default_rng(300 + p)
         n = 3
-        weights = {"w_off": 0.7, "w_lag": 0.4, "w_diag": 1.3}
+        weights = {"w_off": np.array([0.7, 0.2, 1.1]), "w_lag": np.array([0.4, 0.9, 0.3]),
+                   "w_diag": np.array([1.3, 0.6, 2.0])}
         if zero is not None:
-            weights[zero] = 0.0
+            weights[zero][1] = 0.0
         g_mat = rng.normal(size=(n, p, p))
         g_mat[0, 0, -1] = 0.0  # an exact zero of Q G at Q = I: sign(0) = 0
         objective = OrbitObjective(
@@ -207,7 +210,7 @@ class TestFusedObjective:
         p = 4
         base = OrbitObjective(
             g_mat=rng.normal(size=(2, p, p)), h_mat=rng.normal(size=(2, p, p)),
-            w_off=0.0, w_lag=0.0, w_diag=0.0,
+            w_off=np.zeros(2), w_lag=np.zeros(2), w_diag=np.zeros(2),
         )
         q, _ = cayley(np.array([random_skew(p, rng, 0.5) for _ in range(2)]))
         value, grad_q, grad_c = base.value_and_grads(q, np.array([0.8, 1.9]))
@@ -216,35 +219,36 @@ class TestFusedObjective:
 
 class TestDescentGradients:
     def test_matches_finite_differences(self):
+        """On a batch of one restart."""
         rng = np.random.default_rng(3)
         p = 4
         objective = OrbitObjective(
-            g_mat=rng.normal(size=(p, p)),
-            h_mat=rng.normal(size=(p, p)),
-            w_off=0.7,
-            w_lag=0.4,
-            w_diag=1.3,
+            g_mat=rng.normal(size=(1, p, p)),
+            h_mat=rng.normal(size=(1, p, p)),
+            w_off=np.array([0.7]),
+            w_lag=np.array([0.4]),
+            w_diag=np.array([1.3]),
         )
 
         def value(q, c):
-            return objective.value_and_grads(q, c)[0]
+            return objective.value_and_grads(q[None], np.array([c]))[0][0]
 
         k = random_skew(p, rng, 0.3)
         log_c = 0.2
-        (q,), (a_inv,) = cayley(k[None])
+        (q,), a_inv = cayley(k[None])
         c = float(np.exp(log_c))
-        value_qc, grad_q, grad_c = objective.value_and_grads(q, c)
-        m = q @ objective.g_mat
+        (value_qc,), grad_q, (grad_c,) = objective.value_and_grads(q[None], np.array([c]))
+        m = q @ objective.g_mat[0]
         expected_terms = (
             np.abs(m - np.diag(np.diag(m))).sum(),
-            np.abs(q @ objective.h_mat).sum(),
+            np.abs(q @ objective.h_mat[0]).sum(),
             np.sum((c * np.diag(m) - 1.0) ** 2),
         )
         expected_value = (
             0.7 * c * expected_terms[0] + 0.4 * c * expected_terms[1] + 1.3 * expected_terms[2]
         )
         assert value_qc == pytest.approx(expected_value, abs=1e-12)
-        grad_k = _skew_part(cayley_adjoint(a_inv, grad_q))
+        grad_k = _skew_part(cayley_adjoint(a_inv, grad_q)[0])
         eps = 1e-7
         for i in range(p):
             for j in range(i + 1, p):
@@ -343,13 +347,15 @@ def _batch_problem(p, rng):
     k0 = np.array([random_skew(p, rng) for _ in range(4)])
     k0[2] = 0.0
     objective = OrbitObjective(
-        g_mat=g_mat, h_mat=h_mat, w_off=1.0 / norms.offdiag,
-        w_lag=1.0 / norms.lag, w_diag=3.75 / norms.hollow,
+        g_mat=g_mat, h_mat=h_mat, w_off=np.full(4, 1.0 / norms.offdiag),
+        w_lag=np.full(4, 1.0 / norms.lag), w_diag=np.full(4, 3.75 / norms.hollow),
     )
     return objective, k0
 
 
-_BATCH_KW = dict(max_steps=PATIENCE + 100)
+def _descend(objective, k0, steps=PATIENCE + 100):
+    """The descent of the restarts of ``objective``, each with a budget of ``steps``."""
+    return minimize_orbit_objective(objective, k0, max_steps=np.full(len(k0), steps))
 
 
 def _assert_same_outcome(x, y):
@@ -400,14 +406,12 @@ class TestBatchedDescent:
     @pytest.mark.parametrize("p", [1, 4, 20])
     def test_restart_is_bitwise_independent_of_batch(self, p):
         objective, k0 = _batch_problem(p, np.random.default_rng(21))
-        batch = minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        batch = _descend(objective, k0)
         assert batch[2].stop_reason == "patience"
         assert batch[2].steps == PATIENCE + 1
         assert all(batch[r].steps > batch[2].steps for r in (0, 1, 3))
         for r in range(4):
-            (alone,) = minimize_orbit_objective(
-                objective.take([r]), k0[r:r + 1], **_BATCH_KW
-            )
+            (alone,) = _descend(objective.take([r]), k0[r:r + 1])
             assert np.array_equal(alone.trace, batch[r].trace)
             assert np.array_equal(alone.q, batch[r].q)
             assert alone.c == batch[r].c
@@ -431,23 +435,20 @@ class TestBatchedDescent:
         objective, k0 = _batch_problem(4, np.random.default_rng(23))
         flagged = np.array([False, False, False, True])
         poisoned = _NanAfter(**vars(objective), flagged=flagged, after=30)
-        batch = minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
+        batch = _descend(poisoned, k0)
         assert (batch[3].stop_reason, batch[3].steps) == (NONFINITE_OBJECTIVE, 31)
-        (alone,) = minimize_orbit_objective(
-            objective.take([3]), k0[3:], **dict(_BATCH_KW, max_steps=30)
-        )
+        (alone,) = _descend(objective.take([3]), k0[3:], 30)
         assert np.array_equal(batch[3].trace, alone.trace)
         assert len(batch[3].trace) == 30
         assert np.array_equal(batch[3].q, alone.q) and batch[3].best_step == alone.best_step
-        clean = minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        clean = _descend(objective, k0)
         for r in range(3):
             _assert_same_outcome(batch[r], clean[r])
 
     def test_divergence_at_the_first_step_has_no_iterate(self):
         objective, k0 = _batch_problem(4, np.random.default_rng(23))
         flagged = np.array([True, False, False, False])
-        (first, *_) = minimize_orbit_objective(
-            _NanAfter(**vars(objective), flagged=flagged, after=0), k0, max_steps=50)
+        (first, *_) = _descend(_NanAfter(**vars(objective), flagged=flagged, after=0), k0, 50)
         assert (first.stop_reason, first.steps, len(first.trace)) == (NONFINITE_OBJECTIVE, 1, 0)
         assert np.isnan(first.q).all() and np.isnan(first.c) and first.objective == np.inf
 
@@ -456,16 +457,14 @@ class TestBatchedDescent:
         flagged = np.array([False, True, False, True])
         poisoned = _NanGradAfter(**vars(objective), flagged=np.zeros(4, dtype=bool),
                                  grad_flagged=flagged, grad_after=30)
-        batch = minimize_orbit_objective(poisoned, k0, **_BATCH_KW)
-        clean = minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        batch = _descend(poisoned, k0)
+        clean = _descend(objective, k0)
         for r in range(4):
             if not flagged[r]:
                 _assert_same_outcome(batch[r], clean[r])
                 continue
             assert (batch[r].stop_reason, batch[r].steps) == (NONFINITE_GRADIENT, 31)
-            (alone,) = minimize_orbit_objective(
-                objective.take([r]), k0[r:r + 1], **dict(_BATCH_KW, max_steps=31)
-            )
+            (alone,) = _descend(objective.take([r]), k0[r:r + 1], 31)
             assert np.array_equal(batch[r].trace, alone.trace)
             assert len(batch[r].trace) == 31
             assert np.array_equal(batch[r].q, alone.q) and batch[r].best_step == alone.best_step
@@ -611,9 +610,7 @@ class TestZeroPivot:
         restart 3's: it stops as a non-finite objective, with a clean trace."""
         objective, k0 = _batch_problem(4, np.random.default_rng(23))
         after = PATIENCE + 10
-        (clean,) = minimize_orbit_objective(
-            objective.take([3]), k0[3:], **dict(_BATCH_KW, max_steps=after)
-        )
+        (clean,) = _descend(objective.take([3]), k0[3:], after)
         calls = []
 
         def singular_after(k):
@@ -625,7 +622,7 @@ class TestZeroPivot:
             return cayley(k)
 
         monkeypatch.setattr(envar_optimizer, "cayley", singular_after)
-        batch = minimize_orbit_objective(objective, k0, **_BATCH_KW)
+        batch = _descend(objective, k0)
         assert (batch[3].stop_reason, batch[3].steps) == (NONFINITE_OBJECTIVE, after + 1)
         assert np.array_equal(batch[3].trace, clean.trace)
 
@@ -743,10 +740,8 @@ class TestSolveEnvar:
         cr, _ = make_fitted_representative(3, seed=12)
         cfg = replace(default_config(3, seed=5), max_steps=700)
         solution = solve_envar(cr, cfg)
-        value = _objective_value(
-            solution.q_hat, solution.c_hat, cr, cfg, norms=solution.norms
-        )
-        assert value == solution.objective
+        assert solution.norms == norm_constants(cr, cfg)
+        assert _objective_value(solution.q_hat, solution.c_hat, cr, cfg) == solution.objective
 
     def test_exact_class_instance_selects_sparse_member(self):
         # noiseless canonical representative built from the exact reduced form

@@ -384,6 +384,8 @@ class TestManifestRejections:
              "grid.sigma_std values 0.1234567 and 0.1234568"),
             # a descent holds an (R, max_steps) trace
             ({"envar": {"max_steps": 10**12}}, "envar.max_steps"),
+            # and the batch holds one row per restart
+            ({"envar": {"restarts": 1001}}, "envar.restarts"),
         ],
     )
     def test_rejected_at_load(self, over, field):
