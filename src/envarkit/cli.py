@@ -73,14 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _metrics_config(args, *names: str) -> MetricsConfig:
     """The settings of the flags ``names``; a value out of range is a usage error."""
     metrics = MetricsConfig()
@@ -173,6 +165,8 @@ def _manifest_and_output(args) -> tuple[ExperimentManifest, Path]:
     manifest = load_manifest(args.manifest)
     if args.seed is not None:
         manifest = replace(manifest, generator=replace(manifest.generator, seed=args.seed))
+    if not (args.output or manifest.output_dir):
+        raise DataFormatError(f"{args.manifest}: no 'output_dir', and no --output given")
     out_root = Path(args.output or manifest.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     return manifest, out_root
@@ -312,42 +306,17 @@ def _write_run(row: dict, run_dir: Path, method: str, metrics: MetricsConfig,
     row.update((col, payload[col]) for col in _METRIC_COLUMNS)
 
 
-def _run_baselines(cell, cell_rows: dict, method_metrics: dict, out_root: Path):
-    """Generate and center the cell's series and fit OLS once; fit, score and
-    write every baseline from that fit. Returns ENVAR's canonical
-    representative and the truth without its series, or None if the cell
-    failed before ENVAR could start, with the error in its rows."""
-    fit = cr = None
-    with _timed(cell_rows.values()):
-        inst = cell.instance()
-        truth = replace(inst, series=None)
-        # a baseline's params set its alpha only, so every method fits at the
-        # manifest's ridge_tau
-        fit = fit_ols(center(inst.series), ridge_tau=method_metrics["envar"].ridge_tau)
-    if fit is None:
-        return None
-    for method, metrics in method_metrics.items():
-        if method != "envar":
-            with _timed([cell_rows[method]]):
-                model, _ = _baseline_model(fit, method, metrics)
-                _write_run(cell_rows[method], out_root / "runs" / cell.name / method,
-                           method, metrics, model, truth)
-    with _timed([cell_rows["envar"]]):
-        cr = canonical_representative(fit)
-    return None if cr is None else (cr, truth)
-
-
 def _benchmark_task(task: tuple) -> list[dict]:
     """Fit every method on a chunk of cells of one p and score each fit, with
     the method's settings, as ``fit`` and ``evaluate`` do; writes the run
     directories under ``out_root`` and returns the summary rows.
 
-    The baselines of each cell run first (``_run_baselines``), and only each
-    cell's canonical representative and truth are kept for ENVAR. The ENVAR
-    restarts of all the chunk's cells then descend as one batch. A row's
-    ``wall_ms`` is its method's own work plus an equal share of its cell's
-    generation and OLS fit and, for ENVAR, an equal share of the chunk's
-    descent."""
+    Each cell's series is generated, centered and fit by OLS once, and every
+    baseline runs from that fit; only the cell's canonical representative and
+    truth are kept for ENVAR. The ENVAR restarts of all the chunk's cells then
+    descend as one batch. A row's ``wall_ms`` is its method's own work plus an
+    equal share of its cell's generation and OLS fit and, for ENVAR, an equal
+    share of the chunk's descent."""
     cells, method_metrics, out_root = task
     rows, envar_runs = [], []
     for cell in cells:
@@ -358,9 +327,25 @@ def _benchmark_task(task: tuple) -> list[dict]:
             for method in method_metrics
         }
         rows += cell_rows.values()
-        kept = _run_baselines(cell, cell_rows, method_metrics, out_root)
-        if kept is not None:
-            envar_runs.append((cell, *kept, cell_rows["envar"]))
+        with _timed(cell_rows.values()):
+            inst = cell.instance()
+            truth = replace(inst, series=None)
+            # a baseline's params set its alpha only, so every method fits at
+            # the manifest's ridge_tau
+            fit = fit_ols(center(inst.series), ridge_tau=method_metrics["envar"].ridge_tau)
+        if cell_rows["envar"]["error"]:
+            continue
+        for method, metrics in method_metrics.items():
+            if method != "envar":
+                with _timed([cell_rows[method]]):
+                    model, _ = _baseline_model(fit, method, metrics)
+                    _write_run(cell_rows[method], out_root / "runs" / cell.name / method,
+                               method, metrics, model, truth)
+        with _timed([cell_rows["envar"]]):
+            envar_runs.append((cell, canonical_representative(fit), truth, cell_rows["envar"]))
+        # the series and the OLS residuals would otherwise stay alive into the
+        # next cell and, for the last cell, through the chunk's descent
+        del inst, fit
 
     started = time.perf_counter()
     outcomes = envar_descents([(cr, cell.envar) for cell, cr, _, _ in envar_runs])
@@ -377,10 +362,9 @@ def _benchmark_task(task: tuple) -> list[dict]:
 
 def _write_rows(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(col)) for col in columns])
+        writer = csv.DictWriter(handle, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -168,13 +168,7 @@ def read_series_csv(path: Path | str) -> TimeSeries:
 
 
 def write_model_json(path: Path | str, model: StructuralModel, method: str = "") -> None:
-    write_json(path, {
-        "format_version": FORMAT_VERSION,
-        "a0": model.a0,
-        "a1": model.a1,
-        "sigma": model.sigma,
-        "method": method,
-    })
+    write_json(path, {"format_version": FORMAT_VERSION, **asdict(model), "method": method})
 
 
 def read_model_json(path: Path | str) -> tuple[StructuralModel, dict]:
@@ -184,18 +178,13 @@ def read_model_json(path: Path | str) -> tuple[StructuralModel, dict]:
 
 
 def write_truth_json(path: Path | str, inst: GroundTruthInstance, seed: int) -> None:
-    write_json(
-        path,
-        {
-            "format_version": FORMAT_VERSION,
-            "a0": inst.model.a0,
-            "a1": inst.model.a1,
-            "sigma": inst.model.sigma,
-            "per_node_sigmas": inst.per_node_sigmas,
-            "seed": seed,
-            "episode": inst.episode_index,
-        },
-    )
+    write_json(path, {
+        "format_version": FORMAT_VERSION,
+        **asdict(inst.model),
+        "per_node_sigmas": inst.per_node_sigmas,
+        "seed": seed,
+        "episode": inst.episode_index,
+    })
 
 
 def read_truth_json(path: Path | str) -> GroundTruthInstance:
@@ -272,7 +261,7 @@ class ExperimentManifest:
     # each method's settings, in run order: ENVAR first, with the manifest's
     # ``metrics``; a baseline with those and its manifest entry's params applied
     method_metrics: dict[str, MetricsConfig]
-    output_dir: str
+    output_dir: str | None  # None where the manifest leaves it to --output
     grid_p: tuple[int, ...]
     grid_sigma_std: tuple[float, ...]
     fresh_graph: bool = True
@@ -341,8 +330,10 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
     _section(envar_raw, f"{source}: envar", EnvarConfig)
     metrics = _section(payload.get("metrics", {}), f"{source}: metrics", MetricsConfig)
 
+    baselines = payload.get("baselines", [])
+    _require(isinstance(baselines, list), f"{source}: baselines", "a list", baselines)
     method_metrics = {"envar": metrics}
-    for i, spec in enumerate(payload.get("baselines", [])):
+    for i, spec in enumerate(baselines):
         where = f"{source}: baselines[{i}]"
         if not isinstance(spec, dict) or "name" not in spec:
             raise DataFormatError(f"{where} needs a 'name'")
@@ -380,9 +371,11 @@ def manifest_from_dict(payload: dict, source: str = "<manifest>") -> ExperimentM
         if len(set(values)) < len(values):
             raise DataFormatError(f"{source}: grid.{key} lists a value twice: {values!r}")
 
+    # optional: the commands take --output in its place
     output_dir = payload.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise DataFormatError(f"{source}: missing or invalid 'output_dir'")
+    if "output_dir" in payload:
+        _require(isinstance(output_dir, str) and output_dir != "", f"{source}: output_dir",
+                 "a non-empty string", output_dir)
 
     # earlier files wrote this flag as 0/1
     fresh_graph = payload.get("fresh_graph", True)
@@ -425,31 +418,17 @@ def load_manifest(path: Path | str) -> ExperimentManifest:
 
 
 def score_report_to_dict(report, centrality, binarize_mass: float) -> dict:
+    """The ``score.json`` payload: the fields of ``report``, its ``p_value_*``
+    fields gathered into ``p_values``, and those of ``centrality`` under
+    ``centralities``."""
+    payload = asdict(report)
+    p_values = {key: payload.pop(key) for key in list(payload) if key.startswith("p_value_")}
     return {
         "format_version": FORMAT_VERSION,
-        "sf_oad": report.sf_oad,
-        "obs_oad": report.obs_oad,
-        "pearson_phi": report.pearson_phi,
-        "pearson_sigma_u": report.pearson_sigma_u,
-        "pearson_a0": report.pearson_a0,
-        "pearson_a1": report.pearson_a1,
+        **payload,
         # a p-value is NaN where the correlation is undefined; JSON has null
-        "p_values": {
-            name: None if math.isnan(value) else value
-            for name, value in (
-                ("phi", report.p_value_phi),
-                ("sigma_u", report.p_value_sigma_u),
-                ("a0", report.p_value_a0),
-                ("a1", report.p_value_a1),
-            )
-        },
-        "method_name": report.method_name,
-        "p": report.p,
-        "episode": report.episode,
-        "centralities": {
-            "in_degree": centrality.in_degree,
-            "out_degree": centrality.out_degree,
-            "net_flow": centrality.net_flow,
-        },
+        "p_values": {key.removeprefix("p_value_"): None if math.isnan(value) else value
+                     for key, value in p_values.items()},
+        "centralities": asdict(centrality),
         "binarize_mass": binarize_mass,
     }

@@ -30,6 +30,7 @@ from envarkit.formats import (
     read_truth_json,
     write_model_json,
     write_series_csv,
+    write_truth_json,
 )
 from envarkit.synth import GeneratorConfig, generate_instance
 
@@ -104,6 +105,14 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(back.a1, m.a1)
         assert back.sigma == m.sigma
         assert meta["method"] == "envar"
+        assert set(json.loads(path.read_text())) == {"format_version", "a0", "a1", "sigma",
+                                                     "method"}
+        truth_path = tmp_path / "truth_model.json"
+        write_truth_json(truth_path, generate_instance(GeneratorConfig(p=3, t_len=50, seed=1),
+                                                       episode=2), seed=1)
+        assert set(json.loads(truth_path.read_text())) == {
+            "format_version", "a0", "a1", "sigma", "per_node_sigmas", "seed", "episode",
+        }
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
@@ -364,10 +373,13 @@ class TestEvaluateCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["sf_oad"] <= 1e-8
-        for field in ("sf_oad", "obs_oad", "pearson_phi", "pearson_sigma_u",
-                      "pearson_a0", "pearson_a1", "p_values", "method_name",
-                      "p", "episode", "centralities", "format_version"):
-            assert field in payload
+        assert set(payload) == {
+            "format_version", "sf_oad", "obs_oad", "pearson_phi", "pearson_sigma_u",
+            "pearson_a0", "pearson_a1", "p_values", "method_name", "p", "episode",
+            "centralities", "binarize_mass",
+        }
+        assert set(payload["p_values"]) == {"phi", "sigma_u", "a0", "a1"}
+        assert set(payload["centralities"]) == {"in_degree", "out_degree", "net_flow"}
 
     def test_schema_mismatch_exits_2(self, tmp_path, capsys):
         (tmp_path / "model.json").write_text("{}")
@@ -515,8 +527,14 @@ class TestBenchmarkCommand:
         assert len(timing_lines) == 1 + 6
         agg = (out / "aggregate.csv").read_text().splitlines()
         assert len(agg) == 1 + 3  # one row per method
-        # per-run artifacts exist
-        assert (out / "runs" / "p3_s0_e0" / "envar" / "score.json").exists()
+        # each metric cell is the repr of its run's score.json value, empty for null
+        with open(out / "summary.csv", newline="") as handle:
+            for row in csv.DictReader(handle):
+                run = out / "runs" / f"p3_s0_e{row['episode']}" / row["method"]
+                payload = json.loads((run / "score.json").read_text())
+                for col in cli._METRIC_COLUMNS:
+                    value = payload[col]
+                    assert row[col] == ("" if value is None else repr(value))
         # aggregate SEM is the sample standard deviation over episodes / sqrt(n)
         sf_col = header.index("sf_oad")
         method_col = header.index("method")
@@ -594,6 +612,24 @@ class TestBenchmarkCommand:
         manifest = write_manifest(tmp_path / "m.json", tmp_path / "out", grid={"p": [3, 4, 5]})
         assert main(["benchmark", "--manifest", str(manifest), "--jobs", str(jobs)]) == 0
         assert started == [workers]
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_output_flag_stands_in_for_a_missing_output_dir(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        manifest = write_manifest(tmp_path / "m.json", tmp_path / "unused",
+                                  generator={"p": 2, "t_len": 30, "seed": 1, "episodes": 1},
+                                  envar={"max_steps": 20, "restarts": 1})
+        payload = json.loads(manifest.read_text())
+        del payload["output_dir"]
+        manifest.write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--manifest", str(manifest)]) == 2
+        assert "'output_dir'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+        assert main([command, "--manifest", str(manifest), "--output", "out"]) == 0
+        assert (tmp_path / "out" / ("summary.csv" if command == "benchmark" else "p2_s0_e0")
+                ).exists()
 
     def test_manifest_validation_errors(self, tmp_path, capsys):
         bad = tmp_path / "m.json"

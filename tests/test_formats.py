@@ -386,6 +386,15 @@ class TestManifestRejections:
             ({"envar": {"max_steps": 10**12}}, "envar.max_steps"),
             # and the batch holds one row per restart
             ({"envar": {"restarts": 1001}}, "envar.restarts"),
+            # a string would otherwise be read one character at a time
+            ({"baselines": None}, "baselines must be a list"),
+            ({"baselines": 5}, "baselines must be a list"),
+            ({"baselines": True}, "baselines must be a list"),
+            ({"baselines": "x"}, "baselines must be a list"),
+            # optional, but a non-empty string where given
+            ({"output_dir": ""}, "output_dir"),
+            ({"output_dir": None}, "output_dir"),
+            ({"output_dir": ["out"]}, "output_dir"),
         ],
     )
     def test_rejected_at_load(self, over, field):
