@@ -26,14 +26,14 @@ reaches no ``Q`` with eigenvalue -1; every restart after the first folds a
 random diagonal +-1 matrix into its base ``[G | H]`` (Helfrich et al., ICML
 2018), which makes those rotations, and the reflections, reachable.
 
-All restarts descend together as one ``(R, p, p)`` batch, and a restart that
-stops leaves it. Each row carries its own fixed matrices, weights and step
-budget, so one batch can hold the restarts of several fits of one dimension
-(``envar_descents``). Every per-restart quantity is computed slice by slice
-(per-matrix LAPACK/BLAS calls, elementwise updates, row-wise reductions), so a
-restart's iterates are bitwise the same alone or in any batch. Because every
-iterate is an orbit member, every candidate (and the returned solution)
-induces the fitted reduced form exactly.
+All restarts descend together as one ``(R, p, p)`` batch of live state, which a
+restart leaves when it stops; its record stays in restart order. Each row
+carries its own fixed matrices, weights and step budget, so one batch can hold
+the restarts of several fits of one dimension (``envar_descents``). Every
+per-restart quantity is computed slice by slice (per-matrix LAPACK/BLAS calls,
+elementwise updates, row-wise reductions), so a restart's iterates are bitwise
+the same alone or in any batch. Because every iterate is an orbit member, every
+candidate (and the returned solution) induces the fitted reduced form exactly.
 """
 
 from __future__ import annotations
@@ -299,18 +299,15 @@ def minimize_orbit_objective(
     A restart also stops when its objective (``NONFINITE_OBJECTIVE``) or its
     gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
     objective, then patience, budget and the gradient.
+
+    Each restart's record (trace, best iterate, step size, counters) stays in
+    restart order; a stop compacts only the live state: the iterates, their
+    Adam moments and ``live``, which names each row's restart.
     """
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     n_restarts, p = k0.shape[0], k0.shape[-1]
-    # every array below is indexed by batch row, and all are compacted together
-    # as restarts leave; ids names each row's restart, in restart order
-    ids = np.arange(n_restarts)
     last_step = int(max_steps.max())
-    # each row is one restart's (K, log c); every restart starts at c = 1
-    theta = np.zeros((n_restarts, p * p + 1))
-    theta[:, :-1] = k0.reshape(n_restarts, -1)
-    m_theta = np.zeros_like(theta)
-    v_theta = np.zeros_like(theta)
+    # the record, in restart order
     lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
     trace = np.empty((n_restarts, last_step))
     best_obj = np.full(n_restarts, np.inf)
@@ -321,64 +318,66 @@ def minimize_orbit_objective(
     last_improve = np.zeros(n_restarts, dtype=int)
     anneals = np.zeros(n_restarts, dtype=int)
     results: list[RestartOutcome | None] = [None] * n_restarts
+    # the live state: theta[i] is restart live[i]'s (K, log c), starting at c = 1
+    live = np.arange(n_restarts)
+    theta = np.zeros((n_restarts, p * p + 1))
+    theta[:, :-1] = k0.reshape(n_restarts, -1)
+    m_theta = np.zeros_like(theta)
+    v_theta = np.zeros_like(theta)
 
     for step in range(1, last_step + 1):
         q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
         c = np.exp(theta[:, -1])
         values, grad_q, grad_c = objective.value_and_grads(q, c)
-        trace[:, step - 1] = values
-        last_improve[values < best_obj - CONVERGENCE_TOL] = step
-        better = values < best_obj
-        best_obj[better] = values[better]
-        best_q[better] = q[better]
-        best_c[better] = c[better]
-        best_step[better] = step
-        stalled = step - last_improve
-        grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(ids), -1)
+        trace[live, step - 1] = values
+        last_improve[live[values < best_obj[live] - CONVERGENCE_TOL]] = step
+        better = values < best_obj[live]
+        best_obj[live[better]] = values[better]
+        best_q[live[better]] = q[better]
+        best_c[live[better]] = c[better]
+        best_step[live[better]] = step
+        stalled = step - last_improve[live]
+        grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(live), -1)
         grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
 
         # each stop reason and the rows it stops, in the order they are checked
         reasons = {
             NONFINITE_OBJECTIVE: ~np.isfinite(values),
             "patience": stalled >= PATIENCE,
-            "budget": step == max_steps,
+            "budget": step == max_steps[live],
             NONFINITE_GRADIENT: ~np.isfinite(grad).all(axis=-1),
         }
         stop = np.logical_or.reduce(list(reasons.values()))
         if stop.any():
-            for row in np.flatnonzero(stop):
+            for row, r in zip(np.flatnonzero(stop), live[stop]):
                 reason = next(name for name, hit in reasons.items() if hit[row])
-                results[ids[row]] = RestartOutcome(
-                    q=best_q[row],
-                    c=float(best_c[row]),
-                    objective=float(best_obj[row]),
-                    trace=trace[row, :step - (reason == NONFINITE_OBJECTIVE)],
+                results[r] = RestartOutcome(
+                    q=best_q[r],
+                    c=float(best_c[r]),
+                    objective=float(best_obj[r]),
+                    trace=trace[r, :step - (reason == NONFINITE_OBJECTIVE)],
                     steps=step,
-                    best_step=int(best_step[row]),
+                    best_step=int(best_step[r]),
                     stop_reason=reason,
-                    anneals=int(anneals[row]),
+                    anneals=int(anneals[r]),
                 )
             if stop.all():
                 break
             keep = ~stop
-            (ids, max_steps, theta, m_theta, v_theta, lr, trace, best_obj, best_q, best_c,
-             best_step, last_improve, anneals, stalled, grad) = (
-                a[keep] for a in (ids, max_steps, theta, m_theta, v_theta, lr, trace, best_obj,
-                                  best_q, best_c, best_step, last_improve, anneals, stalled,
-                                  grad)
-            )
+            live, theta, m_theta, v_theta, stalled, grad = (
+                a[keep] for a in (live, theta, m_theta, v_theta, stalled, grad))
             objective = objective.take(keep)
 
-        anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
-        lr = np.where(anneal, lr * ANNEAL_FACTOR, lr)
-        anneals += anneal
+        anneal = live[(stalled > 0) & (stalled % ANNEAL_EVERY == 0)]
+        lr[anneal] *= ANNEAL_FACTOR
+        anneals[anneal] += 1
 
         grad *= (GRAD_CLIP / np.maximum(np.sqrt((grad * grad).sum(axis=-1)), GRAD_CLIP))[:, None]
         m_theta = ADAM_BETA1 * m_theta + (1.0 - ADAM_BETA1) * grad
         v_theta = ADAM_BETA2 * v_theta + (1.0 - ADAM_BETA2) * grad**2
         bias1 = 1.0 - ADAM_BETA1**step
         bias2 = 1.0 - ADAM_BETA2**step
-        theta = theta - lr[:, None] * (m_theta / bias1) / (np.sqrt(v_theta / bias2) + ADAM_EPS)
+        theta = theta - lr[live, None] * (m_theta / bias1) / (np.sqrt(v_theta / bias2) + ADAM_EPS)
         theta[:, -1] = np.clip(theta[:, -1], log_lo, log_hi)
 
     return results

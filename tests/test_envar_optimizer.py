@@ -501,6 +501,9 @@ class TestEnvarDescents:
     bitwise the one of its own descent."""
 
     def test_batch_reproduces_each_lone_solve(self):
+        """Restarts leave the batch out of restart order (a 700-step budget,
+        then patience stops, then 3000-step budgets); each one's record is
+        still the one its own trace implies."""
         problems = _descent_problems()
         batched = envar_descents(problems)
         assert len(batched) == len(problems)
@@ -509,6 +512,10 @@ class TestEnvarDescents:
             solution = solve_envar(cr, cfg, outcomes=outcomes)
             _assert_same_solution(solution, solve_envar(cr, cfg))
             assert len(solution.restarts) == cfg.restarts
+            for r in outcomes:
+                assert (r.stop_reason, r.best_step, r.anneals, r.steps) == _replay_stopping_rule(
+                    r.trace, PATIENCE, CONVERGENCE_TOL, cfg.max_steps)
+                assert r.trace[r.best_step - 1] == r.objective
             reasons.update(r.stop_reason for r in solution.restarts)
         assert reasons == {"patience", "budget"}
 
