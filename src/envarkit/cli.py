@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
@@ -208,9 +209,10 @@ def cmd_fit(args) -> int:
     envar_cfg = (
         replace(default_config(ts.p, seed=args.seed), **steps) if args.method == "envar" else None
     )
+    model, report = _fit_method(ts, args.method, metrics, envar_cfg)
+    # made after the fit, so a failed fit leaves no directory
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, report = _fit_method(ts, args.method, metrics, envar_cfg)
     write_model_json(out_dir / "model.json", model, method=args.method)
     write_json(out_dir / "fit_report.json", {"format_version": FORMAT_VERSION, **report})
     logger.info("wrote %s", out_dir / "model.json")
@@ -428,6 +430,7 @@ def cmd_benchmark(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """A new parser of the command line; ``main`` builds one per process."""
     parser = _Parser(prog="envar-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -469,13 +472,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     # a value that is not a level name, such as BASIC_FORMAT, means WARNING
     level = getattr(logging, os.environ.get("ENVAR_KIT_LOG", "WARNING").upper(), None)
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -340,15 +340,15 @@ def minimize_orbit_objective(
         grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(live), -1)
         grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
 
-        # each stop reason and the rows it stops, in the order they are checked
-        reasons = {
-            NONFINITE_OBJECTIVE: ~np.isfinite(values),
-            "patience": stalled >= PATIENCE,
-            "budget": step == max_steps[live],
-            NONFINITE_GRADIENT: ~np.isfinite(grad).all(axis=-1),
-        }
-        stop = np.logical_or.reduce(list(reasons.values()))
+        nonfinite_obj = ~np.isfinite(values)
+        patience = stalled >= PATIENCE
+        budget = step == max_steps[live]
+        nonfinite_grad = ~np.isfinite(grad).all(axis=-1)
+        stop = nonfinite_obj | patience | budget | nonfinite_grad
         if stop.any():
+            # each stop reason and the rows it stops, in the order they are checked
+            reasons = {NONFINITE_OBJECTIVE: nonfinite_obj, "patience": patience,
+                       "budget": budget, NONFINITE_GRADIENT: nonfinite_grad}
             for row, r in zip(np.flatnonzero(stop), live[stop]):
                 reason = next(name for name, hit in reasons.items() if hit[row])
                 results[r] = RestartOutcome(
@@ -368,9 +368,11 @@ def minimize_orbit_objective(
                 a[keep] for a in (live, theta, m_theta, v_theta, stalled, grad))
             objective = objective.take(keep)
 
-        anneal = live[(stalled > 0) & (stalled % ANNEAL_EVERY == 0)]
-        lr[anneal] *= ANNEAL_FACTOR
-        anneals[anneal] += 1
+        anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
+        if anneal.any():
+            rows = live[anneal]
+            lr[rows] *= ANNEAL_FACTOR
+            anneals[rows] += 1
 
         grad *= (GRAD_CLIP / np.maximum(np.sqrt((grad * grad).sum(axis=-1)), GRAD_CLIP))[:, None]
         m_theta = ADAM_BETA1 * m_theta + (1.0 - ADAM_BETA1) * grad

@@ -6,6 +6,10 @@ Floats serialize via their shortest round-trip representation, so
 write-then-read is exact. A non-finite float is refused; the one undefined
 value written, a NaN p-value in ``score.json``, is written as null by
 ``score_report_to_dict``.
+
+A series CSV is read in one pass, parsed by one ``np.loadtxt`` call and
+checked as whole arrays; only a file that this parse refuses is read again,
+line by line, to name its first faulty line.
 """
 
 from __future__ import annotations
@@ -106,6 +110,10 @@ def _structural_model(payload: dict, path: Path | str) -> StructuralModel:
 # ---------------------------------------------------------------- series CSV
 
 
+def _series_header(p: int) -> list[str]:
+    return ["t"] + [f"x{i + 1}" for i in range(p)]
+
+
 def write_series_csv(path: Path | str, ts: TimeSeries) -> None:
     """Header ``t,x1,...,xp``; one row per time step, 1-based time index.
 
@@ -115,7 +123,7 @@ def write_series_csv(path: Path | str, ts: TimeSeries) -> None:
     values = np.asarray(ts.values, dtype=float)
     p = values.shape[0]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(["t"] + [f"x{i + 1}" for i in range(p)]) + "\n")
+        handle.write(",".join(_series_header(p)) + "\n")
         handle.writelines(
             ",".join((str(t), *map(repr, row))) + "\n"
             for t, row in enumerate(values.T.tolist(), start=1)
@@ -123,9 +131,65 @@ def write_series_csv(path: Path | str, ts: TimeSeries) -> None:
 
 
 def read_series_csv(path: Path | str) -> TimeSeries:
+    """The series of a CSV with header ``t,x1,...,xp``, one time step per line.
+
+    The file is parsed in one pass: one ``np.loadtxt`` call reads the body, and
+    whole-array checks confirm one row of p + 1 numbers per line, a strictly
+    increasing ``t``, finite values and at least 2 rows. Only when that parse
+    fails does a line-by-line ``csv`` scan run: it raises ``DataFormatError``
+    naming the first faulty line, or returns its own parse of a file that
+    ``csv`` reads and ``loadtxt`` does not, such as one with quoted fields.
+    Both parsers round correctly, so an accepted file gives the same values
+    either way.
+    """
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
+    values = _parse_series(path)
+    if values is None:
+        values = _scan_series(path)
+    return TimeSeries(values=values, centered=False)
+
+
+def _parse_series(path: Path) -> np.ndarray | None:
+    """The ``(p, T)`` values of a well-formed series CSV, or None."""
+    try:
+        # universal newlines read \r\n and \r as \n, so the text splits into
+        # lines where csv splits it
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return None
+    # loadtxt strips \x1c-\x1f around a number, and float() refuses them
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    # a final line end leaves an empty string after it; an unterminated last
+    # line is a line, as csv reads it
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if len(lines) < 3:
+        return None
+    header, body = lines[0], lines[1:]
+    p = header.count(",")
+    # loadtxt skips a blank line, which the row count then catches, but warns
+    # when no line is left, so a blank first line goes to the scan
+    if p < 1 or header != ",".join(_series_header(p)) or not body[0]:
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    t = table[:, 0]
+    if table.shape != (len(body), p + 1) or not np.isfinite(table).all():
+        return None
+    if not (t[1:] > t[:-1]).all():
+        return None
+    return table[:, 1:].T
+
+
+def _scan_series(path: Path) -> np.ndarray:
+    """The ``(p, T)`` values of a series CSV, read one line at a time by
+    ``csv``; a ``DataFormatError`` names the first faulty line."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -135,7 +199,7 @@ def read_series_csv(path: Path | str) -> TimeSeries:
                 raise DataFormatError(f"{path}: empty file") from None
             if not header or header[0] != "t" or len(header) < 2:
                 raise DataFormatError(f"{path}: header must be 't,x1,...,xp', got {header}")
-            expected = ["t"] + [f"x{i + 1}" for i in range(len(header) - 1)]
+            expected = _series_header(len(header) - 1)
             if header != expected:
                 raise DataFormatError(f"{path}: header must be {expected}, got {header}")
             p = len(header) - 1
@@ -161,7 +225,7 @@ def read_series_csv(path: Path | str) -> TimeSeries:
         raise DataFormatError(f"{path}: not UTF-8 text") from None
     if len(columns) < 2:
         raise DataFormatError(f"{path}: need at least 2 time steps, got {len(columns)}")
-    return TimeSeries(values=np.asarray(columns, dtype=float).T, centered=False)
+    return np.asarray(columns, dtype=float).T
 
 
 # -------------------------------------------------------------- model files

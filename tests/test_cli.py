@@ -304,7 +304,17 @@ class TestFitCommand:
         assert code == 3
         assert capsys.readouterr().err == ("numerical error: OptimizerDivergedError: "
                                            "restart 0: objective became non-finite at step 31\n")
-        assert not (tmp_path / "out" / "model.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["envar", "eqvar-gds", "ols-only"])
+    def test_rank_deficient_fit_exits_3_leaving_no_output(self, tmp_path, capsys, method):
+        x = np.random.default_rng(6).normal(size=(2, 100))
+        write_series_csv(tmp_path / "series.csv", TimeSeries(values=np.vstack([x, x.sum(0)])))
+        code = main(["fit", "--series", str(tmp_path / "series.csv"), "--method", method,
+                     "--output", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical error: RankError: ")
+        assert not (tmp_path / "out").exists()
 
     def test_uncentered_data_without_centering_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

@@ -117,6 +117,50 @@ class TestSeriesMatchesReference:
             assert back.values.tobytes() == values.tobytes()
             assert back.values.tobytes() == reference_read_series_csv(ours).values.tobytes()
 
+    # inputs on which loadtxt and csv could part: each is either refused by
+    # both readers with one message or read by both to the same bits
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,x1\n1,0.5\n\n2,0.5\n",
+            "t,x1\n1,0.5\n2,0.5\n\n",
+            "t,x1\n\n1,0.5\n2,0.5\n",
+            "t,x1\n\n\n",
+            "t,x1\n1,0.5\n \t\n2,0.5\n",
+            't,x1\n1,"0.5"\n2,0.5\n',
+            "t,x1\r\n1,0.5\r\n2,0.5\r\n",
+            "t,x1\r1,0.5\r2,0.5\r",
+            "t,x1\r\n1,0.5\n2,0.5\n",
+            "t,x1\n1,0.5\n2,0.5",
+            "t,x1\n1,1_0\n2,0.5\n",
+            "t,x1,x2\n1,+1E5,-0.0\n2,5e-324,1e308\n",
+            "t,x1\n1, 0.5\n2,0.5 \n",
+            "t,x1\n1,\t0.5\n2,\xa00.5\xa0\n",
+            # line separators to str.splitlines, not to csv
+            "t,x1\n1,0.5\u20282,0.5\n3,0.5\n",
+            "t,x1\n1,0.5\x0c2,0.5\n3,0.5\n",
+            "t,x1\n1,0.5\x1c2,0.5\n3,0.5\n",
+            # whitespace to numpy's float parser, not to float()
+            "t,x1\n\x1c1,0.5\n2,0.5\n",
+            "t,x1\n1,0.5\x1f\n2,0.5\n",
+            "t,x1\n1,0.5#c\n2,0.5\n",
+            "t,x1\n1,0.5,\n2,0.5,\n",
+            "t,x1\n1,0x10\n2,0.5\n",
+            "t,x1\n1,\uff15\n2,0.5\n",
+        ],
+    )
+    def test_unusual_input_matches_reference(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = reference_read_series_csv(path).values
+        except DataFormatError as exc:
+            assert _raised(read_series_csv, path) == str(exc)
+        else:
+            got = read_series_csv(path).values
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
 
 def _written_text(obj) -> str:
     """The text ``write_json`` writes for ``obj``."""
