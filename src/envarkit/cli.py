@@ -86,9 +86,9 @@ def _metrics_config(args, *names: str) -> MetricsConfig:
 
 
 def _preprocess(ts: TimeSeries, do_center: bool, do_detrend: bool, do_zscore: bool) -> TimeSeries:
-    values = np.array(ts.values, copy=True)
     if do_center:
-        values = values - values.mean(axis=1, keepdims=True)
+        ts = center(ts)
+    values = ts.values
     if do_detrend:
         # imported here: scipy.signal costs every other command ~0.16 s of start-up
         from scipy.signal import detrend
@@ -204,14 +204,18 @@ def cmd_fit(args) -> int:
         EnvarConfig(**steps)  # the flag's range holds whatever the method
     except DimensionError as exc:
         raise UsageError(f"--max-steps: {exc}") from None
+    # refused before the fit if its nearest existing ancestor (itself included)
+    # is a file, and made only after it, so a failed fit leaves no directory
+    out_dir = Path(args.output)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"not a directory: {existing}")
     ts = read_series_csv(args.series)
     ts = _preprocess(ts, args.center, args.detrend, args.zscore)
     envar_cfg = (
         replace(default_config(ts.p, seed=args.seed), **steps) if args.method == "envar" else None
     )
     model, report = _fit_method(ts, args.method, metrics, envar_cfg)
-    # made after the fit, so a failed fit leaves no directory
-    out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_model_json(out_dir / "model.json", model, method=args.method)
     write_json(out_dir / "fit_report.json", {"format_version": FORMAT_VERSION, **report})

@@ -77,6 +77,9 @@ _NORM_FLOOR = 1e-12
 # The stop reasons of a restart whose objective or gradient became non-finite.
 NONFINITE_OBJECTIVE = "objective became non-finite"
 NONFINITE_GRADIENT = "gradient became non-finite"
+# Every stop reason, in the order a step checks them; a restart that meets
+# several at one step stops for the first.
+STOP_REASONS = (NONFINITE_OBJECTIVE, "patience", "budget", NONFINITE_GRADIENT)
 
 
 @dataclass(frozen=True)
@@ -133,9 +136,9 @@ class RestartOutcome:
     ``PATIENCE`` steps), ``"budget"`` (``max_steps`` reached), or
     ``NONFINITE_OBJECTIVE`` or ``NONFINITE_GRADIENT`` at step ``steps``, after
     ``steps - 1`` or ``steps`` traced values; ``best_step`` is the step that
-    evaluated the best iterate; ``anneals`` counts the step-size decays. In
-    ``EnvarSolution.restarts``, where no restart diverged (such a fit raises),
-    ``q`` has the restart's sign matrix folded in.
+    evaluated the best iterate; ``anneals`` counts the step-size decays.
+    ``envar_descents`` and ``EnvarSolution.restarts`` fold the restart's sign
+    matrix into ``q``.
     """
 
     q: np.ndarray
@@ -298,11 +301,12 @@ def minimize_orbit_objective(
 
     A restart also stops when its objective (``NONFINITE_OBJECTIVE``) or its
     gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
-    objective, then patience, budget and the gradient.
+    reasons in ``STOP_REASONS`` order.
 
-    Each restart's record (trace, best iterate, step size, counters) stays in
-    restart order; a stop compacts only the live state: the iterates, their
-    Adam moments and ``live``, which names each row's restart.
+    Each restart's record (trace, best iterate, step size, counters, and the
+    step and reason of its stop) stays in restart order; a stop compacts only
+    the live state: the iterates, their Adam moments and ``live``, which names
+    each row's restart. The outcomes are read from the record after the loop.
     """
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     n_restarts, p = k0.shape[0], k0.shape[-1]
@@ -317,7 +321,9 @@ def minimize_orbit_objective(
     best_step = np.zeros(n_restarts, dtype=int)
     last_improve = np.zeros(n_restarts, dtype=int)
     anneals = np.zeros(n_restarts, dtype=int)
-    results: list[RestartOutcome | None] = [None] * n_restarts
+    # the step a restart stopped at, and its index in STOP_REASONS
+    stop_step = np.zeros(n_restarts, dtype=int)
+    stop_reason = np.zeros(n_restarts, dtype=int)
     # the live state: theta[i] is restart live[i]'s (K, log c), starting at c = 1
     live = np.arange(n_restarts)
     theta = np.zeros((n_restarts, p * p + 1))
@@ -340,27 +346,14 @@ def minimize_orbit_objective(
         grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(live), -1)
         grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
 
-        nonfinite_obj = ~np.isfinite(values)
-        patience = stalled >= PATIENCE
-        budget = step == max_steps[live]
-        nonfinite_grad = ~np.isfinite(grad).all(axis=-1)
-        stop = nonfinite_obj | patience | budget | nonfinite_grad
+        # the rows each reason stops, in STOP_REASONS order
+        hits = (~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live],
+                ~np.isfinite(grad).all(axis=-1))
+        stop = np.logical_or.reduce(hits)
         if stop.any():
-            # each stop reason and the rows it stops, in the order they are checked
-            reasons = {NONFINITE_OBJECTIVE: nonfinite_obj, "patience": patience,
-                       "budget": budget, NONFINITE_GRADIENT: nonfinite_grad}
-            for row, r in zip(np.flatnonzero(stop), live[stop]):
-                reason = next(name for name, hit in reasons.items() if hit[row])
-                results[r] = RestartOutcome(
-                    q=best_q[r],
-                    c=float(best_c[r]),
-                    objective=float(best_obj[r]),
-                    trace=trace[r, :step - (reason == NONFINITE_OBJECTIVE)],
-                    steps=step,
-                    best_step=int(best_step[r]),
-                    stop_reason=reason,
-                    anneals=int(anneals[r]),
-                )
+            stop_step[live[stop]] = step
+            # each stopped row's first reason
+            stop_reason[live[stop]] = np.argmax(np.array(hits)[:, stop], axis=0)
             if stop.all():
                 break
             keep = ~stop
@@ -382,7 +375,13 @@ def minimize_orbit_objective(
         theta = theta - lr[live, None] * (m_theta / bias1) / (np.sqrt(v_theta / bias2) + ADAM_EPS)
         theta[:, -1] = np.clip(theta[:, -1], log_lo, log_hi)
 
-    return results
+    reasons = [STOP_REASONS[i] for i in stop_reason]
+    return [RestartOutcome(q=best_q[r], c=float(best_c[r]), objective=float(best_obj[r]),
+                           # a non-finite objective is not traced
+                           trace=trace[r, :stop_step[r] - (reasons[r] == NONFINITE_OBJECTIVE)],
+                           steps=int(stop_step[r]), best_step=int(best_step[r]),
+                           stop_reason=reasons[r], anneals=int(anneals[r]))
+            for r in range(n_restarts)]
 
 
 def random_skew(p: int, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
@@ -444,16 +443,14 @@ def _batch(problems):
     return OrbitObjective(*columns), starts, signs
 
 
-def envar_descents(problems) -> list[tuple[RestartOutcome, ...] | OptimizerDivergedError]:
+def envar_descents(problems) -> list[tuple[RestartOutcome, ...]]:
     """Descend the restarts of several ``(cr, cfg)`` fits of one dimension as one batch.
 
     Returns one entry per problem, in order: its ``RestartOutcome``s in restart
-    order, with each restart's sign matrix folded into ``q``, or, if a restart
-    diverged, an ``OptimizerDivergedError`` naming, with its step and trace,
-    the first to diverge: the earliest step, at one step an objective fault
-    before a gradient fault, then the lowest index within the fit. A restart's
-    iterates are bitwise the same in any batch, so each entry is what the
-    problem's own descent gives.
+    order, with each restart's sign matrix folded into ``q``. A diverged
+    restart keeps its non-finite ``stop_reason`` and finite trace; its fit's
+    ``solve_envar`` raises. A restart's iterates are bitwise the same in any
+    batch, so each entry is what the problem's own descent gives.
     """
     problems = list(problems)
     if not problems:
@@ -465,21 +462,9 @@ def envar_descents(problems) -> list[tuple[RestartOutcome, ...] | OptimizerDiver
     results = minimize_orbit_objective(
         batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts)
     )
-    entries = []
-    for end, fit_signs in zip(np.cumsum(counts), signs):
-        outcomes = results[end - len(fit_signs):end]
-        diverged = [(r.steps, r.stop_reason == NONFINITE_GRADIENT, i)
-                    for i, r in enumerate(outcomes)
-                    if r.stop_reason in (NONFINITE_OBJECTIVE, NONFINITE_GRADIENT)]
-        if diverged:
-            step, _, i = min(diverged)
-            entries.append(OptimizerDivergedError(
-                f"restart {i}: {outcomes[i].stop_reason} at step {step}",
-                trace=outcomes[i].trace.tolist()))
-        else:
-            entries.append(tuple(replace(r, q=r.q @ np.diag(sign))
-                                 for r, sign in zip(outcomes, fit_signs)))
-    return entries
+    return [tuple(replace(r, q=r.q @ np.diag(sign))
+                  for r, sign in zip(results[end - len(fit_signs):end], fit_signs))
+            for end, fit_signs in zip(np.cumsum(counts), signs)]
 
 
 def solve_envar(
@@ -494,14 +479,20 @@ def solve_envar(
 
     ``outcomes``, if given, is the entry of ``(cr, cfg)`` in what an
     ``envar_descents`` call over it returned; the restarts then do not descend
-    again, and the solution is bitwise the one of a lone descent. An
-    ``OptimizerDivergedError`` entry is raised. Without ``outcomes`` the
-    restarts descend here, as one batch of their own.
+    again, and the solution is bitwise the one of a lone descent. Without
+    ``outcomes`` the restarts descend here, as one batch of their own. If a
+    restart diverged, raises an ``OptimizerDivergedError`` naming, with its
+    step and trace, the first to diverge: the earliest step, at one step an
+    objective fault before a gradient fault, then the lowest index.
     """
     if outcomes is None:
         (outcomes,) = envar_descents([(cr, cfg)])
-    if isinstance(outcomes, OptimizerDivergedError):
-        raise outcomes
+    diverged = [(r.steps, STOP_REASONS.index(r.stop_reason), i) for i, r in enumerate(outcomes)
+                if r.stop_reason in (NONFINITE_OBJECTIVE, NONFINITE_GRADIENT)]
+    if diverged:
+        step, _, i = min(diverged)
+        raise OptimizerDivergedError(f"restart {i}: {outcomes[i].stop_reason} at step {step}",
+                                     trace=outcomes[i].trace.tolist())
     best_index = min(range(len(outcomes)), key=lambda i: (outcomes[i].objective, i))
     best = outcomes[best_index]
     # diag(a0) = 1 - diag(c Q b_can) exactly, so its norm is the diagonal residual

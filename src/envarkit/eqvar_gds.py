@@ -81,22 +81,22 @@ def fit_eqvar_gds(fit: OlsFit, alpha: float = 0.05) -> GdsResult:
     # In elimination order S = L L^T. Row k of M = L^{-1} is the regression of
     # node k on its predecessors, scaled: coefficients -M[k, :k] / M[k, k] and
     # residual variance 1 / M[k, k]^2. The predecessors' inverse Gram diagonal
-    # is the column sum of M^2 over rows 0..k-1.
+    # is the column sum of M^2 over rows 0..k-1. Position k has n - k - 1
+    # degrees of freedom; the first with none left is max(1, n - 1).
+    if p > 1 and n - p < 1:
+        raise RankError(f"too few residual samples (n={n}) for {max(1, n - 1)} regressors")
     order = np.asarray(ordering)
     inv = solve_triangular(chol[order], np.eye(p), lower=True)
     inv_gram_diag = np.cumsum(inv**2, axis=0)
+    position, pred = np.tril_indices(p, -1)
+    df = n - position - 1
+    entry = inv[position, pred]
+    coef = -entry / inv[position, position]
+    # t = coef / se with se^2 = (n resid_var / df) (n S_PP)^{-1}_jj
+    t_stat = -entry * np.sqrt(df / inv_gram_diag[position - 1, pred])
+    keep = 2.0 * stdtr(df, -np.abs(t_stat)) < alpha
     a0_hat = np.zeros((p, p))
-    for position in range(1, p):
-        df = n - position - 1
-        if df < 1:
-            raise RankError(f"too few residual samples (n={n}) for {position} regressors")
-        row = inv[position, :position]
-        coef = -row / inv[position, position]
-        # t = coef / se with se^2 = (n resid_var / df) (n S_PP)^{-1}_jj
-        t_stat = -row * np.sqrt(df / inv_gram_diag[position - 1, :position])
-        p_value = 2.0 * stdtr(df, -np.abs(t_stat))
-        keep = p_value < alpha
-        a0_hat[order[position], order[:position][keep]] = coef[keep]
+    a0_hat[order[position[keep]], order[pred[keep]]] = coef[keep]
 
     a1_hat = (np.eye(p) - a0_hat) @ fit.phi_hat
     return GdsResult(

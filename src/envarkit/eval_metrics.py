@@ -137,22 +137,16 @@ def score(
 
 
 def _binarize_one(mat: np.ndarray, mass: float) -> np.ndarray:
-    """Retain the smallest |value|-descending prefix covering ``mass`` of the total."""
-    absval = np.abs(mat)
-    p, q = absval.shape
-    rows, cols = np.divmod(np.arange(p * q), q)
-    flat = absval.ravel()
-    # primary key: |value| descending; ties broken by (row, col) ascending
-    order = np.lexsort((cols, rows, -flat))
+    """Retain the smallest |value|-descending prefix covering ``mass`` of the
+    total; entries of equal |value| rank in (row, col) order."""
+    flat = np.abs(mat).ravel()
+    # stable: equal entries keep their row-major order
+    order = np.argsort(-flat, kind="stable")
     csum = np.cumsum(flat[order])
-    total = csum[-1]
-    out = np.zeros((p, q), dtype=np.int8)
-    if total <= 0.0:
-        return out
-    keep = int(np.searchsorted(csum, mass * total, side="left")) + 1
-    kept = order[:keep]
-    out[rows[kept], cols[kept]] = 1
-    return out
+    out = np.zeros(flat.size, dtype=np.int8)
+    if csum[-1] > 0.0:
+        out[order[:int(np.searchsorted(csum, mass * csum[-1], side="left")) + 1]] = 1
+    return out.reshape(mat.shape)
 
 
 def binarize_cumulative(m: StructuralModel, mass: float) -> np.ndarray:

@@ -40,6 +40,8 @@ _SYMMETRY_TOL = 1e-10
 _LYAPUNOV_TOL = 1e-8
 # Frobenius defect allowed in ``Q^T Q - I``.
 _ORTHOGONALITY_TOL = 1e-8
+# Leading samples a simulation discards, in ``simulate`` and the generator.
+BURN_IN = 100
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -203,7 +205,8 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Outcome of an admissibility check, with per-condition diagnostics."""
+    """Outcome of an admissibility check, with per-condition diagnostics;
+    ``phi_spectral_radius`` is NaN exactly when ``B`` is singular."""
 
     admissible: bool
     reasons: tuple[str, ...]
@@ -347,7 +350,7 @@ def _sample(
     return TimeSeries(values=path[:, burn_in:], centered=False)
 
 
-def simulate(m: StructuralModel, t_len: int, seed: int, burn_in: int = 100) -> TimeSeries:
+def simulate(m: StructuralModel, t_len: int, seed: int, burn_in: int = BURN_IN) -> TimeSeries:
     """Draw ``t_len`` steps of the stationary process defined by ``m``.
 
     The recursion is ``x_t = B^{-1}(a1 x_{t-1} + e_t)`` with

@@ -10,13 +10,15 @@ exactly. Instances are fully determined by ``(seed, episode)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._seeding import sub_rng
 from .errors import GenerationError
 from .model_core import (
+    BURN_IN,
     StructuralModel,
     TimeSeries,
     _check_fields,
@@ -24,15 +26,14 @@ from .model_core import (
     _reduced_form,
     _sample,
     _setting,
+    is_admissible,
     spectral_radius,
 )
 
-BURN_IN = 100
 _MAX_SUPPORT_RETRIES = 20
 # keep a hair inside the cap so rescaling never lands exactly on the boundary
 _RESCALE_SLACK = 0.999
 _SIGMA_FLOOR_FRACTION = 0.05
-_INVERTIBILITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,9 @@ class GroundTruthInstance:
         return _reduced_form(self.model.b, self.model.a1, self.per_node_sigmas**2)[1]
 
 
-def _draw_structure(cfg: GeneratorConfig, rng: np.random.Generator):
-    """One support + weight draw, rescaled under the spectral cap.
-
-    Returns ``(a0, a1)`` or None when ``I - a0`` is numerically singular.
+def _draw_structure(cfg: GeneratorConfig, rng: np.random.Generator) -> StructuralModel | None:
+    """One support + weight draw, rescaled under the spectral cap, with noise
+    scale ``sigma_nom``; None when ``is_admissible`` finds ``I - a0`` singular.
     """
     p = cfg.p
     support0 = rng.random((p, p)) < cfg.edge_prob
@@ -107,15 +107,14 @@ def _draw_structure(cfg: GeneratorConfig, rng: np.random.Generator):
     rho0 = spectral_radius(a0)
     if rho0 > cfg.spectral_cap:
         a0 = a0 * (cfg.spectral_cap / rho0 * _RESCALE_SLACK)
-    b = np.eye(p) - a0
-    svals = np.linalg.svd(b, compute_uv=False)
-    if svals[-1] <= _INVERTIBILITY_RTOL * svals[0]:
+    model = StructuralModel(a0=a0, a1=a1, sigma=cfg.sigma_nom)
+    rho = is_admissible(model).phi_spectral_radius
+    if math.isnan(rho):
         return None
     # phi = B^{-1} a1 is linear in a1, so one rescale brings rho(phi) under the cap
-    rho = spectral_radius(np.linalg.solve(b, a1))
     if rho > cfg.spectral_cap:
-        a1 = a1 * (cfg.spectral_cap / rho * _RESCALE_SLACK)
-    return a0, a1
+        model = replace(model, a1=model.a1 * (cfg.spectral_cap / rho * _RESCALE_SLACK))
+    return model
 
 
 def generate_instance(
@@ -133,10 +132,9 @@ def generate_instance(
     )
     for attempt in range(_MAX_SUPPORT_RETRIES):
         rng_graph = sub_rng(cfg.seed, 0x677261, g_episode, attempt)
-        drawn = _draw_structure(cfg, rng_graph)
-        if drawn is None:
+        model = _draw_structure(cfg, rng_graph)
+        if model is None:
             continue
-        a0, a1 = drawn
 
         rng_noise = sub_rng(cfg.seed, 0x6E6F69, episode, attempt)
         z = rng_noise.standard_normal(cfg.p)
@@ -144,8 +142,6 @@ def generate_instance(
             cfg.sigma_nom + cfg.sigma_std * z,
             _SIGMA_FLOOR_FRACTION * cfg.sigma_nom,
         )
-
-        model = StructuralModel(a0=a0, a1=a1, sigma=cfg.sigma_nom)
         return GroundTruthInstance(
             model=model,
             per_node_sigmas=sigmas,

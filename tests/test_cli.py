@@ -497,7 +497,7 @@ class TestOutputBlockedByAFile:
         [("simulate", False), ("simulate", True), ("fit", False), ("fit", True),
          ("evaluate", True), ("benchmark", False), ("benchmark", True)],
     )
-    def test_exits_2_naming_the_path(self, tmp_path, capsys, command, below):
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch, command, below):
         from envarkit.formats import write_truth_json
 
         inst = generate_instance(GeneratorConfig(p=3, t_len=50, seed=4), episode=0)
@@ -515,6 +515,12 @@ class TestOutputBlockedByAFile:
         blocker = tmp_path / "afile"
         blocker.write_text("")
         output = blocker / "sub" if below else blocker
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the output was checked only after a fit")
+
+        # the output is refused before anything is fit
+        monkeypatch.setattr(cli, "fit_ols", no_fit)
         assert main([command, *inputs, "--output", str(output)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(blocker) in err

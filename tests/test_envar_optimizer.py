@@ -543,13 +543,11 @@ class TestEnvarDescents:
             solve_envar(cr, cfg)
         assert str(lone.value) == "restart 0: objective became non-finite at step 31"
         batched = envar_descents(problems)
-        error = batched[1]
-        assert isinstance(error, OptimizerDivergedError)
-        assert str(error) == str(lone.value)
-        assert np.array_equal(error.trace, lone.value.trace)
+        assert (batched[1][0].stop_reason, batched[1][0].steps) == (NONFINITE_OBJECTIVE, 31)
         with pytest.raises(OptimizerDivergedError) as raised:
-            solve_envar(cr, cfg, outcomes=error)
-        assert raised.value is error
+            solve_envar(cr, cfg, outcomes=batched[1])
+        assert str(raised.value) == str(lone.value)
+        assert np.array_equal(raised.value.trace, lone.value.trace)
         for i in (0, 2, 3):
             _assert_same_solution(solve_envar(*problems[i], outcomes=batched[i]), alone[i])
 
@@ -589,14 +587,18 @@ class TestEnvarDescents:
 
         monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
         batched = envar_descents(problems)
-        for i, message in ((1, "restart 0: objective became non-finite at step 31"),
-                           (3, "restart 0: gradient became non-finite at step 41")):
+        for i, reason, message in (
+            (1, NONFINITE_OBJECTIVE, "restart 0: objective became non-finite at step 31"),
+            (3, NONFINITE_GRADIENT, "restart 0: gradient became non-finite at step 41"),
+        ):
             with pytest.raises(OptimizerDivergedError) as lone:
                 solve_envar(*problems[i])
             assert str(lone.value) == message
-            assert isinstance(batched[i], OptimizerDivergedError)
-            assert str(batched[i]) == message
-            assert batched[i].trace == lone.value.trace
+            assert batched[i][0].stop_reason == reason
+            with pytest.raises(OptimizerDivergedError) as raised:
+                solve_envar(*problems[i], outcomes=batched[i])
+            assert str(raised.value) == message
+            assert raised.value.trace == lone.value.trace
         for i in (0, 2):
             _assert_same_solution(solve_envar(*problems[i], outcomes=batched[i]), alone[i])
 

@@ -144,6 +144,17 @@ class TestBinarize:
         expected[0, 0] = 1
         np.testing.assert_array_equal(adj, expected)
 
+    def test_equal_values_are_kept_in_row_col_order(self):
+        a1 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+        m = StructuralModel(a0=np.zeros((3, 3)), a1=a1, sigma=1.0)
+        # the prefix reaching each mass: (2, 2), then (0, 1), (1, 0) and (2, 1)
+        for mass, kept in ((0.3, [(2, 2)]), (0.5, [(2, 2), (0, 1)]),
+                           (0.7, [(2, 2), (0, 1), (1, 0)]),
+                           (0.9, [(2, 2), (0, 1), (1, 0), (2, 1)])):
+            expected = np.zeros((3, 3), dtype=int)
+            expected[tuple(zip(*kept))] = 1
+            np.testing.assert_array_equal(binarize_cumulative(m, mass), expected)
+
     def test_all_zero(self):
         m = StructuralModel(np.zeros((3, 3)), np.zeros((3, 3)), 1.0)
         np.testing.assert_array_equal(binarize_cumulative(m, 0.85), np.zeros((3, 3)))
