@@ -143,7 +143,8 @@ def _fit_method(
             objective_trace=solution.objective_trace,
             restarts=[
                 {"steps": r.steps, "best_step": r.best_step,
-                 "stop_reason": r.stop_reason, "anneals": r.anneals}
+                 "stop_reason": r.stop_reason, "anneals": r.anneals,
+                 "final_grad_norm": r.final_grad_norm}
                 for r in solution.restarts
             ],
         )

@@ -34,6 +34,15 @@ per-restart quantity is computed slice by slice (per-matrix LAPACK/BLAS calls,
 elementwise updates, row-wise reductions), so a restart's iterates are bitwise
 the same alone or in any batch. Because every iterate is an orbit member, every
 candidate (and the returned solution) induces the fitted reduced form exactly.
+
+A fit's restarts are pruned by successive halving (Jamieson & Talwalkar,
+AISTATS 2016): at each checkpoint step of ``HALVING`` every restart of the fit,
+stopped ones included, is ranked by (best objective so far, restart index),
+the order ``solve_envar`` picks its winner by, and each live restart ranked
+below the checkpoint's survivors stops as ``"dominated"``. A kept restart's
+iterates are still the ones it has alone, and a dropped one's best is already
+beaten by a kept one, so a fit's answer changes only where a dropped restart
+would have gone on to win.
 """
 
 from __future__ import annotations
@@ -65,6 +74,9 @@ CONVERGENCE_TOL = 1e-9
 PATIENCE = 500
 # The interval that holds ``c``.
 C_BOUNDS = (1e-3, 1e3)
+# Successive halving: after step s each fit keeps its HALVING[s] best restarts,
+# and its other live restarts stop as "dominated".
+HALVING = {500: 2, 2000: 1}
 
 # Fixed-rate Adam stalls in a noise ball of radius ~ learn_rate around a
 # minimum; annealing on plateau lets runs reach the tight residuals the
@@ -79,7 +91,7 @@ NONFINITE_OBJECTIVE = "objective became non-finite"
 NONFINITE_GRADIENT = "gradient became non-finite"
 # Every stop reason, in the order a step checks them; a restart that meets
 # several at one step stops for the first.
-STOP_REASONS = (NONFINITE_OBJECTIVE, "patience", "budget", NONFINITE_GRADIENT)
+STOP_REASONS = (NONFINITE_OBJECTIVE, "patience", "budget", NONFINITE_GRADIENT, "dominated")
 
 
 @dataclass(frozen=True)
@@ -133,12 +145,14 @@ class RestartOutcome:
     """Best iterate of one restart, with why and when its descent stopped.
 
     ``stop_reason`` is ``"patience"`` (no improvement by the tolerance for
-    ``PATIENCE`` steps), ``"budget"`` (``max_steps`` reached), or
+    ``PATIENCE`` steps), ``"budget"`` (``max_steps`` reached), ``"dominated"``
+    (ranked out of its fit at a ``HALVING`` checkpoint), or
     ``NONFINITE_OBJECTIVE`` or ``NONFINITE_GRADIENT`` at step ``steps``, after
     ``steps - 1`` or ``steps`` traced values; ``best_step`` is the step that
-    evaluated the best iterate; ``anneals`` counts the step-size decays.
-    ``envar_descents`` and ``EnvarSolution.restarts`` fold the restart's sign
-    matrix into ``q``.
+    evaluated the best iterate; ``anneals`` counts the step-size decays;
+    ``final_grad_norm`` is the norm of the unclipped ``(K, log c)`` gradient
+    at the stop step. ``envar_descents`` and ``EnvarSolution.restarts`` fold
+    the restart's sign matrix into ``q``.
     """
 
     q: np.ndarray
@@ -149,6 +163,7 @@ class RestartOutcome:
     best_step: int
     stop_reason: str
     anneals: int
+    final_grad_norm: float
 
     def __post_init__(self):
         _freeze_fields(self)
@@ -283,31 +298,51 @@ def _skew(w: np.ndarray) -> np.ndarray:
     return 0.5 * (w - np.swapaxes(w, -1, -2))
 
 
+def _fit_ranks(best_obj: np.ndarray, fits: np.ndarray) -> np.ndarray:
+    """Each restart's place in its own fit by (best objective so far, restart
+    index), 0 for the fit's leader."""
+    order = np.lexsort((best_obj, fits))  # stable, so ties keep restart order
+    sorted_fits = fits[order]
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order)) - np.searchsorted(sorted_fits, sorted_fits)
+    return ranks
+
+
 def minimize_orbit_objective(
     objective: OrbitObjective,
     k0: np.ndarray,
     *,
     max_steps: np.ndarray,
+    fits: np.ndarray,
 ) -> list[RestartOutcome]:
     """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
 
     ``k0`` is an ``(R, p, p)`` stack of skew starts, ``objective`` holds the
-    matching rows and ``max_steps`` is the ``(R,)`` array of step budgets;
-    results come back in restart order. A restart stops after its budget or
-    once its best objective has not improved by ``CONVERGENCE_TOL`` over
-    ``PATIENCE`` consecutive steps. During a plateau its step size decays
-    every ``ANNEAL_EVERY`` stalled steps so the iterate can settle below the
-    fixed-rate noise floor.
+    matching rows, ``max_steps`` is the ``(R,)`` array of step budgets and
+    ``fits`` the ``(R,)`` array naming each restart's fit; results come back
+    in restart order. A restart stops after its budget or once its best
+    objective has not improved by ``CONVERGENCE_TOL`` over ``PATIENCE``
+    consecutive steps. During a plateau its step size decays every
+    ``ANNEAL_EVERY`` stalled steps so the iterate can settle below the
+    fixed-rate noise floor. At a step ``s`` in ``HALVING``, a live restart
+    that is not among the ``HALVING[s]`` best of its fit, all of the fit's
+    restarts ranked by (best objective so far, restart index), stops as
+    ``"dominated"``; a restart alone in its fit is never ranked out.
 
     A restart also stops when its objective (``NONFINITE_OBJECTIVE``) or its
     gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
     reasons in ``STOP_REASONS`` order.
 
     Each restart's record (trace, best iterate, step size, counters, and the
-    step and reason of its stop) stays in restart order; a stop compacts only
-    the live state: the iterates, their Adam moments and ``live``, which names
-    each row's restart. The outcomes are read from the record after the loop.
+    step, reason and gradient norm of its stop) stays in restart order; a stop
+    compacts only the live state: the iterates, their Adam moments and
+    ``live``, which names each row's restart. The outcomes are read from the
+    record after the loop.
     """
+    # the descent steps its own view of the caller's rows, so what it caches
+    # on the full batch ([G | H], its transpose, the weights) is freed at the
+    # first compaction even while the caller still holds ``objective``
+    objective = objective.take(slice(None))
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     n_restarts, p = k0.shape[0], k0.shape[-1]
     last_step = int(max_steps.max())
@@ -324,6 +359,7 @@ def minimize_orbit_objective(
     # the step a restart stopped at, and its index in STOP_REASONS
     stop_step = np.zeros(n_restarts, dtype=int)
     stop_reason = np.zeros(n_restarts, dtype=int)
+    final_grad_norm = np.zeros(n_restarts)
     # the live state: theta[i] is restart live[i]'s (K, log c), starting at c = 1
     live = np.arange(n_restarts)
     theta = np.zeros((n_restarts, p * p + 1))
@@ -347,13 +383,18 @@ def minimize_orbit_objective(
         grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
 
         # the rows each reason stops, in STOP_REASONS order
+        survivors = HALVING.get(step)
         hits = (~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live],
-                ~np.isfinite(grad).all(axis=-1))
+                ~np.isfinite(grad).all(axis=-1),
+                np.zeros(len(live), dtype=bool) if survivors is None
+                else _fit_ranks(best_obj, fits)[live] >= survivors)
         stop = np.logical_or.reduce(hits)
         if stop.any():
-            stop_step[live[stop]] = step
+            stopped = live[stop]
+            stop_step[stopped] = step
             # each stopped row's first reason
-            stop_reason[live[stop]] = np.argmax(np.array(hits)[:, stop], axis=0)
+            stop_reason[stopped] = np.argmax(np.array(hits)[:, stop], axis=0)
+            final_grad_norm[stopped] = np.sqrt((grad[stop] ** 2).sum(axis=-1))
             if stop.all():
                 break
             keep = ~stop
@@ -380,7 +421,8 @@ def minimize_orbit_objective(
                            # a non-finite objective is not traced
                            trace=trace[r, :stop_step[r] - (reasons[r] == NONFINITE_OBJECTIVE)],
                            steps=int(stop_step[r]), best_step=int(best_step[r]),
-                           stop_reason=reasons[r], anneals=int(anneals[r]))
+                           stop_reason=reasons[r], anneals=int(anneals[r]),
+                           final_grad_norm=float(final_grad_norm[r]))
             for r in range(n_restarts)]
 
 
@@ -459,8 +501,10 @@ def envar_descents(problems) -> list[tuple[RestartOutcome, ...]]:
         raise DimensionError("envar_descents needs fits of one dimension p")
     batch, starts, signs = _batch(problems)
     counts = [cfg.restarts for _, cfg in problems]
+    # a fit's restarts are contiguous in the batch
     results = minimize_orbit_objective(
-        batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts)
+        batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts),
+        fits=np.repeat(np.arange(len(problems)), counts),
     )
     return [tuple(replace(r, q=r.q @ np.diag(sign))
                   for r, sign in zip(results[end - len(fit_signs):end], fit_signs))
@@ -472,9 +516,10 @@ def solve_envar(
 ) -> EnvarSolution:
     """Minimize the penalized objective over the empirical orbit.
 
-    Runs ``cfg.restarts`` independent descents from random skew starts (the
-    first with no sign fold, the others each with a random one) and returns
-    the lowest-objective solution, ties broken by restart index. The
+    Runs ``cfg.restarts`` descents from random skew starts (the first with no
+    sign fold, the others each with a random one), pruned by successive
+    halving (``HALVING``), and returns the lowest-objective solution, ties
+    broken by restart index. The
     assembled model is ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
 
     ``outcomes``, if given, is the entry of ``(cr, cfg)`` in what an

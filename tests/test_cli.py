@@ -288,7 +288,8 @@ class TestFitCommand:
         solution = solve_envar(cr, replace(default_config(3, seed=4), max_steps=300))
         assert report["restarts"] == [
             {"steps": r.steps, "best_step": r.best_step,
-             "stop_reason": r.stop_reason, "anneals": r.anneals}
+             "stop_reason": r.stop_reason, "anneals": r.anneals,
+             "final_grad_norm": r.final_grad_norm}
             for r in solution.restarts
         ]
         assert len(report["restarts"]) == default_config(3).restarts

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from envarkit import (
 from envarkit.envar_optimizer import (
     ANNEAL_EVERY,
     CONVERGENCE_TOL,
+    HALVING,
     NONFINITE_GRADIENT,
     NONFINITE_OBJECTIVE,
     PATIENCE,
@@ -30,7 +32,7 @@ from envarkit.envar_optimizer import (
     random_skew,
 )
 from envarkit import envar_optimizer
-from envarkit.envar_optimizer import _batch, norm_constants
+from envarkit.envar_optimizer import _batch, _skew, norm_constants
 from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
 from envarkit.synth import GeneratorConfig, generate_instance
@@ -354,15 +356,18 @@ def _batch_problem(p, rng):
 
 
 def _descend(objective, k0, steps=PATIENCE + 100):
-    """The descent of the restarts of ``objective``, each with a budget of ``steps``."""
-    return minimize_orbit_objective(objective, k0, max_steps=np.full(len(k0), steps))
+    """The descent of the restarts of ``objective``, each with a budget of
+    ``steps`` and a fit of its own, so none is ranked out."""
+    return minimize_orbit_objective(objective, k0, max_steps=np.full(len(k0), steps),
+                                    fits=np.arange(len(k0)))
 
 
 def _assert_same_outcome(x, y):
     assert np.array_equal(x.q, y.q)
     assert np.array_equal(x.trace, y.trace)
-    assert (x.c, x.objective, x.steps, x.best_step, x.stop_reason, x.anneals) == (
-        y.c, y.objective, y.steps, y.best_step, y.stop_reason, y.anneals)
+    assert (x.c, x.objective, x.steps, x.best_step, x.stop_reason, x.anneals,
+            x.final_grad_norm) == (y.c, y.objective, y.steps, y.best_step, y.stop_reason,
+                                   y.anneals, y.final_grad_norm)
 
 
 @dataclass(frozen=True)
@@ -419,6 +424,19 @@ class TestBatchedDescent:
             assert alone.best_step == batch[r].best_step
             assert alone.stop_reason == batch[r].stop_reason
             assert alone.anneals == batch[r].anneals
+
+    def test_final_grad_norm_is_the_unclipped_norm_at_the_stop(self):
+        """A one-step budget stops every restart at its start, c = 1, where
+        the (K, log c) gradient is read directly from the objective."""
+        objective, k0 = _batch_problem(4, np.random.default_rng(24))
+        q, a_inv = cayley(k0)
+        _, grad_q, grad_c = objective.value_and_grads(q, np.ones(4))
+        grad_k = _skew(cayley_adjoint(a_inv, grad_q))
+        expected = np.sqrt((grad_k**2).sum(axis=(1, 2)) + grad_c**2)
+        assert expected.max() > 1.0  # past GRAD_CLIP, so clipping would show
+        outcomes = _descend(objective, k0, 1)
+        np.testing.assert_allclose([o.final_grad_norm for o in outcomes], expected,
+                                   rtol=1e-13)
 
     def test_solve_envar_restart_zero_unchanged_by_batch_size(self):
         cr, _ = make_fitted_representative(3, seed=22)
@@ -502,8 +520,8 @@ class TestEnvarDescents:
 
     def test_batch_reproduces_each_lone_solve(self):
         """Restarts leave the batch out of restart order (a 700-step budget,
-        then patience stops, then 3000-step budgets); each one's record is
-        still the one its own trace implies."""
+        halving checkpoints, patience stops, 3000-step budgets); each one's
+        record is still the one its fit's traces imply."""
         problems = _descent_problems()
         batched = envar_descents(problems)
         assert len(batched) == len(problems)
@@ -512,12 +530,63 @@ class TestEnvarDescents:
             solution = solve_envar(cr, cfg, outcomes=outcomes)
             _assert_same_solution(solution, solve_envar(cr, cfg))
             assert len(solution.restarts) == cfg.restarts
+            assert [(r.stop_reason, r.best_step, r.anneals, r.steps) for r in outcomes] == (
+                _replay_stopping_rule([r.trace for r in outcomes], PATIENCE, CONVERGENCE_TOL,
+                                      cfg.max_steps))
             for r in outcomes:
-                assert (r.stop_reason, r.best_step, r.anneals, r.steps) == _replay_stopping_rule(
-                    r.trace, PATIENCE, CONVERGENCE_TOL, cfg.max_steps)
                 assert r.trace[r.best_step - 1] == r.objective
             reasons.update(r.stop_reason for r in solution.restarts)
-        assert reasons == {"patience", "budget"}
+        assert reasons == {"patience", "budget", "dominated"}
+
+    def test_halving_keeps_each_survivor_bitwise(self):
+        """In a batch of several fits, a restart that is not ranked out is
+        bitwise its descent as a one-restart fit, which is never ranked out;
+        a dominated restart's trace is a prefix of that descent's, and no fit
+        picks a dominated restart."""
+        problems = _descent_problems()
+        objective, starts, _ = _batch(problems)
+        counts = [cfg.restarts for _, cfg in problems]
+        max_steps = np.repeat([cfg.max_steps for _, cfg in problems], counts)
+        batch = minimize_orbit_objective(objective, starts, max_steps=max_steps,
+                                         fits=np.repeat(np.arange(len(problems)), counts))
+        dominated = 0
+        for r, outcome in enumerate(batch):
+            (alone,) = minimize_orbit_objective(objective.take([r]), starts[r:r + 1],
+                                                max_steps=max_steps[r:r + 1],
+                                                fits=np.zeros(1, dtype=int))
+            if outcome.stop_reason == "dominated":
+                dominated += 1
+                assert outcome.steps in HALVING and alone.steps > outcome.steps
+                assert np.array_equal(outcome.trace, alone.trace[:outcome.steps])
+            else:
+                _assert_same_outcome(outcome, alone)
+        assert dominated >= 2
+        for (cr, cfg), outcomes in zip(problems, envar_descents(problems)):
+            solution = solve_envar(cr, cfg, outcomes=outcomes)
+            assert solution.restarts[solution.restart_index].stop_reason != "dominated"
+
+    def test_replaced_objectives_are_freed(self, monkeypatch):
+        """A compaction frees the objective it replaces, with what was cached
+        on it, and the batch objective the caller builds caches nothing."""
+        stepped, built = [], []
+        real_step, real_batch = OrbitObjective.value_and_grads, envar_optimizer._batch
+
+        def tracked(self, q, c):
+            if not stepped or stepped[-1]() is not self:
+                assert all(ref() is None for ref in stepped)
+                stepped.append(weakref.ref(self))
+            return real_step(self, q, c)
+
+        def kept(problems):
+            built.append(real_batch(problems))
+            return built[-1]
+
+        monkeypatch.setattr(OrbitObjective, "value_and_grads", tracked)
+        monkeypatch.setattr(envar_optimizer, "_batch", kept)
+        envar_descents(_descent_problems())
+        assert len(stepped) >= 3
+        ((objective, _, _),) = built
+        assert not {"gh", "gh_t", "weights"} & vars(objective).keys()
 
     def test_mixed_dimensions_are_refused(self):
         problems = [(make_fitted_representative(p, seed=33)[0], default_config(p))
@@ -636,22 +705,35 @@ class TestZeroPivot:
         assert np.array_equal(batch[3].trace, clean.trace)
 
 
-def _replay_stopping_rule(trace, patience, tol, max_steps):
-    """Stop reason, best step and anneal count implied by an objective trace."""
-    best, best_step, last_improve, anneals = np.inf, 0, 0, 0
-    for step, value in enumerate(trace, start=1):
-        if value < best - tol:
-            last_improve = step
-        if value < best:
-            best, best_step = value, step
-        stalled = step - last_improve
-        if stalled >= patience:
-            return "patience", best_step, anneals, step
-        if step == max_steps:
-            return "budget", best_step, anneals, step
-        if stalled > 0 and stalled % ANNEAL_EVERY == 0:
-            anneals += 1
-    raise AssertionError("trace ended before a stopping rule fired")
+def _replay_stopping_rule(traces, patience, tol, max_steps):
+    """Stop reason, best step, anneal count and step count of each restart of
+    one fit, implied by the objective traces of all the fit's restarts.
+
+    A restart's best objective at step s is ``min(trace[:s])``, also for one
+    that stopped before s, so the ranking at each ``HALVING`` checkpoint is
+    replayed from the traces alone."""
+    def replay(r, trace):
+        best, best_step, last_improve, anneals = np.inf, 0, 0, 0
+        for step, value in enumerate(trace, start=1):
+            if value < best - tol:
+                last_improve = step
+            if value < best:
+                best, best_step = value, step
+            stalled = step - last_improve
+            if stalled >= patience:
+                return "patience", best_step, anneals, step
+            if step == max_steps:
+                return "budget", best_step, anneals, step
+            if step in HALVING:
+                ranked = sorted(range(len(traces)),
+                                key=lambda i: (np.min(traces[i][:step], initial=np.inf), i))
+                if ranked.index(r) >= HALVING[step]:
+                    return "dominated", best_step, anneals, step
+            if stalled > 0 and stalled % ANNEAL_EVERY == 0:
+                anneals += 1
+        raise AssertionError("trace ended before a stopping rule fired")
+
+    return [replay(r, trace) for r, trace in enumerate(traces)]
 
 
 class TestSolveEnvar:
@@ -660,15 +742,14 @@ class TestSolveEnvar:
         reasons = set()
         for max_steps in (300, 5000):
             cfg = replace(default_config(3, seed=6), max_steps=max_steps)
-            for outcome in solve_envar(cr, cfg).restarts:
-                expected = _replay_stopping_rule(
-                    outcome.trace, PATIENCE, CONVERGENCE_TOL, max_steps
-                )
-                assert (outcome.stop_reason, outcome.best_step,
-                        outcome.anneals, outcome.steps) == expected
+            outcomes = solve_envar(cr, cfg).restarts
+            assert [(o.stop_reason, o.best_step, o.anneals, o.steps) for o in outcomes] == (
+                _replay_stopping_rule([o.trace for o in outcomes], PATIENCE, CONVERGENCE_TOL,
+                                      max_steps))
+            for outcome in outcomes:
                 assert outcome.trace[outcome.best_step - 1] == outcome.objective
                 reasons.add(outcome.stop_reason)
-        assert reasons == {"patience", "budget"}
+        assert reasons == {"patience", "budget", "dominated"}
 
     def test_trivial_instance_reaches_zero(self):
         cr = canonical_from_reduced(np.zeros((4, 4)), np.eye(4))

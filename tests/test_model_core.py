@@ -364,7 +364,7 @@ def _model() -> dict:
 
 def _restart() -> dict:
     return dict(q=np.eye(2), c=1.0, objective=0.5, trace=np.array([0.5]), steps=1,
-                best_step=1, stop_reason="budget", anneals=0)
+                best_step=1, stop_reason="budget", anneals=0, final_grad_norm=0.0)
 
 
 # a small valid argument set for each value type with an array field
