@@ -34,6 +34,11 @@ per-restart quantity is computed slice by slice (per-matrix LAPACK/BLAS calls,
 elementwise updates, row-wise reductions), so a restart's iterates are bitwise
 the same alone or in any batch. Because every iterate is an orbit member, every
 candidate (and the returned solution) induces the fitted reduced form exactly.
+A step reuses its memory: the objective evaluates into a workspace of
+``(R, p, 2p)`` buffers, rebuilt at each compaction; the ``(K, log c)`` gradient
+fills one array, whose one squared norm per row serves the finiteness test, the
+clip and the stop record; Adam updates in place. Each operation keeps the order
+of the plain formulas, so outputs are bitwise those of an allocating step.
 
 A fit's restarts are pruned by successive halving (Jamieson & Talwalkar,
 AISTATS 2016): at each checkpoint step of ``HALVING`` every restart of the fit,
@@ -48,7 +53,7 @@ would have gone on to win.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf as _getrf
@@ -187,11 +192,6 @@ class EnvarSolution:
         _freeze_fields(self)
 
 
-def _sum2(x: np.ndarray) -> np.ndarray:
-    """Sum over the trailing two axes, one contiguous row-wise sum per matrix."""
-    return x.reshape(*x.shape[:-2], -1).sum(axis=-1)
-
-
 def _diagonal(x: np.ndarray) -> np.ndarray:
     """Writable strided view of the leading diagonal of each C-ordered ``(p, n)``
     matrix in a stack, ``n >= p``."""
@@ -230,8 +230,17 @@ class OrbitObjective:
         lag = np.broadcast_to(self.w_lag[:, None, None], off.shape)
         return np.concatenate((off, lag), axis=-1)
 
+    @cached_property
+    def workspace(self) -> tuple[np.ndarray, ...]:
+        """``2 w_diag`` and the buffers every evaluation reuses: ``Q [G | H]``
+        with its diagonal and flat ``(R, 2p^2)`` views, and its subgradient
+        with its diagonal view."""
+        mn, grad_mn = np.empty_like(self.gh), np.empty_like(self.gh)
+        return (2.0 * self.w_diag, mn, _diagonal(mn), mn.reshape(len(mn), -1),
+                grad_mn, _diagonal(grad_mn))
+
     def take(self, rows) -> OrbitObjective:
-        """The objective of a subset of the restarts."""
+        """The objective of a subset of the restarts, with nothing cached."""
         return replace(self, **{f.name: getattr(self, f.name)[rows]
                                 for f in fields(OrbitObjective)})
 
@@ -240,22 +249,22 @@ class OrbitObjective:
 
         ``q`` is an ``(R, p, p)`` stack and ``c`` an ``(R,)`` array, one entry
         per restart. Returns the ``(R,)`` values, the ``(R, p, p)``
-        ``Q``-gradient stack and the ``(R,)`` ``c``-gradients. A term whose
-        weight is zero adds zero to the value and to the subgradients.
+        ``Q``-gradient stack and the ``(R,)`` ``c``-gradients, all fresh arrays.
+        A term whose weight is zero adds zero to the value and to the subgradients.
         """
-        mn = q @ self.gh
-        diag_m = _diagonal(mn).copy()
+        w_diag2, mn, mn_diag, mn_flat, grad_mn, grad_diag = self.workspace
+        np.matmul(q, self.gh, out=mn)
+        diag_m = mn_diag.copy()
         d = c[..., None] * diag_m - 1.0
-        # w * sign(MN) is the l1 subgradient at c = 1, and w * sign(MN) * MN = w |MN|;
-        # both are made in place, since fresh temporaries of this size cost page faults
-        grad_mn = np.sign(mn)
+        # w * sign(MN) is the l1 subgradient at c = 1, and w * sign(MN) * MN = w |MN|
+        np.sign(mn, out=grad_mn)
         grad_mn *= self.weights
         mn *= grad_mn
-        l1 = _sum2(mn)
+        l1 = mn_flat.sum(axis=-1)
         total = c * l1 + self.w_diag * (d * d).sum(axis=-1)
         grad_mn *= c[..., None, None]
-        _diagonal(grad_mn)[...] += 2.0 * self.w_diag[..., None] * c[..., None] * d
-        grad_c = l1 + 2.0 * self.w_diag * (d * diag_m).sum(axis=-1)
+        grad_diag += (w_diag2 * c)[..., None] * d
+        grad_c = l1 + w_diag2 * (d * diag_m).sum(axis=-1)
         return total, grad_mn @ self.gh_t, grad_c
 
 
@@ -340,8 +349,8 @@ def minimize_orbit_objective(
     record after the loop.
     """
     # the descent steps its own view of the caller's rows, so what it caches
-    # on the full batch ([G | H], its transpose, the weights) is freed at the
-    # first compaction even while the caller still holds ``objective``
+    # on the full batch ([G | H], its transpose, the weights, the workspace) is
+    # freed at the first compaction even while the caller still holds ``objective``
     objective = objective.take(slice(None))
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     n_restarts, p = k0.shape[0], k0.shape[-1]
@@ -366,40 +375,53 @@ def minimize_orbit_objective(
     theta[:, :-1] = k0.reshape(n_restarts, -1)
     m_theta = np.zeros_like(theta)
     v_theta = np.zeros_like(theta)
+    # the (K, log c) gradient of the live rows, written in place each step
+    grad = np.empty_like(theta)
+    grad_k = grad[:, :-1].reshape(-1, p, p)
 
     for step in range(1, last_step + 1):
         q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
         c = np.exp(theta[:, -1])
         values, grad_q, grad_c = objective.value_and_grads(q, c)
         trace[live, step - 1] = values
-        last_improve[live[values < best_obj[live] - CONVERGENCE_TOL]] = step
-        better = values < best_obj[live]
-        best_obj[live[better]] = values[better]
-        best_q[live[better]] = q[better]
-        best_c[live[better]] = c[better]
-        best_step[live[better]] = step
+        best_live = best_obj[live]
+        last_improve[live[values < best_live - CONVERGENCE_TOL]] = step
+        better = values < best_live
+        improved = live[better]
+        best_obj[improved] = values[better]
+        best_q[improved] = q[better]
+        best_c[improved] = c[better]
+        best_step[improved] = step
         stalled = step - last_improve[live]
-        grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(live), -1)
-        grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
+        adj = cayley_adjoint(a_inv, grad_q)
+        np.subtract(adj, np.swapaxes(adj, -1, -2), out=grad_k)
+        grad[:, :-1] *= 0.5  # the skew part of the adjoint
+        np.multiply(grad_c, c, out=grad[:, -1])
+        # one squared norm per row serves the finiteness test, the stop record and
+        # the clip; a finite gradient's square can overflow, so then read the entries
+        norm2 = (grad * grad).sum(axis=-1)
+        bad_grad = ~np.isfinite(norm2)
+        if bad_grad.any():
+            bad_grad = ~np.isfinite(grad).all(axis=-1)
 
         # the rows each reason stops, in STOP_REASONS order
+        hits = [~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live], bad_grad]
         survivors = HALVING.get(step)
-        hits = (~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live],
-                ~np.isfinite(grad).all(axis=-1),
-                np.zeros(len(live), dtype=bool) if survivors is None
-                else _fit_ranks(best_obj, fits)[live] >= survivors)
-        stop = np.logical_or.reduce(hits)
+        if survivors is not None:
+            hits.append(_fit_ranks(best_obj, fits)[live] >= survivors)
+        stop = reduce(np.logical_or, hits)
         if stop.any():
             stopped = live[stop]
             stop_step[stopped] = step
             # each stopped row's first reason
             stop_reason[stopped] = np.argmax(np.array(hits)[:, stop], axis=0)
-            final_grad_norm[stopped] = np.sqrt((grad[stop] ** 2).sum(axis=-1))
+            final_grad_norm[stopped] = np.sqrt(norm2[stop])
             if stop.all():
                 break
             keep = ~stop
-            live, theta, m_theta, v_theta, stalled, grad = (
-                a[keep] for a in (live, theta, m_theta, v_theta, stalled, grad))
+            live, theta, m_theta, v_theta, stalled, grad, norm2 = (
+                a[keep] for a in (live, theta, m_theta, v_theta, stalled, grad, norm2))
+            grad_k = grad[:, :-1].reshape(-1, p, p)
             objective = objective.take(keep)
 
         anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
@@ -408,13 +430,21 @@ def minimize_orbit_objective(
             lr[rows] *= ANNEAL_FACTOR
             anneals[rows] += 1
 
-        grad *= (GRAD_CLIP / np.maximum(np.sqrt((grad * grad).sum(axis=-1)), GRAD_CLIP))[:, None]
-        m_theta = ADAM_BETA1 * m_theta + (1.0 - ADAM_BETA1) * grad
-        v_theta = ADAM_BETA2 * v_theta + (1.0 - ADAM_BETA2) * grad**2
-        bias1 = 1.0 - ADAM_BETA1**step
-        bias2 = 1.0 - ADAM_BETA2**step
-        theta = theta - lr[live, None] * (m_theta / bias1) / (np.sqrt(v_theta / bias2) + ADAM_EPS)
-        theta[:, -1] = np.clip(theta[:, -1], log_lo, log_hi)
+        grad *= (GRAD_CLIP / np.maximum(np.sqrt(norm2), GRAD_CLIP))[:, None]
+        # Adam in place, each product in the order of m = b1 m + (1 - b1) g,
+        # v = b2 v + (1 - b2) g^2, theta -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+        m_theta *= ADAM_BETA1
+        m_theta += (1.0 - ADAM_BETA1) * grad
+        v_theta *= ADAM_BETA2
+        v_theta += np.multiply(np.square(grad, out=grad), 1.0 - ADAM_BETA2, out=grad)
+        update = m_theta / (1.0 - ADAM_BETA1**step)
+        update *= lr[live, None]
+        denom = np.sqrt(np.divide(v_theta, 1.0 - ADAM_BETA2**step, out=grad), out=grad)
+        denom += ADAM_EPS
+        update /= denom
+        theta -= update
+        log_c = theta[:, -1]
+        np.minimum(np.maximum(log_c, log_lo, out=log_c), log_hi, out=log_c)
 
     reasons = [STOP_REASONS[i] for i in stop_reason]
     return [RestartOutcome(q=best_q[r], c=float(best_c[r]), objective=float(best_obj[r]),

@@ -8,7 +8,10 @@ sampling-error oracle evaluates the Gaussian fourth-moment formula, the
 greedy-baseline oracle runs one least-squares regression per candidate node,
 the file-format oracles write, read and convert one value at a time, and the
 reduced-form and series oracles keep the separate scalar-noise and per-node
-formulas and the generator's own sampling loop.
+formulas and the generator's own sampling loop. The ENVAR step oracles keep
+the descent's earlier arithmetic: fresh temporaries for the objective, a
+concatenated ``(K, log c)`` gradient checked entry by entry, and an Adam
+update that allocates each intermediate.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from scipy import stats
 
 from envarkit import ReducedForm, StructuralModel, TimeSeries, stationary_covariance
 from envarkit._seeding import sub_rng
+from envarkit.envar_optimizer import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ANNEAL_EVERY, ANNEAL_FACTOR, C_BOUNDS, CONVERGENCE_TOL,
+    GRAD_CLIP, HALVING, LEARN_RATE, NONFINITE_OBJECTIVE, PATIENCE, STOP_REASONS, RestartOutcome,
+    _fit_ranks, _skew, cayley, cayley_adjoint,
+)
 from envarkit.errors import DataFormatError
 
 
@@ -291,3 +299,108 @@ def reference_read_series_csv(path: Path | str) -> TimeSeries:
     if len(columns) < 2:
         raise DataFormatError(f"{path}: need at least 2 time steps, got {len(columns)}")
     return TimeSeries(values=np.asarray(columns, dtype=float).T, centered=False)
+
+
+def reference_value_and_grads(objective, q: np.ndarray, c: np.ndarray):
+    """The ENVAR objective's value, ``Q``-gradient and ``c``-gradient, each
+    intermediate a fresh array, and ``[G | H]``, its transpose and the l1
+    weights rebuilt from the objective's fields."""
+    p = q.shape[-1]
+    gh = np.concatenate((objective.g_mat, objective.h_mat), axis=-1)
+    off = objective.w_off[:, None, None] * (1.0 - np.eye(p))
+    weights = np.concatenate((off, np.broadcast_to(objective.w_lag[:, None, None], off.shape)),
+                             axis=-1)
+    diag = np.arange(p)
+    mn = q @ gh
+    diag_m = np.diagonal(mn, axis1=-2, axis2=-1).copy()
+    d = c[..., None] * diag_m - 1.0
+    grad_mn = np.sign(mn)
+    grad_mn *= weights
+    mn *= grad_mn
+    l1 = mn.reshape(len(mn), -1).sum(axis=-1)
+    total = c * l1 + objective.w_diag * (d * d).sum(axis=-1)
+    grad_mn *= c[..., None, None]
+    grad_mn[..., diag, diag] += 2.0 * objective.w_diag[..., None] * c[..., None] * d
+    grad_c = l1 + 2.0 * objective.w_diag * (d * diag_m).sum(axis=-1)
+    return total, grad_mn @ np.ascontiguousarray(np.swapaxes(gh, -1, -2)), grad_c
+
+
+def reference_minimize_orbit_objective(objective, k0, *, max_steps, fits):
+    """``minimize_orbit_objective`` as one allocating step: the gradient is
+    concatenated, tested for finiteness entry by entry and squared twice (for
+    the stop record and the clip), and Adam rebinds each moment and iterate."""
+    objective = objective.take(slice(None))
+    log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
+    n_restarts, p = k0.shape[0], k0.shape[-1]
+    last_step = int(max_steps.max())
+    lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
+    trace = np.empty((n_restarts, last_step))
+    best_obj = np.full(n_restarts, np.inf)
+    best_q = np.full((n_restarts, p, p), np.nan)
+    best_c = np.full(n_restarts, np.nan)
+    best_step = np.zeros(n_restarts, dtype=int)
+    last_improve = np.zeros(n_restarts, dtype=int)
+    anneals = np.zeros(n_restarts, dtype=int)
+    stop_step = np.zeros(n_restarts, dtype=int)
+    stop_reason = np.zeros(n_restarts, dtype=int)
+    final_grad_norm = np.zeros(n_restarts)
+    live = np.arange(n_restarts)
+    theta = np.zeros((n_restarts, p * p + 1))
+    theta[:, :-1] = k0.reshape(n_restarts, -1)
+    m_theta = np.zeros_like(theta)
+    v_theta = np.zeros_like(theta)
+
+    for step in range(1, last_step + 1):
+        q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
+        c = np.exp(theta[:, -1])
+        values, grad_q, grad_c = objective.value_and_grads(q, c)
+        trace[live, step - 1] = values
+        last_improve[live[values < best_obj[live] - CONVERGENCE_TOL]] = step
+        better = values < best_obj[live]
+        best_obj[live[better]] = values[better]
+        best_q[live[better]] = q[better]
+        best_c[live[better]] = c[better]
+        best_step[live[better]] = step
+        stalled = step - last_improve[live]
+        grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(live), -1)
+        grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
+
+        survivors = HALVING.get(step)
+        hits = (~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live],
+                ~np.isfinite(grad).all(axis=-1),
+                np.zeros(len(live), dtype=bool) if survivors is None
+                else _fit_ranks(best_obj, fits)[live] >= survivors)
+        stop = np.logical_or.reduce(hits)
+        if stop.any():
+            stopped = live[stop]
+            stop_step[stopped] = step
+            stop_reason[stopped] = np.argmax(np.array(hits)[:, stop], axis=0)
+            final_grad_norm[stopped] = np.sqrt((grad[stop] ** 2).sum(axis=-1))
+            if stop.all():
+                break
+            keep = ~stop
+            live, theta, m_theta, v_theta, stalled, grad = (
+                a[keep] for a in (live, theta, m_theta, v_theta, stalled, grad))
+            objective = objective.take(keep)
+
+        anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
+        if anneal.any():
+            rows = live[anneal]
+            lr[rows] *= ANNEAL_FACTOR
+            anneals[rows] += 1
+
+        grad *= (GRAD_CLIP / np.maximum(np.sqrt((grad * grad).sum(axis=-1)), GRAD_CLIP))[:, None]
+        m_theta = ADAM_BETA1 * m_theta + (1.0 - ADAM_BETA1) * grad
+        v_theta = ADAM_BETA2 * v_theta + (1.0 - ADAM_BETA2) * grad**2
+        bias1 = 1.0 - ADAM_BETA1**step
+        bias2 = 1.0 - ADAM_BETA2**step
+        theta = theta - lr[live, None] * (m_theta / bias1) / (np.sqrt(v_theta / bias2) + ADAM_EPS)
+        theta[:, -1] = np.clip(theta[:, -1], log_lo, log_hi)
+
+    reasons = [STOP_REASONS[i] for i in stop_reason]
+    return [RestartOutcome(q=best_q[r], c=float(best_c[r]), objective=float(best_obj[r]),
+                           trace=trace[r, :stop_step[r] - (reasons[r] == NONFINITE_OBJECTIVE)],
+                           steps=int(stop_step[r]), best_step=int(best_step[r]),
+                           stop_reason=reasons[r], anneals=int(anneals[r]),
+                           final_grad_norm=float(final_grad_norm[r]))
+            for r in range(n_restarts)]

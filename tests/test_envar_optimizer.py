@@ -24,6 +24,7 @@ from envarkit.envar_optimizer import (
     NONFINITE_GRADIENT,
     NONFINITE_OBJECTIVE,
     PATIENCE,
+    STOP_REASONS,
     OrbitObjective,
     cayley,
     cayley_adjoint,
@@ -38,6 +39,7 @@ from envarkit.reduced_estimation import canonical_representative, center, fit_ol
 from envarkit.synth import GeneratorConfig, generate_instance
 
 from conftest import random_admissible
+from oracles import reference_minimize_orbit_objective, reference_value_and_grads
 from envarkit.model_core import simulate
 
 
@@ -391,11 +393,13 @@ class _NanAfter(OrbitObjective):
 
 @dataclass(frozen=True)
 class _NanGradAfter(_NanAfter):
-    """As ``_NanAfter``, and reports a NaN ``c``-gradient for the
-    ``grad_flagged`` restarts from evaluation ``grad_after + 1`` on."""
+    """As ``_NanAfter``, and reports ``grad_value`` (NaN by default) as the
+    ``c``-gradient of the ``grad_flagged`` restarts from evaluation
+    ``grad_after + 1`` on."""
 
     grad_flagged: np.ndarray = None
     grad_after: int = 0
+    grad_value: float = np.nan
 
     def take(self, rows):
         return replace(super().take(rows), grad_flagged=self.grad_flagged[rows])
@@ -403,7 +407,7 @@ class _NanGradAfter(_NanAfter):
     def value_and_grads(self, q, c):
         total, grad_q, grad_c = super().value_and_grads(q, c)
         if len(self.calls) > self.grad_after:
-            grad_c = np.where(self.grad_flagged, np.nan, grad_c)
+            grad_c = np.where(self.grad_flagged, self.grad_value, grad_c)
         return total, grad_q, grad_c
 
 
@@ -486,6 +490,121 @@ class TestBatchedDescent:
             assert np.array_equal(batch[r].trace, alone.trace)
             assert len(batch[r].trace) == 31
             assert np.array_equal(batch[r].q, alone.q) and batch[r].best_step == alone.best_step
+
+
+class TestGradientFiniteness:
+    def test_infinite_c_gradient_stops_the_restart(self):
+        objective, k0 = _batch_problem(4, np.random.default_rng(23))
+        poisoned = _NanGradAfter(**vars(objective), flagged=np.zeros(4, dtype=bool),
+                                 grad_flagged=np.arange(4) == 1, grad_after=30,
+                                 grad_value=np.inf)
+        batch = _descend(poisoned, k0)
+        assert (batch[1].stop_reason, batch[1].steps) == (NONFINITE_GRADIENT, 31)
+        assert batch[1].final_grad_norm == np.inf
+
+    def test_finite_gradient_with_an_overflowing_square_does_not(self):
+        """A ``c``-gradient of 1e200 is finite, but its square is not: the
+        restart runs to its budget, each such step's gradient clipped to zero."""
+        objective, k0 = _batch_problem(4, np.random.default_rng(23))
+        poisoned = _NanGradAfter(**vars(objective), flagged=np.zeros(4, dtype=bool),
+                                 grad_flagged=np.arange(4) == 1, grad_after=30,
+                                 grad_value=1e200)
+        with np.errstate(over="ignore"):
+            batch = _descend(poisoned, k0, 60)
+        assert (batch[1].stop_reason, batch[1].steps) == ("budget", 60)
+        assert batch[1].final_grad_norm == np.inf
+        assert np.isfinite(batch[1].trace).all()
+
+
+def _mixed_batch(p):
+    """Ten restarts of three fits at dimension ``p``, with budgets 700, 300
+    and 800 and halving at step 500; fit 2's first restart starts at an exact
+    minimum, so it stops on patience. Returns the objective, starts, budgets
+    and fits."""
+    base = default_config(p)
+    problems = [
+        (make_fitted_representative(p, seed=30)[0], replace(base, seed=1, max_steps=700)),
+        (make_fitted_representative(p, seed=31)[0],
+         replace(base, seed=2, restarts=3, max_steps=300, lambda0=1.25, mu=3.0)),
+        (canonical_from_reduced(np.zeros((p, p)), np.eye(p)),
+         replace(base, seed=4, restarts=3, max_steps=800, lambda1=0.5)),
+    ]
+    objective, starts, _ = _batch(problems)
+    starts[7] = 0.0
+    counts = [cfg.restarts for _, cfg in problems]
+    return (objective, starts, np.repeat([cfg.max_steps for _, cfg in problems], counts),
+            np.repeat(np.arange(len(problems)), counts))
+
+
+def _bits(x):
+    """Shape and bytes of an array or float, so NaN equals NaN and -0.0 is not 0.0."""
+    x = np.asarray(x)
+    return x.shape, x.tobytes()
+
+
+class TestStepMatchesReference:
+    """The in-place step is bitwise the allocating one of ``oracles``."""
+
+    @pytest.mark.parametrize("p", [1, 3, 25])
+    def test_every_outcome_field(self, p):
+        """Restart 5's objective is NaN from step 41 and restart 6's gradient
+        from step 61; the others stop by budget, patience or halving, and
+        some anneal."""
+        objective, starts, max_steps, fits = _mixed_batch(p)
+        rows = np.arange(len(starts))
+
+        def poisoned():
+            return _NanGradAfter(**vars(objective), flagged=rows == 5, after=40,
+                                 grad_flagged=rows == 6, grad_after=60)
+
+        got = minimize_orbit_objective(poisoned(), starts, max_steps=max_steps, fits=fits)
+        want = reference_minimize_orbit_objective(poisoned(), starts, max_steps=max_steps,
+                                                  fits=fits)
+        assert {o.stop_reason for o in got} == set(STOP_REASONS)
+        assert any(o.anneals for o in got)
+        for x, y in zip(got, want):
+            for name in ("q", "trace", "c", "objective", "final_grad_norm"):
+                assert _bits(getattr(x, name)) == _bits(getattr(y, name)), name
+            assert (x.steps, x.best_step, x.stop_reason, x.anneals) == (
+                y.steps, y.best_step, y.stop_reason, y.anneals)
+
+    @pytest.mark.parametrize("p", [1, 3, 25])
+    def test_value_and_grads(self, p):
+        """Rows with a zero weight and an exact zero of ``Q G`` included."""
+        rng = np.random.default_rng(400 + p)
+        objective, starts, _, _ = _mixed_batch(p)
+        objective = replace(objective, w_lag=np.where(np.arange(10) == 3, 0.0, objective.w_lag))
+        q, _ = cayley(starts)
+        c = np.exp(rng.normal(0.0, 0.3, size=len(q)))
+        for _ in range(2):  # the second call reuses the first's workspace
+            got = objective.value_and_grads(q, c)
+            for x, y in zip(got, reference_value_and_grads(objective, q, c)):
+                assert _bits(x) == _bits(y)
+
+
+class TestWorkspace:
+    def test_results_are_fresh_arrays(self):
+        objective, k0 = _batch_problem(5, np.random.default_rng(25))
+        q, _ = cayley(k0)
+        first = objective.value_and_grads(q, np.full(4, 0.9))
+        kept = [a.copy() for a in first]
+        second = objective.value_and_grads(cayley(-k0)[0], np.full(4, 1.3))
+        buffers = objective.workspace
+        for i, x in enumerate(first + second):
+            for y in (first + second)[i + 1:] + buffers:
+                assert not np.shares_memory(x, y)
+        for x, y in zip(first, kept):
+            assert np.array_equal(x, y)
+
+    def test_one_row_take_gives_that_row(self):
+        objective, k0 = _batch_problem(5, np.random.default_rng(26))
+        objective = objective.take([0, 1, 3])
+        q, _ = cayley(k0[[0, 1, 3]])
+        c = np.array([0.8, 1.1, 1.7])
+        whole = objective.value_and_grads(q, c)
+        row = objective.take([1]).value_and_grads(q[1:2], c[1:2])
+        for x, y in zip(whole, row):
+            assert np.array_equal(x[1:2], y)
 
 
 def _descent_problems():
@@ -586,7 +705,7 @@ class TestEnvarDescents:
         envar_descents(_descent_problems())
         assert len(stepped) >= 3
         ((objective, _, _),) = built
-        assert not {"gh", "gh_t", "weights"} & vars(objective).keys()
+        assert not {"gh", "gh_t", "weights", "w_diag2", "workspace"} & vars(objective).keys()
 
     def test_mixed_dimensions_are_refused(self):
         problems = [(make_fitted_representative(p, seed=33)[0], default_config(p))
