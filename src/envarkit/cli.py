@@ -17,12 +17,18 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .envar_optimizer import EnvarConfig, default_config, envar_descents, solve_envar
+from .envar_optimizer import (
+    EnvarConfig,
+    RestartOutcome,
+    default_config,
+    envar_descents,
+    solve_envar,
+)
 from .equivalence import OrbitElement
 from .eqvar_gds import fit_eqvar_gds
 from .errors import DataFormatError, DimensionError, EnvarKitError
@@ -58,6 +64,10 @@ _METRIC_COLUMNS = (
     "sf_oad", "obs_oad", "pearson_phi", "pearson_sigma_u", "pearson_a0", "pearson_a1",
 )
 SUMMARY_COLUMNS = ("p", "sigma_std", "method", "episode", *_METRIC_COLUMNS, "error")
+# a restart's entry in fit_report.json: every RestartOutcome field but its best
+# iterate and its trace
+_RESTART_REPORT_FIELDS = tuple(f.name for f in fields(RestartOutcome)
+                               if f.name not in ("q", "c", "objective", "trace"))
 # per (p, sigma_std, method): each metric's mean, standard error and count
 AGGREGATE_COLUMNS = (
     "p", "sigma_std", "method",
@@ -141,12 +151,10 @@ def _fit_method(
             restart_index=solution.restart_index,
             c_hat=solution.c_hat,
             objective_trace=solution.objective_trace,
-            restarts=[
-                {"steps": r.steps, "best_step": r.best_step,
-                 "stop_reason": r.stop_reason, "anneals": r.anneals,
-                 "final_grad_norm": r.final_grad_norm}
-                for r in solution.restarts
-            ],
+            restarts=[{name: getattr(r, name) for name in _RESTART_REPORT_FIELDS}
+                      for r in solution.restarts],
+            orthogonality_residual=float(
+                np.linalg.norm(solution.q_hat.T @ solution.q_hat - np.eye(ts.p), "fro")),
         )
     else:
         model, details = _baseline_model(fit, method, metrics)
@@ -154,7 +162,9 @@ def _fit_method(
     # induced reduced form, recorded without the stability gate so unit-root
     # edge cases still produce a report
     phi, sigma_u = _reduced_form(model.b, model.a1, model.sigma**2)
-    report.update(model_phi=phi, model_sigma_u=sigma_u)
+    report.update(model_phi=phi, model_sigma_u=sigma_u,
+                  phi_residual=float(np.max(np.abs(phi - fit.phi_hat))),
+                  sigma_u_residual=float(np.max(np.abs(sigma_u - fit.sigma_u_hat))))
     return model, report
 
 

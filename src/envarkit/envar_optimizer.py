@@ -22,9 +22,8 @@ place with LAPACK ``getrf``/``getri``, and reads from that inverse both ``Q``
 and the adjoint derivative that takes the ``Q``-gradient to the ``K``-gradient
 (Wen & Yin, *Math. Program.* 142, 2013). Each restart's ``(K, log c)`` is one
 row of one array, stepped by Adam with global gradient-norm clipping. The map
-reaches no ``Q`` with eigenvalue -1; every restart after the first folds a
-random diagonal +-1 matrix into its base ``[G | H]`` (Helfrich et al., ICML
-2018), which makes those rotations, and the reflections, reachable.
+reaches the rotations without eigenvalue -1 only, so the search stays among
+the ``Q`` with determinant +1; a fit descends one restart by default.
 
 All restarts descend together as one ``(R, p, p)`` batch of live state, which a
 restart leaves when it stops; its record stays in restart order. Each row
@@ -39,15 +38,6 @@ A step reuses its memory: the objective evaluates into a workspace of
 fills one array, whose one squared norm per row serves the finiteness test, the
 clip and the stop record; Adam updates in place. Each operation keeps the order
 of the plain formulas, so outputs are bitwise those of an allocating step.
-
-A fit's restarts are pruned by successive halving (Jamieson & Talwalkar,
-AISTATS 2016): at each checkpoint step of ``HALVING`` every restart of the fit,
-stopped ones included, is ranked by (best objective so far, restart index),
-the order ``solve_envar`` picks its winner by, and each live restart ranked
-below the checkpoint's survivors stops as ``"dominated"``. A kept restart's
-iterates are still the ones it has alone, and a dropped one's best is already
-beaten by a kept one, so a fit's answer changes only where a dropped restart
-would have gone on to win.
 """
 
 from __future__ import annotations
@@ -79,9 +69,6 @@ CONVERGENCE_TOL = 1e-9
 PATIENCE = 500
 # The interval that holds ``c``.
 C_BOUNDS = (1e-3, 1e3)
-# Successive halving: after step s each fit keeps its HALVING[s] best restarts,
-# and its other live restarts stop as "dominated".
-HALVING = {500: 2, 2000: 1}
 
 # Fixed-rate Adam stalls in a noise ball of radius ~ learn_rate around a
 # minimum; annealing on plateau lets runs reach the tight residuals the
@@ -96,7 +83,7 @@ NONFINITE_OBJECTIVE = "objective became non-finite"
 NONFINITE_GRADIENT = "gradient became non-finite"
 # Every stop reason, in the order a step checks them; a restart that meets
 # several at one step stops for the first.
-STOP_REASONS = (NONFINITE_OBJECTIVE, "patience", "budget", NONFINITE_GRADIENT, "dominated")
+STOP_REASONS = (NONFINITE_OBJECTIVE, "patience", "budget", NONFINITE_GRADIENT)
 
 
 @dataclass(frozen=True)
@@ -108,12 +95,12 @@ class EnvarConfig:
     mu: float = 7.5
     max_steps: int = 5000
     seed: int = 0
-    restarts: int = 4
+    restarts: int = 1
 
     def __post_init__(self):
         weight = (lambda v: v >= 0, ">= 0")
         # a descent's trace is (R, max_steps); 10**6 is 100 times the largest
-        # default budget and 1000 is 250 times the default restart count
+        # default budget
         _check_fields(self, {"lambda0": weight, "lambda1": weight, "mu": weight,
                              "max_steps": (lambda v: 1 <= v <= 10**6, "in [1, 1000000]"),
                              "restarts": (lambda v: 1 <= v <= 1000, "in [1, 1000]")})
@@ -150,14 +137,12 @@ class RestartOutcome:
     """Best iterate of one restart, with why and when its descent stopped.
 
     ``stop_reason`` is ``"patience"`` (no improvement by the tolerance for
-    ``PATIENCE`` steps), ``"budget"`` (``max_steps`` reached), ``"dominated"``
-    (ranked out of its fit at a ``HALVING`` checkpoint), or
+    ``PATIENCE`` steps), ``"budget"`` (``max_steps`` reached), or
     ``NONFINITE_OBJECTIVE`` or ``NONFINITE_GRADIENT`` at step ``steps``, after
     ``steps - 1`` or ``steps`` traced values; ``best_step`` is the step that
     evaluated the best iterate; ``anneals`` counts the step-size decays;
     ``final_grad_norm`` is the norm of the unclipped ``(K, log c)`` gradient
-    at the stop step. ``envar_descents`` and ``EnvarSolution.restarts`` fold
-    the restart's sign matrix into ``q``.
+    at the stop step.
     """
 
     q: np.ndarray
@@ -307,36 +292,21 @@ def _skew(w: np.ndarray) -> np.ndarray:
     return 0.5 * (w - np.swapaxes(w, -1, -2))
 
 
-def _fit_ranks(best_obj: np.ndarray, fits: np.ndarray) -> np.ndarray:
-    """Each restart's place in its own fit by (best objective so far, restart
-    index), 0 for the fit's leader."""
-    order = np.lexsort((best_obj, fits))  # stable, so ties keep restart order
-    sorted_fits = fits[order]
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(order)) - np.searchsorted(sorted_fits, sorted_fits)
-    return ranks
-
-
 def minimize_orbit_objective(
     objective: OrbitObjective,
     k0: np.ndarray,
     *,
     max_steps: np.ndarray,
-    fits: np.ndarray,
 ) -> list[RestartOutcome]:
     """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
 
     ``k0`` is an ``(R, p, p)`` stack of skew starts, ``objective`` holds the
-    matching rows, ``max_steps`` is the ``(R,)`` array of step budgets and
-    ``fits`` the ``(R,)`` array naming each restart's fit; results come back
-    in restart order. A restart stops after its budget or once its best
-    objective has not improved by ``CONVERGENCE_TOL`` over ``PATIENCE``
-    consecutive steps. During a plateau its step size decays every
-    ``ANNEAL_EVERY`` stalled steps so the iterate can settle below the
-    fixed-rate noise floor. At a step ``s`` in ``HALVING``, a live restart
-    that is not among the ``HALVING[s]`` best of its fit, all of the fit's
-    restarts ranked by (best objective so far, restart index), stops as
-    ``"dominated"``; a restart alone in its fit is never ranked out.
+    matching rows and ``max_steps`` is the ``(R,)`` array of step budgets;
+    results come back in restart order. A restart stops after its budget or
+    once its best objective has not improved by ``CONVERGENCE_TOL`` over
+    ``PATIENCE`` consecutive steps. During a plateau its step size decays
+    every ``ANNEAL_EVERY`` stalled steps so the iterate can settle below the
+    fixed-rate noise floor.
 
     A restart also stops when its objective (``NONFINITE_OBJECTIVE``) or its
     gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
@@ -405,10 +375,7 @@ def minimize_orbit_objective(
             bad_grad = ~np.isfinite(grad).all(axis=-1)
 
         # the rows each reason stops, in STOP_REASONS order
-        hits = [~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live], bad_grad]
-        survivors = HALVING.get(step)
-        if survivors is not None:
-            hits.append(_fit_ranks(best_obj, fits)[live] >= survivors)
+        hits = (~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live], bad_grad)
         stop = reduce(np.logical_or, hits)
         if stop.any():
             stopped = live[stop]
@@ -493,52 +460,42 @@ def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstan
 
 def _batch(problems):
     """The objective and skew starts of the restarts of all ``problems``, as one
-    batch in order, and each problem's ``(R, p)`` sign vectors.
+    batch in order.
 
-    Each restart draws its sign vector and start from its own sub-seed (a
-    fit's first restart has no sign fold, the others each a random one) and
-    adds one row: its signed ``G`` and ``H`` and its fit's three weights."""
-    rows, signs = [], []
+    Each restart draws its start from its own sub-seed and adds one row: its
+    fit's ``G``, ``H`` and three weights."""
+    rows = []
     for cr, cfg in problems:
         norms = norm_constants(cr, cfg)
         weights = (cfg.lambda0 / norms.offdiag, cfg.lambda1 / norms.lag,
                    0.5 * cfg.mu / norms.hollow)
-        fit_signs = []
-        for r in range(cfg.restarts):
-            rng = sub_rng(cfg.seed, 0x656E7672, r)
-            sign = np.ones(cr.p) if r == 0 else np.where(rng.random(cr.p) < 0.5, -1.0, 1.0)
-            fit_signs.append(sign)
-            rows.append((sign[:, None] * cr.b_can, sign[:, None] * cr.gamma_can, *weights,
-                         random_skew(cr.p, rng)))
-        signs.append(np.array(fit_signs))
+        rows += [(cr.b_can, cr.gamma_can, *weights,
+                  random_skew(cr.p, sub_rng(cfg.seed, 0x656E7672, r)))
+                 for r in range(cfg.restarts)]
     *columns, starts = (np.array(column) for column in zip(*rows))
-    return OrbitObjective(*columns), starts, signs
+    return OrbitObjective(*columns), starts
 
 
 def envar_descents(problems) -> list[tuple[RestartOutcome, ...]]:
     """Descend the restarts of several ``(cr, cfg)`` fits of one dimension as one batch.
 
     Returns one entry per problem, in order: its ``RestartOutcome``s in restart
-    order, with each restart's sign matrix folded into ``q``. A diverged
-    restart keeps its non-finite ``stop_reason`` and finite trace; its fit's
-    ``solve_envar`` raises. A restart's iterates are bitwise the same in any
-    batch, so each entry is what the problem's own descent gives.
+    order. A diverged restart keeps its non-finite ``stop_reason`` and finite
+    trace; its fit's ``solve_envar`` raises. A restart's iterates are bitwise
+    the same in any batch, so each entry is what the problem's own descent
+    gives.
     """
     problems = list(problems)
     if not problems:
         return []
     if len({cr.p for cr, _ in problems}) > 1:
         raise DimensionError("envar_descents needs fits of one dimension p")
-    batch, starts, signs = _batch(problems)
+    batch, starts = _batch(problems)
     counts = [cfg.restarts for _, cfg in problems]
-    # a fit's restarts are contiguous in the batch
     results = minimize_orbit_objective(
-        batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts),
-        fits=np.repeat(np.arange(len(problems)), counts),
-    )
-    return [tuple(replace(r, q=r.q @ np.diag(sign))
-                  for r, sign in zip(results[end - len(fit_signs):end], fit_signs))
-            for end, fit_signs in zip(np.cumsum(counts), signs)]
+        batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts))
+    # a fit's restarts are contiguous in the batch
+    return [tuple(results[end - count:end]) for end, count in zip(np.cumsum(counts), counts)]
 
 
 def solve_envar(
@@ -546,11 +503,10 @@ def solve_envar(
 ) -> EnvarSolution:
     """Minimize the penalized objective over the empirical orbit.
 
-    Runs ``cfg.restarts`` descents from random skew starts (the first with no
-    sign fold, the others each with a random one), pruned by successive
-    halving (``HALVING``), and returns the lowest-objective solution, ties
-    broken by restart index. The
-    assembled model is ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
+    Runs ``cfg.restarts`` descents from random skew starts, each to its own
+    stop, and returns the lowest-objective solution, ties broken by restart
+    index. The assembled model is
+    ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
 
     ``outcomes``, if given, is the entry of ``(cr, cfg)`` in what an
     ``envar_descents`` call over it returned; the restarts then do not descend

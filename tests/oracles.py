@@ -27,8 +27,8 @@ from envarkit import ReducedForm, StructuralModel, TimeSeries, stationary_covari
 from envarkit._seeding import sub_rng
 from envarkit.envar_optimizer import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ANNEAL_EVERY, ANNEAL_FACTOR, C_BOUNDS, CONVERGENCE_TOL,
-    GRAD_CLIP, HALVING, LEARN_RATE, NONFINITE_OBJECTIVE, PATIENCE, STOP_REASONS, RestartOutcome,
-    _fit_ranks, _skew, cayley, cayley_adjoint,
+    GRAD_CLIP, LEARN_RATE, NONFINITE_OBJECTIVE, PATIENCE, STOP_REASONS, RestartOutcome, _skew,
+    cayley, cayley_adjoint,
 )
 from envarkit.errors import DataFormatError
 
@@ -325,7 +325,7 @@ def reference_value_and_grads(objective, q: np.ndarray, c: np.ndarray):
     return total, grad_mn @ np.ascontiguousarray(np.swapaxes(gh, -1, -2)), grad_c
 
 
-def reference_minimize_orbit_objective(objective, k0, *, max_steps, fits):
+def reference_minimize_orbit_objective(objective, k0, *, max_steps):
     """``minimize_orbit_objective`` as one allocating step: the gradient is
     concatenated, tested for finiteness entry by entry and squared twice (for
     the stop record and the clip), and Adam rebinds each moment and iterate."""
@@ -365,11 +365,8 @@ def reference_minimize_orbit_objective(objective, k0, *, max_steps, fits):
         grad_k = _skew(cayley_adjoint(a_inv, grad_q)).reshape(len(live), -1)
         grad = np.concatenate((grad_k, (grad_c * c)[:, None]), axis=1)
 
-        survivors = HALVING.get(step)
         hits = (~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live],
-                ~np.isfinite(grad).all(axis=-1),
-                np.zeros(len(live), dtype=bool) if survivors is None
-                else _fit_ranks(best_obj, fits)[live] >= survivors)
+                ~np.isfinite(grad).all(axis=-1))
         stop = np.logical_or.reduce(hits)
         if stop.any():
             stopped = live[stop]

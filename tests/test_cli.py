@@ -294,6 +294,26 @@ class TestFitCommand:
         ]
         assert len(report["restarts"]) == default_config(3).restarts
 
+    @pytest.mark.parametrize("method", ["envar", "eqvar-gds", "ols-only"])
+    def test_report_carries_criterion_5_residuals(self, tmp_path, method):
+        """Every report holds max |phi - phi_hat| and max |Sigma_u - Sigma_u_hat|
+        of the pairs it records; an ENVAR report also holds ||Q^T Q - I||_F,
+        and its three residuals are at roundoff."""
+        inst = generate_instance(GeneratorConfig(p=4, t_len=300, seed=5), episode=0)
+        write_series_csv(tmp_path / "series.csv", inst.series)
+        assert main(["fit", "--series", str(tmp_path / "series.csv"), "--method", method,
+                     "--output", str(tmp_path), "--max-steps", "400"]) == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        for name, model_key, fitted_key in (("phi_residual", "model_phi", "phi_hat"),
+                                            ("sigma_u_residual", "model_sigma_u",
+                                             "sigma_u_hat")):
+            gap = np.max(np.abs(np.asarray(report[model_key]) - np.asarray(report[fitted_key])))
+            assert report[name] == float(gap)
+        assert ("orthogonality_residual" in report) == (method == "envar")
+        if method == "envar":
+            for name in ("phi_residual", "sigma_u_residual", "orthogonality_residual"):
+                assert 0.0 <= report[name] <= 1e-8
+
     def test_diverged_envar_fit_exits_3(self, tmp_path, capsys, monkeypatch):
         inst = generate_instance(GeneratorConfig(p=3, t_len=200, seed=2), episode=0)
         write_series_csv(tmp_path / "series.csv", inst.series)

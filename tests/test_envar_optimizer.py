@@ -20,7 +20,6 @@ from envarkit import (
 from envarkit.envar_optimizer import (
     ANNEAL_EVERY,
     CONVERGENCE_TOL,
-    HALVING,
     NONFINITE_GRADIENT,
     NONFINITE_OBJECTIVE,
     PATIENCE,
@@ -33,6 +32,7 @@ from envarkit.envar_optimizer import (
     random_skew,
 )
 from envarkit import envar_optimizer
+from envarkit._seeding import sub_rng
 from envarkit.envar_optimizer import _batch, _skew, norm_constants
 from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
@@ -77,6 +77,10 @@ class TestDefaultConfig:
         with pytest.raises(DimensionError, match="^p must be an integer >= 1"):
             default_config(p)
 
+    @pytest.mark.parametrize("p", [1, 5, 25, 100])
+    def test_one_restart_by_default(self, p):
+        assert default_config(p).restarts == 1
+
     def test_numpy_integer_p_accepted(self):
         assert default_config(np.int64(30), seed=np.int64(2)) == default_config(30, seed=2)
 
@@ -92,9 +96,8 @@ class TestDefaultConfig:
 
 
 def _objective_value(q, c, cr, cfg):
-    """The selection objective at ``(Q, c)``, as the descent evaluates it:
-    restart 0 of the fit's batch, which has no sign fold."""
-    objective, _, _ = _batch([(cr, replace(cfg, restarts=1))])
+    """The selection objective at ``(Q, c)``, as the descent evaluates it."""
+    objective, _ = _batch([(cr, replace(cfg, restarts=1))])
     value, _, _ = objective.value_and_grads(np.asarray(q)[None], np.array([c]))
     return float(value[0])
 
@@ -358,10 +361,8 @@ def _batch_problem(p, rng):
 
 
 def _descend(objective, k0, steps=PATIENCE + 100):
-    """The descent of the restarts of ``objective``, each with a budget of
-    ``steps`` and a fit of its own, so none is ranked out."""
-    return minimize_orbit_objective(objective, k0, max_steps=np.full(len(k0), steps),
-                                    fits=np.arange(len(k0)))
+    """The descent of the restarts of ``objective``, each with a budget of ``steps``."""
+    return minimize_orbit_objective(objective, k0, max_steps=np.full(len(k0), steps))
 
 
 def _assert_same_outcome(x, y):
@@ -445,8 +446,8 @@ class TestBatchedDescent:
     def test_solve_envar_restart_zero_unchanged_by_batch_size(self):
         cr, _ = make_fitted_representative(3, seed=22)
         cfg = replace(default_config(3, seed=2), max_steps=300)
-        alone = solve_envar(cr, replace(cfg, restarts=1)).restarts[0]
-        batched = solve_envar(cr, cfg).restarts[0]
+        alone = solve_envar(cr, cfg).restarts[0]
+        batched = solve_envar(cr, replace(cfg, restarts=4)).restarts[0]
         assert np.array_equal(alone.trace, batched.trace)
         assert np.array_equal(alone.q, batched.q)
         assert alone.c == batched.c
@@ -518,22 +519,21 @@ class TestGradientFiniteness:
 
 def _mixed_batch(p):
     """Ten restarts of three fits at dimension ``p``, with budgets 700, 300
-    and 800 and halving at step 500; fit 2's first restart starts at an exact
-    minimum, so it stops on patience. Returns the objective, starts, budgets
-    and fits."""
+    and 800; fit 2's first restart starts at an exact minimum, so it stops on
+    patience. Returns the objective, starts and budgets."""
     base = default_config(p)
     problems = [
-        (make_fitted_representative(p, seed=30)[0], replace(base, seed=1, max_steps=700)),
+        (make_fitted_representative(p, seed=30)[0],
+         replace(base, seed=1, restarts=4, max_steps=700)),
         (make_fitted_representative(p, seed=31)[0],
          replace(base, seed=2, restarts=3, max_steps=300, lambda0=1.25, mu=3.0)),
         (canonical_from_reduced(np.zeros((p, p)), np.eye(p)),
          replace(base, seed=4, restarts=3, max_steps=800, lambda1=0.5)),
     ]
-    objective, starts, _ = _batch(problems)
+    objective, starts = _batch(problems)
     starts[7] = 0.0
     counts = [cfg.restarts for _, cfg in problems]
-    return (objective, starts, np.repeat([cfg.max_steps for _, cfg in problems], counts),
-            np.repeat(np.arange(len(problems)), counts))
+    return objective, starts, np.repeat([cfg.max_steps for _, cfg in problems], counts)
 
 
 def _bits(x):
@@ -548,18 +548,16 @@ class TestStepMatchesReference:
     @pytest.mark.parametrize("p", [1, 3, 25])
     def test_every_outcome_field(self, p):
         """Restart 5's objective is NaN from step 41 and restart 6's gradient
-        from step 61; the others stop by budget, patience or halving, and
-        some anneal."""
-        objective, starts, max_steps, fits = _mixed_batch(p)
+        from step 61; the others stop by budget or patience, and some anneal."""
+        objective, starts, max_steps = _mixed_batch(p)
         rows = np.arange(len(starts))
 
         def poisoned():
             return _NanGradAfter(**vars(objective), flagged=rows == 5, after=40,
                                  grad_flagged=rows == 6, grad_after=60)
 
-        got = minimize_orbit_objective(poisoned(), starts, max_steps=max_steps, fits=fits)
-        want = reference_minimize_orbit_objective(poisoned(), starts, max_steps=max_steps,
-                                                  fits=fits)
+        got = minimize_orbit_objective(poisoned(), starts, max_steps=max_steps)
+        want = reference_minimize_orbit_objective(poisoned(), starts, max_steps=max_steps)
         assert {o.stop_reason for o in got} == set(STOP_REASONS)
         assert any(o.anneals for o in got)
         for x, y in zip(got, want):
@@ -572,7 +570,7 @@ class TestStepMatchesReference:
     def test_value_and_grads(self, p):
         """Rows with a zero weight and an exact zero of ``Q G`` included."""
         rng = np.random.default_rng(400 + p)
-        objective, starts, _, _ = _mixed_batch(p)
+        objective, starts, _ = _mixed_batch(p)
         objective = replace(objective, w_lag=np.where(np.arange(10) == 3, 0.0, objective.w_lag))
         q, _ = cayley(starts)
         c = np.exp(rng.normal(0.0, 0.3, size=len(q)))
@@ -612,7 +610,8 @@ def _descent_problems():
     step budget; restarts stop by patience and by budget."""
     base = default_config(3)
     return [
-        (make_fitted_representative(3, seed=30)[0], replace(base, seed=1, max_steps=3000)),
+        (make_fitted_representative(3, seed=30)[0],
+         replace(base, seed=1, restarts=4, max_steps=3000)),
         (make_fitted_representative(3, seed=31)[0],
          replace(base, seed=2, restarts=2, max_steps=3000, lambda0=1.25, mu=3.0)),
         (make_fitted_representative(3, seed=32)[0], replace(base, seed=3, restarts=1,
@@ -639,8 +638,8 @@ class TestEnvarDescents:
 
     def test_batch_reproduces_each_lone_solve(self):
         """Restarts leave the batch out of restart order (a 700-step budget,
-        halving checkpoints, patience stops, 3000-step budgets); each one's
-        record is still the one its fit's traces imply."""
+        patience stops, 3000-step budgets); each one's record is still the one
+        its trace implies."""
         problems = _descent_problems()
         batched = envar_descents(problems)
         assert len(batched) == len(problems)
@@ -655,34 +654,7 @@ class TestEnvarDescents:
             for r in outcomes:
                 assert r.trace[r.best_step - 1] == r.objective
             reasons.update(r.stop_reason for r in solution.restarts)
-        assert reasons == {"patience", "budget", "dominated"}
-
-    def test_halving_keeps_each_survivor_bitwise(self):
-        """In a batch of several fits, a restart that is not ranked out is
-        bitwise its descent as a one-restart fit, which is never ranked out;
-        a dominated restart's trace is a prefix of that descent's, and no fit
-        picks a dominated restart."""
-        problems = _descent_problems()
-        objective, starts, _ = _batch(problems)
-        counts = [cfg.restarts for _, cfg in problems]
-        max_steps = np.repeat([cfg.max_steps for _, cfg in problems], counts)
-        batch = minimize_orbit_objective(objective, starts, max_steps=max_steps,
-                                         fits=np.repeat(np.arange(len(problems)), counts))
-        dominated = 0
-        for r, outcome in enumerate(batch):
-            (alone,) = minimize_orbit_objective(objective.take([r]), starts[r:r + 1],
-                                                max_steps=max_steps[r:r + 1],
-                                                fits=np.zeros(1, dtype=int))
-            if outcome.stop_reason == "dominated":
-                dominated += 1
-                assert outcome.steps in HALVING and alone.steps > outcome.steps
-                assert np.array_equal(outcome.trace, alone.trace[:outcome.steps])
-            else:
-                _assert_same_outcome(outcome, alone)
-        assert dominated >= 2
-        for (cr, cfg), outcomes in zip(problems, envar_descents(problems)):
-            solution = solve_envar(cr, cfg, outcomes=outcomes)
-            assert solution.restarts[solution.restart_index].stop_reason != "dominated"
+        assert reasons == {"patience", "budget"}
 
     def test_replaced_objectives_are_freed(self, monkeypatch):
         """A compaction frees the objective it replaces, with what was cached
@@ -704,7 +676,7 @@ class TestEnvarDescents:
         monkeypatch.setattr(envar_optimizer, "_batch", kept)
         envar_descents(_descent_problems())
         assert len(stepped) >= 3
-        ((objective, _, _),) = built
+        ((objective, _),) = built
         assert not {"gh", "gh_t", "weights", "w_diag2", "workspace"} & vars(objective).keys()
 
     def test_mixed_dimensions_are_refused(self):
@@ -825,13 +797,9 @@ class TestZeroPivot:
 
 
 def _replay_stopping_rule(traces, patience, tol, max_steps):
-    """Stop reason, best step, anneal count and step count of each restart of
-    one fit, implied by the objective traces of all the fit's restarts.
-
-    A restart's best objective at step s is ``min(trace[:s])``, also for one
-    that stopped before s, so the ranking at each ``HALVING`` checkpoint is
-    replayed from the traces alone."""
-    def replay(r, trace):
+    """Stop reason, best step, anneal count and step count of each restart,
+    implied by its objective trace alone."""
+    def replay(trace):
         best, best_step, last_improve, anneals = np.inf, 0, 0, 0
         for step, value in enumerate(trace, start=1):
             if value < best - tol:
@@ -843,16 +811,11 @@ def _replay_stopping_rule(traces, patience, tol, max_steps):
                 return "patience", best_step, anneals, step
             if step == max_steps:
                 return "budget", best_step, anneals, step
-            if step in HALVING:
-                ranked = sorted(range(len(traces)),
-                                key=lambda i: (np.min(traces[i][:step], initial=np.inf), i))
-                if ranked.index(r) >= HALVING[step]:
-                    return "dominated", best_step, anneals, step
             if stalled > 0 and stalled % ANNEAL_EVERY == 0:
                 anneals += 1
         raise AssertionError("trace ended before a stopping rule fired")
 
-    return [replay(r, trace) for r, trace in enumerate(traces)]
+    return [replay(trace) for trace in traces]
 
 
 class TestSolveEnvar:
@@ -860,7 +823,7 @@ class TestSolveEnvar:
         cr, _ = make_fitted_representative(3, seed=24)
         reasons = set()
         for max_steps in (300, 5000):
-            cfg = replace(default_config(3, seed=6), max_steps=max_steps)
+            cfg = replace(default_config(3, seed=6), restarts=4, max_steps=max_steps)
             outcomes = solve_envar(cr, cfg).restarts
             assert [(o.stop_reason, o.best_step, o.anneals, o.steps) for o in outcomes] == (
                 _replay_stopping_rule([o.trace for o in outcomes], PATIENCE, CONVERGENCE_TOL,
@@ -868,7 +831,33 @@ class TestSolveEnvar:
             for outcome in outcomes:
                 assert outcome.trace[outcome.best_step - 1] == outcome.objective
                 reasons.add(outcome.stop_reason)
-        assert reasons == {"patience", "budget", "dominated"}
+        assert reasons == {"patience", "budget"}
+
+    def test_restarts_are_unfolded_starts_and_the_winner_is_the_lowest(self):
+        """Each of a 3-restart fit's restarts descends the fit's own ``[G | H]``
+        from its own random start, to its own stop, and stays among the
+        rotations; the winner is the lowest (objective, restart index)."""
+        cr, _ = make_fitted_representative(4, seed=14)
+        cfg = replace(default_config(4, seed=7), restarts=3, max_steps=600)
+        objective, starts = _batch([(cr, cfg)])
+        for r in range(3):
+            assert np.array_equal(objective.g_mat[r], cr.b_can)
+            assert np.array_equal(objective.h_mat[r], cr.gamma_can)
+            assert np.array_equal(starts[r],
+                                  random_skew(4, sub_rng(cfg.seed, 0x656E7672, r)))
+        solution = solve_envar(cr, cfg)
+        for r, outcome in enumerate(solution.restarts):
+            (alone,) = minimize_orbit_objective(objective.take([r]), starts[r:r + 1],
+                                                max_steps=np.array([cfg.max_steps]))
+            _assert_same_outcome(outcome, alone)
+            assert np.linalg.det(outcome.q) > 0.0
+        objectives = [o.objective for o in solution.restarts]
+        assert len(set(objectives)) == 3
+        assert solution.restart_index == int(np.argmin(objectives))
+        best = solution.restarts[solution.restart_index]
+        worst = solution.restarts[int(np.argmax(objectives))]
+        for outcomes, index in (((worst, best, best), 1), ((best, worst, best), 0)):
+            assert solve_envar(cr, cfg, outcomes=outcomes).restart_index == index
 
     def test_trivial_instance_reaches_zero(self):
         cr = canonical_from_reduced(np.zeros((4, 4)), np.eye(4))
@@ -888,7 +877,7 @@ class TestSolveEnvar:
     @pytest.mark.parametrize("p", [3, 20])
     def test_reduced_form_preserved_for_every_restart(self, p):
         cr, fit = make_fitted_representative(p, seed=6)
-        cfg = replace(default_config(p, seed=1), max_steps=800)
+        cfg = replace(default_config(p, seed=1), restarts=3, max_steps=800)
         solution = solve_envar(cr, cfg)
         for outcome in solution.restarts:
             member = StructuralModel(
@@ -928,7 +917,7 @@ class TestSolveEnvar:
 
     def test_best_so_far_monotone_and_restart_dominance(self):
         cr, _ = make_fitted_representative(3, seed=8)
-        cfg = replace(default_config(3, seed=3), max_steps=500)
+        cfg = replace(default_config(3, seed=3), restarts=4, max_steps=500)
         solution = solve_envar(cr, cfg)
         running = np.minimum.accumulate(np.asarray(solution.objective_trace))
         assert np.all(np.diff(running) <= 0.0)
