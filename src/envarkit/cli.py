@@ -269,10 +269,10 @@ def cmd_evaluate(args) -> int:
 
 # The most restart·p² entries in the descent batch of one benchmark task. At
 # small p a descent step costs mostly per-call overhead, paid once per batch
-# step however wide the batch, and the saving fades as p grows: two fits of 4
-# restarts as one batch took 0.55x the time of one after the other at p = 5,
-# 0.76x at p = 25, 0.99x at p = 50 and 1.07x at p = 100 (2 vCPUs, one BLAS
-# thread).
+# step however wide the batch, and the saving fades as p grows: two fits of one
+# restart as one batch took 0.55x the time of one after the other at p = 5,
+# 0.69x at p = 25, 0.85x at p = 50 and 0.99-1.04x at p = 75 and 100 (2 vCPUs,
+# one BLAS thread). So a task batches 4 fits at p = 50 and one from p = 75 up.
 BATCH_ENTRIES = 10_000
 
 

@@ -25,25 +25,37 @@ row of one array, stepped by Adam with global gradient-norm clipping. The map
 reaches the rotations without eigenvalue -1 only, so the search stays among
 the ``Q`` with determinant +1; a fit descends one restart by default.
 
-All restarts descend together as one ``(R, p, p)`` batch of live state, which a
-restart leaves when it stops; its record stays in restart order. Each row
-carries its own fixed matrices, weights and step budget, so one batch can hold
-the restarts of several fits of one dimension (``envar_descents``). Every
-per-restart quantity is computed slice by slice (per-matrix LAPACK/BLAS calls,
-elementwise updates, row-wise reductions), so a restart's iterates are bitwise
-the same alone or in any batch. Because every iterate is an orbit member, every
+All restarts descend together as one ``(R, p, p)`` batch, which a restart
+leaves when it stops. Every per-restart array, the iterates and their Adam
+moments as well as the record (step size, budget, trace, best iterate,
+counters), is kept in live order and compacted together at a stop, where each
+stopped restart's record becomes its ``RestartOutcome``. Each row carries its
+own fixed matrices, weights and step budget, so one batch can hold the restarts
+of several fits of one dimension (``envar_descents``). Every per-restart
+quantity is computed slice by slice (per-matrix LAPACK/BLAS calls, elementwise
+updates, row-wise reductions), so a restart's iterates are bitwise the same
+alone or in any batch. Because every iterate is an orbit member, every
 candidate (and the returned solution) induces the fitted reduced form exactly.
-A step reuses its memory: the objective evaluates into a workspace of
-``(R, p, 2p)`` buffers, rebuilt at each compaction; the ``(K, log c)`` gradient
-fills one array, whose one squared norm per row serves the finiteness test, the
-clip and the stop record; Adam updates in place. Each operation keeps the order
-of the plain formulas, so outputs are bitwise those of an allocating step.
+
+A step makes only the calls its arithmetic needs. The objective evaluates into
+a workspace of ``(R, p, 2p)`` buffers; the Cayley transform, its adjoint and
+Adam write into buffers that are made, with their views, once per compaction;
+the ``(K, log c)`` gradient fills one array, whose one squared norm per row
+serves the stop tests, the clip and the stop record. Scalar tests guard the
+masks: the per-row stop tests run only when a budget ends, a restart may have
+stalled ``PATIENCE`` steps, or a value or norm is not finite; the anneal mask
+only when a restart may have stalled ``ANNEAL_EVERY`` steps; the clip only when
+a norm exceeds ``GRAD_CLIP``. Each operation keeps the operands and order of
+the plain formulas, so outputs are bitwise those of an allocating step that
+runs every test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf as _getrf
@@ -253,43 +265,86 @@ class OrbitObjective:
         return total, grad_mn @ self.gh_t, grad_c
 
 
-def cayley(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class CayleyBuffers(NamedTuple):
+    """Reusable outputs of ``cayley`` and ``cayley_adjoint`` for a stack of one
+    shape, with the views they write through: the diagonals of ``Q`` and
+    ``A^{-1}``, each ``A^{-1}`` as the Fortran-ordered ``A^{-T}`` that LAPACK
+    inverts in place, the stack ``A^{-T}`` and the adjoint's two products."""
+
+    q: np.ndarray
+    a_inv: np.ndarray
+    q_diag: np.ndarray
+    a_inv_diag: np.ndarray
+    a_inv_fortran: tuple[np.ndarray, ...]
+    a_inv_t: np.ndarray
+    a_inv_t_g: np.ndarray
+    adj: np.ndarray
+
+    @classmethod
+    def empty(cls, shape) -> CayleyBuffers:
+        q, a_inv, a_inv_t_g, adj = (np.empty(shape) for _ in range(4))
+        a_inv_t = np.swapaxes(a_inv, -1, -2)
+        return cls(q, a_inv, _diagonal(q), _diagonal(a_inv),
+                   tuple(a_inv_t.reshape(-1, *shape[-2:])), a_inv_t, a_inv_t_g, adj)
+
+
+def cayley(k: np.ndarray, out: CayleyBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cayley transform ``Q = (I - K/2)^{-1} (I + K/2)`` of each skew ``K`` in a stack.
 
     Returns ``Q`` and ``A^{-1}``, ``A = I - K/2``. Since ``I + K/2 = 2I - A``,
     ``Q = 2 A^{-1} - I``: one inverse per matrix and no product. Each inverse
     is LAPACK ``getrf``/``getri`` in place. A C-ordered ``A`` is ``A^T`` in
     Fortran order, and ``(A^T)^{-1}`` in Fortran order is ``A^{-1}`` in C
-    order, so no copy is made.
+    order, so no copy is made. ``out``, a ``CayleyBuffers`` of ``k``'s shape,
+    receives both results if given; otherwise they are fresh arrays.
 
     A matrix whose ``A`` has an exactly zero pivot, which no finite skew ``K``
     gives, gets a NaN inverse and ``Q``.
     """
-    a_inv = np.multiply(k, -0.5, order="C")
-    _diagonal(a_inv)[...] += 1.0
-    for a in a_inv.reshape(-1, *k.shape[-2:]):
-        lu, piv, info = _getrf(a.T, overwrite_a=True)
+    buf = CayleyBuffers.empty(k.shape) if out is None else out
+    np.multiply(k, -0.5, out=buf.a_inv)
+    np.add(buf.a_inv_diag, 1.0, out=buf.a_inv_diag)
+    for a in buf.a_inv_fortran:
+        lu, piv, info = _getrf(a, overwrite_a=True)
         if info > 0:
             a[...] = np.nan
         else:
             _getri(lu, piv, overwrite_lu=True)
-    q = 2.0 * a_inv
-    _diagonal(q)[...] -= 1.0
-    return q, a_inv
+    np.multiply(buf.a_inv, 2.0, out=buf.q)
+    np.subtract(buf.q_diag, 1.0, out=buf.q_diag)
+    return buf.q, buf.a_inv
 
 
-def cayley_adjoint(a_inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+def cayley_adjoint(a_inv: np.ndarray, g: np.ndarray,
+                   out: CayleyBuffers | None = None) -> np.ndarray:
     """Adjoint of the derivative of the Cayley map at ``K`` applied to ``G``.
 
     ``dQ = A^{-1} dK A^{-1}``, so the adjoint is ``A^{-T} G A^{-T}``, which is
-    ``(1/2) A^{-T} G (I + Q)^T``.
+    ``(1/2) A^{-T} G (I + Q)^T``. ``out``, if given, is the ``CayleyBuffers``
+    that holds ``a_inv``; the products then fill its buffers.
     """
-    a_inv_t = np.swapaxes(a_inv, -1, -2)
-    return a_inv_t @ g @ a_inv_t
+    if out is None:
+        a_inv_t, a_inv_t_g, adj = np.swapaxes(a_inv, -1, -2), None, None
+    else:
+        a_inv_t, a_inv_t_g, adj = out.a_inv_t, out.a_inv_t_g, out.adj
+    return np.matmul(np.matmul(a_inv_t, g, out=a_inv_t_g), a_inv_t, out=adj)
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
     return 0.5 * (w - np.swapaxes(w, -1, -2))
+
+
+def _step_buffers(theta: np.ndarray, grad: np.ndarray, lr: np.ndarray, p: int):
+    """What a descent step writes through, made once per compaction: the
+    ``(R, p, p)`` and ``log c`` views of ``theta`` and of ``grad``, ``lr`` as a
+    column, the ``cayley`` buffers with the adjoint's transpose, Adam's update
+    and the improvement mask with its ``(R, 1, 1)`` view."""
+    n = len(theta)
+    cay = CayleyBuffers.empty((n, p, p))
+    better = np.empty(n, dtype=bool)
+    return (theta[:, :-1].reshape(n, p, p), theta[:, -1], grad[:, :-1].reshape(n, p, p),
+            grad[:, -1], lr[:, None], cay, np.swapaxes(cay.adj, -1, -2),
+            np.empty_like(theta), better, better[:, None, None])
 
 
 def minimize_orbit_objective(
@@ -312,11 +367,15 @@ def minimize_orbit_objective(
     gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
     reasons in ``STOP_REASONS`` order.
 
-    Each restart's record (trace, best iterate, step size, counters, and the
-    step, reason and gradient norm of its stop) stays in restart order; a stop
-    compacts only the live state: the iterates, their Adam moments and
-    ``live``, which names each row's restart. The outcomes are read from the
-    record after the loop.
+    Every per-restart array is kept in live order, row ``i`` for the restart
+    ``live[i]``: the iterates and their Adam moments, and the record (step
+    size, budget, trace, best iterate, counters). A stop moves each stopped
+    restart's record into its ``RestartOutcome`` and compacts the rest
+    together. A step tests scalars before masks: the per-row stop tests run
+    only when a budget ends, some restart may have stalled ``PATIENCE`` steps,
+    or a value or gradient norm is not finite; the anneal mask only when some
+    restart may have stalled ``ANNEAL_EVERY`` steps; and the clip only when
+    some norm exceeds ``GRAD_CLIP``, since below it the factor is exactly 1.
     """
     # the descent steps its own view of the caller's rows, so what it caches
     # on the full batch ([G | H], its transpose, the weights, the workspace) is
@@ -324,8 +383,10 @@ def minimize_orbit_objective(
     objective = objective.take(slice(None))
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
     n_restarts, p = k0.shape[0], k0.shape[-1]
-    last_step = int(max_steps.max())
-    # the record, in restart order
+    outcomes = [None] * n_restarts
+    live = np.arange(n_restarts)
+    budget = np.array(max_steps)
+    last_step = int(budget.max())
     lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
     trace = np.empty((n_restarts, last_step))
     best_obj = np.full(n_restarts, np.inf)
@@ -335,92 +396,102 @@ def minimize_orbit_objective(
     best_step = np.zeros(n_restarts, dtype=int)
     last_improve = np.zeros(n_restarts, dtype=int)
     anneals = np.zeros(n_restarts, dtype=int)
-    # the step a restart stopped at, and its index in STOP_REASONS
-    stop_step = np.zeros(n_restarts, dtype=int)
-    stop_reason = np.zeros(n_restarts, dtype=int)
-    final_grad_norm = np.zeros(n_restarts)
-    # the live state: theta[i] is restart live[i]'s (K, log c), starting at c = 1
-    live = np.arange(n_restarts)
+    # theta[i] is (K, log c), starting at c = 1; grad is its gradient, written
+    # in place each step
     theta = np.zeros((n_restarts, p * p + 1))
     theta[:, :-1] = k0.reshape(n_restarts, -1)
     m_theta = np.zeros_like(theta)
     v_theta = np.zeros_like(theta)
-    # the (K, log c) gradient of the live rows, written in place each step
     grad = np.empty_like(theta)
-    grad_k = grad[:, :-1].reshape(-1, p, p)
+    k, log_c, grad_k, grad_log_c, lr_col, cay, adj_t, update, better, better_q = (
+        _step_buffers(theta, grad, lr, p))
+    min_budget = int(budget.min())
+    # a lower bound of min(last_improve), refreshed once a restart may have
+    # stalled ANNEAL_EVERY steps, so exact wherever the anneal or patience
+    # tests read it
+    floor = 0
 
     for step in range(1, last_step + 1):
-        q, a_inv = cayley(theta[:, :-1].reshape(-1, p, p))
-        c = np.exp(theta[:, -1])
+        q, a_inv = cayley(k, cay)
+        c = np.exp(log_c)
         values, grad_q, grad_c = objective.value_and_grads(q, c)
-        trace[live, step - 1] = values
-        best_live = best_obj[live]
-        last_improve[live[values < best_live - CONVERGENCE_TOL]] = step
-        better = values < best_live
-        improved = live[better]
-        best_obj[improved] = values[better]
-        best_q[improved] = q[better]
-        best_c[improved] = c[better]
-        best_step[improved] = step
-        stalled = step - last_improve[live]
-        adj = cayley_adjoint(a_inv, grad_q)
-        np.subtract(adj, np.swapaxes(adj, -1, -2), out=grad_k)
-        grad[:, :-1] *= 0.5  # the skew part of the adjoint
-        np.multiply(grad_c, c, out=grad[:, -1])
-        # one squared norm per row serves the finiteness test, the stop record and
-        # the clip; a finite gradient's square can overflow, so then read the entries
-        norm2 = (grad * grad).sum(axis=-1)
-        bad_grad = ~np.isfinite(norm2)
-        if bad_grad.any():
-            bad_grad = ~np.isfinite(grad).all(axis=-1)
+        trace[:, step - 1] = values
+        np.copyto(last_improve, step, where=values < best_obj - CONVERGENCE_TOL)
+        np.less(values, best_obj, out=better)
+        np.copyto(best_obj, values, where=better)
+        np.copyto(best_q, q, where=better_q)
+        np.copyto(best_c, c, where=better)
+        np.copyto(best_step, step, where=better)
+        np.subtract(cayley_adjoint(a_inv, grad_q, cay), adj_t, out=grad_k)
+        grad_k *= 0.5  # the skew part of the adjoint
+        np.multiply(grad_c, c, out=grad_log_c)
+        # one squared norm per row serves the stop tests, the stop record and
+        # the clip
+        norm2 = np.multiply(grad, grad, out=update).sum(axis=-1)
+        norm2_max = norm2.max()
+        if step - floor >= ANNEAL_EVERY:
+            floor = int(last_improve.min())
 
-        # the rows each reason stops, in STOP_REASONS order
-        hits = (~np.isfinite(values), stalled >= PATIENCE, step == max_steps[live], bad_grad)
-        stop = reduce(np.logical_or, hits)
-        if stop.any():
-            stopped = live[stop]
-            stop_step[stopped] = step
-            # each stopped row's first reason
-            stop_reason[stopped] = np.argmax(np.array(hits)[:, stop], axis=0)
-            final_grad_norm[stopped] = np.sqrt(norm2[stop])
-            if stop.all():
-                break
-            keep = ~stop
-            live, theta, m_theta, v_theta, stalled, grad, norm2 = (
-                a[keep] for a in (live, theta, m_theta, v_theta, stalled, grad, norm2))
-            grad_k = grad[:, :-1].reshape(-1, p, p)
-            objective = objective.take(keep)
+        # a Python sum of finite values is finite or overflows to inf, without
+        # a warning; a NaN or infinite value or norm makes it non-finite
+        if (step >= min_budget or step - floor >= PATIENCE
+                or not math.isfinite(sum(values.tolist()) + float(norm2_max))):
+            # a finite gradient's square can overflow, so then read the entries
+            bad_grad = ~np.isfinite(norm2)
+            if bad_grad.any():
+                bad_grad = ~np.isfinite(grad).all(axis=-1)
+            # the rows each reason stops, in STOP_REASONS order
+            hits = (~np.isfinite(values), step - last_improve >= PATIENCE, step == budget,
+                    bad_grad)
+            stop = reduce(np.logical_or, hits)
+            if stop.any():
+                # each stopped row's first reason
+                first = np.argmax(np.array(hits)[:, stop], axis=0)
+                for i, reason in zip(np.flatnonzero(stop), [STOP_REASONS[j] for j in first]):
+                    outcomes[live[i]] = RestartOutcome(
+                        q=best_q[i], c=float(best_c[i]), objective=float(best_obj[i]),
+                        # a non-finite objective is not traced
+                        trace=trace[i, :step - (reason == NONFINITE_OBJECTIVE)], steps=step,
+                        best_step=int(best_step[i]), stop_reason=reason,
+                        anneals=int(anneals[i]), final_grad_norm=float(np.sqrt(norm2[i])))
+                if stop.all():
+                    break
+                keep = ~stop
+                (live, budget, lr, trace, best_obj, best_q, best_c, best_step, last_improve,
+                 anneals, theta, m_theta, v_theta, grad, norm2) = (
+                    a[keep] for a in (live, budget, lr, trace, best_obj, best_q, best_c,
+                                      best_step, last_improve, anneals, theta, m_theta,
+                                      v_theta, grad, norm2))
+                objective = objective.take(keep)
+                k, log_c, grad_k, grad_log_c, lr_col, cay, adj_t, update, better, better_q = (
+                    _step_buffers(theta, grad, lr, p))
+                min_budget = int(budget.min())
 
-        anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
-        if anneal.any():
-            rows = live[anneal]
-            lr[rows] *= ANNEAL_FACTOR
-            anneals[rows] += 1
+        if step - floor >= ANNEAL_EVERY:
+            stalled = step - last_improve
+            anneal = (stalled > 0) & (stalled % ANNEAL_EVERY == 0)
+            if anneal.any():
+                lr[anneal] *= ANNEAL_FACTOR
+                anneals[anneal] += 1
 
-        grad *= (GRAD_CLIP / np.maximum(np.sqrt(norm2), GRAD_CLIP))[:, None]
+        # NaN compares false, so a NaN maximum also takes the clip
+        if not norm2_max <= GRAD_CLIP * GRAD_CLIP:
+            grad *= (GRAD_CLIP / np.maximum(np.sqrt(norm2), GRAD_CLIP))[:, None]
         # Adam in place, each product in the order of m = b1 m + (1 - b1) g,
         # v = b2 v + (1 - b2) g^2, theta -= lr (m / bias1) / (sqrt(v / bias2) + eps)
         m_theta *= ADAM_BETA1
-        m_theta += (1.0 - ADAM_BETA1) * grad
+        m_theta += np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
         v_theta *= ADAM_BETA2
         v_theta += np.multiply(np.square(grad, out=grad), 1.0 - ADAM_BETA2, out=grad)
-        update = m_theta / (1.0 - ADAM_BETA1**step)
-        update *= lr[live, None]
+        np.divide(m_theta, 1.0 - ADAM_BETA1**step, out=update)
+        update *= lr_col
         denom = np.sqrt(np.divide(v_theta, 1.0 - ADAM_BETA2**step, out=grad), out=grad)
         denom += ADAM_EPS
         update /= denom
         theta -= update
-        log_c = theta[:, -1]
         np.minimum(np.maximum(log_c, log_lo, out=log_c), log_hi, out=log_c)
 
-    reasons = [STOP_REASONS[i] for i in stop_reason]
-    return [RestartOutcome(q=best_q[r], c=float(best_c[r]), objective=float(best_obj[r]),
-                           # a non-finite objective is not traced
-                           trace=trace[r, :stop_step[r] - (reasons[r] == NONFINITE_OBJECTIVE)],
-                           steps=int(stop_step[r]), best_step=int(best_step[r]),
-                           stop_reason=reasons[r], anneals=int(anneals[r]),
-                           final_grad_norm=float(final_grad_norm[r]))
-            for r in range(n_restarts)]
+    return outcomes
 
 
 def random_skew(p: int, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:

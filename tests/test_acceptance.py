@@ -6,6 +6,7 @@ All randomness is seeded, so outcomes are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from dataclasses import replace
@@ -258,6 +259,37 @@ def test_criterion_8_graceful_degradation():
            + f", {budget.elapsed:.0f}s")
     assert medians[0] <= medians[1] <= medians[2]
     assert medians[0] == min(medians)
+    assert budget.within()
+
+
+PAPER_GRID = Path(__file__).resolve().parents[1] / "manifests" / "paper_grid.json"
+
+
+def test_criterion_11_paper_claims_hold_at_p15(tmp_path):
+    """Criteria 6 and 8 on the paper grid's p = 15 cells, as
+    ``manifests/paper_grid.json`` defines them (its seed and 5 episodes), at
+    sigma_std 0 and 0.15: ENVAR's mean sf discrepancy is below eqvar-gds's in
+    each, and not higher at sigma_std 0 than at 0.15."""
+    budget = Budget(120.0)
+    payload = json.loads(PAPER_GRID.read_text())
+    payload["grid"] = {"p": [15], "sigma_std": [0.0, 0.15]}
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(payload))
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", "--manifest", str(manifest_path), "--output", str(out_dir)]) == 0
+    with open(out_dir / "aggregate.csv", newline="", encoding="utf-8") as handle:
+        means = {(float(row["sigma_std"]), row["method"]): float(row["sf_oad_mean"])
+                 for row in csv.DictReader(handle) if int(row["sf_oad_n"]) == 5}
+    envar = [means[sigma, "envar"] for sigma in (0.0, 0.15)]
+    gds = [means[sigma, "eqvar-gds"] for sigma in (0.0, 0.15)]
+    beats = all(e < g for e, g in zip(envar, gds))
+    ok = beats and envar[0] <= envar[1] and budget.within()
+    report(11, "p = 15: sparse selector beats greedy baseline and degrades gracefully", ok,
+           ", ".join(f"sigma_std {sigma:g}: envar {e:.4f} < gds {g:.4f}"
+                     for sigma, e, g in zip((0.0, 0.15), envar, gds))
+           + f"; envar {envar[0]:.4f} <= {envar[1]:.4f}, {budget.elapsed:.0f}s")
+    assert beats
+    assert envar[0] <= envar[1]
     assert budget.within()
 
 

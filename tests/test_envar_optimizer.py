@@ -20,10 +20,12 @@ from envarkit import (
 from envarkit.envar_optimizer import (
     ANNEAL_EVERY,
     CONVERGENCE_TOL,
+    GRAD_CLIP,
     NONFINITE_GRADIENT,
     NONFINITE_OBJECTIVE,
     PATIENCE,
     STOP_REASONS,
+    CayleyBuffers,
     OrbitObjective,
     cayley,
     cayley_adjoint,
@@ -375,11 +377,13 @@ def _assert_same_outcome(x, y):
 
 @dataclass(frozen=True)
 class _NanAfter(OrbitObjective):
-    """Reports NaN for the flagged restarts from evaluation ``after + 1`` on."""
+    """Reports ``value`` (NaN by default) as the objective of the flagged
+    restarts from evaluation ``after + 1`` on."""
 
     flagged: np.ndarray = None
     after: int = 0
     calls: list = field(default_factory=list)
+    value: float = np.nan
 
     def take(self, rows):
         return replace(super().take(rows), flagged=self.flagged[rows])
@@ -388,7 +392,7 @@ class _NanAfter(OrbitObjective):
         total, grad_q, grad_c = super().value_and_grads(q, c)
         self.calls.append(None)
         if len(self.calls) > self.after:
-            total = np.where(self.flagged, np.nan, total)
+            total = np.where(self.flagged, self.value, total)
         return total, grad_q, grad_c
 
 
@@ -542,6 +546,41 @@ def _bits(x):
     return x.shape, x.tobytes()
 
 
+def _matches_reference(make_objective, starts, max_steps):
+    """The outcomes of the descent of ``make_objective()``, each field
+    asserted bitwise equal to those of the allocating reference descent."""
+    got = minimize_orbit_objective(make_objective(), starts, max_steps=max_steps)
+    want = reference_minimize_orbit_objective(make_objective(), starts, max_steps=max_steps)
+    assert len(got) == len(want) == len(starts)
+    for x, y in zip(got, want):
+        for name in ("q", "trace", "c", "objective", "final_grad_norm"):
+            assert _bits(getattr(x, name)) == _bits(getattr(y, name)), name
+        assert (x.steps, x.best_step, x.stop_reason, x.anneals) == (
+            y.steps, y.best_step, y.stop_reason, y.anneals)
+    return got
+
+
+def _start_grad_norms(objective, starts):
+    """The unclipped (K, log c) gradient norm of each restart at its first step."""
+    q, a_inv = cayley(starts)
+    _, grad_q, grad_c = objective.value_and_grads(q, np.ones(len(starts)))
+    grad_k = _skew(cayley_adjoint(a_inv, grad_q))
+    return np.sqrt((grad_k**2).sum(axis=(1, 2)) + grad_c**2)
+
+
+def _anneal_steps(trace):
+    """The steps at which a restart with this objective trace anneals."""
+    best, last_improve, steps = np.inf, 0, []
+    for step, value in enumerate(trace, start=1):
+        if value < best - CONVERGENCE_TOL:
+            last_improve = step
+        best = min(best, value)
+        stalled = step - last_improve
+        if stalled > 0 and stalled % ANNEAL_EVERY == 0:
+            steps.append(step)
+    return steps
+
+
 class TestStepMatchesReference:
     """The in-place step is bitwise the allocating one of ``oracles``."""
 
@@ -556,15 +595,58 @@ class TestStepMatchesReference:
             return _NanGradAfter(**vars(objective), flagged=rows == 5, after=40,
                                  grad_flagged=rows == 6, grad_after=60)
 
-        got = minimize_orbit_objective(poisoned(), starts, max_steps=max_steps)
-        want = reference_minimize_orbit_objective(poisoned(), starts, max_steps=max_steps)
+        got = _matches_reference(poisoned, starts, max_steps)
         assert {o.stop_reason for o in got} == set(STOP_REASONS)
         assert any(o.anneals for o in got)
-        for x, y in zip(got, want):
-            for name in ("q", "trace", "c", "objective", "final_grad_norm"):
-                assert _bits(getattr(x, name)) == _bits(getattr(y, name)), name
-            assert (x.steps, x.best_step, x.stop_reason, x.anneals) == (
-                y.steps, y.best_step, y.stop_reason, y.anneals)
+
+    def test_every_outcome_field_when_one_row_clips(self):
+        """At the first step restart 0's gradient norm is above GRAD_CLIP and
+        the others' below it, so one row of the step is clipped."""
+        objective, starts, _ = _mixed_batch(3)
+        objective, starts = objective.take([0, 1, 4]), starts[[0, 1, 4]]
+        scale = np.array([3.0, 1e-3, 1e-3])
+        objective = replace(objective, w_off=objective.w_off * scale,
+                            w_lag=objective.w_lag * scale, w_diag=objective.w_diag * scale)
+        norms = _start_grad_norms(objective, starts)
+        assert norms[0] > GRAD_CLIP > norms[1:].max()
+        got = _matches_reference(lambda: objective, starts, np.array([40, 300, 300]))
+        assert [o.steps for o in got] == [40, 300, 300]
+
+    def test_every_outcome_field_when_a_row_anneals_as_another_stops(self):
+        """The second row anneals at the step the first row's budget ends, so
+        it is annealed in the row that the first row's stop compacts it into."""
+        objective, starts, _ = _mixed_batch(3)
+        (alone,) = _descend(objective.take([0]), starts[:1], 700)
+        first_anneal = _anneal_steps(alone.trace)[0]
+        assert first_anneal < alone.steps
+        got = _matches_reference(lambda: objective.take([1, 0]), starts[[1, 0]],
+                                 np.array([first_anneal, 700]))
+        assert (got[0].steps, got[0].stop_reason) == (first_anneal, "budget")
+        assert _anneal_steps(got[1].trace)[0] == first_anneal
+        _assert_same_outcome(got[1], alone)
+
+    def test_every_outcome_field_with_a_one_step_budget(self):
+        objective, starts, _ = _mixed_batch(3)
+        got = _matches_reference(lambda: objective.take([0, 1, 4]), starts[[0, 1, 4]],
+                                 np.array([60, 1, 30]))
+        assert [(o.steps, len(o.trace), o.stop_reason) for o in got] == [
+            (60, 60, "budget"), (1, 1, "budget"), (30, 30, "budget")]
+
+    def test_every_outcome_field_when_finite_values_sum_to_infinity(self):
+        """From step 31, restarts 0 and 2 report 1e308: each value is finite,
+        but their sum is not, so a step runs the per-row stop tests, which
+        stop no one before the budget."""
+        objective, starts, _ = _mixed_batch(3)
+        objective, starts = objective.take([0, 1, 4]), starts[[0, 1, 4]]
+
+        def huge():
+            return _NanAfter(**vars(objective), flagged=np.array([True, False, True]),
+                             after=30, value=1e308)
+
+        got = _matches_reference(huge, starts, np.full(3, 80))
+        assert [(o.steps, o.stop_reason) for o in got] == [(80, "budget")] * 3
+        for o in (got[0], got[2]):
+            assert (o.trace[30:] == 1e308).all() and o.best_step <= 30
 
     @pytest.mark.parametrize("p", [1, 3, 25])
     def test_value_and_grads(self, p):
@@ -774,6 +856,26 @@ class TestZeroPivot:
         assert np.array_equal(q[[0, 2]], np.broadcast_to(np.eye(2), (2, 2, 2)))
         assert np.array_equal(a_inv[[0, 2]], q[[0, 2]])
 
+    def test_buffers_give_the_same_bytes(self):
+        """``cayley`` and ``cayley_adjoint`` write the bytes they return
+        without buffers into them, the singular matrix's NaN row included,
+        over what a previous call left there."""
+        rng = np.random.default_rng(27)
+        k = np.array([random_skew(4, rng, 0.5) for _ in range(3)])
+        k[1] = 2.0 * np.eye(4)  # I - K/2 = 0
+        g = rng.normal(size=k.shape)
+        q, a_inv = cayley(k)
+        adj = cayley_adjoint(a_inv, g)
+        assert np.isnan(q[1]).all() and np.isfinite(q[[0, 2]]).all()
+        buffers = CayleyBuffers.empty(k.shape)
+        for kk in (k[::-1].copy(), k):
+            got = cayley(kk, buffers)
+            assert got[0] is buffers.q and got[1] is buffers.a_inv
+            got_adj = cayley_adjoint(got[1], g, buffers)
+            assert got_adj is buffers.adj
+        for x, y in zip((q, a_inv, adj), (*got, got_adj)):
+            assert _bits(x) == _bits(y)
+
     def test_descent_names_restart_and_carries_its_trace(self, monkeypatch):
         """A singular I - K/2 in batch row 2, after restart 2 has left, is
         restart 3's: it stops as a non-finite objective, with a clean trace."""
@@ -782,13 +884,13 @@ class TestZeroPivot:
         (clean,) = _descend(objective.take([3]), k0[3:], after)
         calls = []
 
-        def singular_after(k):
+        def singular_after(k, *args, **kwargs):
             calls.append(None)
             if len(calls) == after + 1:
                 assert len(k) == 3
                 k = k.copy()
                 k[2] = 2.0 * np.eye(k.shape[-1])  # I - K/2 = 0
-            return cayley(k)
+            return cayley(k, *args, **kwargs)
 
         monkeypatch.setattr(envar_optimizer, "cayley", singular_after)
         batch = _descend(objective, k0)
