@@ -257,11 +257,11 @@ class OrbitObjective:
         np.sign(mn, out=grad_mn)
         grad_mn *= self.weights
         mn *= grad_mn
-        l1 = mn_flat.sum(axis=-1)
-        total = c * l1 + self.w_diag * (d * d).sum(axis=-1)
+        l1 = np.add.reduce(mn_flat, -1)
+        total = c * l1 + self.w_diag * np.add.reduce(d * d, -1)
         grad_mn *= c[..., None, None]
         grad_diag += (w_diag2 * c)[..., None] * d
-        grad_c = l1 + w_diag2 * (d * diag_m).sum(axis=-1)
+        grad_c = l1 + w_diag2 * np.add.reduce(d * diag_m, -1)
         return total, grad_mn @ self.gh_t, grad_c
 
 
@@ -427,8 +427,8 @@ def minimize_orbit_objective(
         np.multiply(grad_c, c, out=grad_log_c)
         # one squared norm per row serves the stop tests, the stop record and
         # the clip
-        norm2 = np.multiply(grad, grad, out=update).sum(axis=-1)
-        norm2_max = norm2.max()
+        norm2 = np.add.reduce(np.multiply(grad, grad, out=update), -1)
+        norm2_max = np.maximum.reduce(norm2)
         if step - floor >= ANNEAL_EVERY:
             floor = int(last_improve.min())
 

@@ -164,23 +164,36 @@ def align_obs(
     """
     if m_ref.p != m_test.p:
         raise DimensionError(f"dimension mismatch: {m_ref.p} vs {m_test.p}")
-    eta = _setting("eta", eta, lambda v: v >= 0.0, ">= 0")
+    eta = _check_eta(eta)
     s_ref, s_test = stacked(m_ref), stacked(m_test)
-    alpha, q_star, unique_q = _svd_cross(s_ref, s_test)
+    return _align(s_ref, s_test, m_ref.sigma, m_test.sigma, eta, _svd_cross(s_ref, s_test))
+
+
+def _check_eta(eta) -> float:
+    return _setting("eta", eta, lambda v: v >= 0.0, ">= 0")
+
+
+def _align(
+    s_ref: np.ndarray, s_test: np.ndarray, sigma_ref: float, sigma_test: float,
+    eta: float, svd: tuple[float, np.ndarray, bool],
+) -> AlignmentResult:
+    """``align_obs`` past its checks, from the stacks and their ``_svd_cross``,
+    so that one SVD can serve several ``eta``."""
+    alpha, q_star, unique_q = svd
     s_ref_sq = float(np.sum(s_ref**2))
     s_test_sq = float(np.sum(s_test**2))
-    denom = s_ref_sq + eta * m_ref.sigma**2
-    numer = alpha + eta * m_ref.sigma * m_test.sigma
+    denom = s_ref_sq + eta * sigma_ref**2
+    numer = alpha + eta * sigma_ref * sigma_test
     if denom <= np.finfo(float).tiny or numer <= _ALPHA_ZERO:
         return AlignmentResult(
-            value=_clamp(s_test_sq + eta * m_test.sigma**2),
+            value=_clamp(s_test_sq + eta * sigma_test**2),
             q_star=q_star,
             c_star=0.0,
             alpha=alpha,
             unique_q=unique_q,
             infimum_not_attained=True,
         )
-    value = _clamp(s_test_sq + eta * m_test.sigma**2 - numer**2 / denom)
+    value = _clamp(s_test_sq + eta * sigma_test**2 - numer**2 / denom)
     return AlignmentResult(
         value=value, q_star=q_star, c_star=numer / denom, alpha=alpha, unique_q=unique_q
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr
 
-from .equivalence import align_obs, align_sf
+from .equivalence import _align, _check_eta, _svd_cross, stacked
 from .errors import DimensionError
 from .model_core import StructuralModel, _freeze_fields, _setting, to_reduced_form
 from .synth import GroundTruthInstance
@@ -105,15 +105,21 @@ def score(
     """Score an estimated structural model against the generating instance.
 
     The alignment discrepancies use the truth as the reference class (error
-    from the estimate to the class); correlations compare transition matrices,
-    residual covariances, contemporaneous off-diagonals, and lagged matrices.
+    from the estimate to the class): ``sf_oad`` is ``align_sf`` and
+    ``obs_oad`` is ``align_obs`` at ``eta``, and one SVD of the stacks' cross
+    product serves both. Correlations compare transition matrices, residual
+    covariances, contemporaneous off-diagonals, and lagged matrices.
     """
     if estimate.p != truth.model.p:
         raise DimensionError(
             f"estimate is {estimate.p}-dim but truth is {truth.model.p}-dim"
         )
-    sf = align_sf(truth.model, estimate)
-    obs = align_obs(truth.model, estimate, eta=eta)
+    eta = _check_eta(eta)
+    ref = truth.model
+    s_ref, s_test = stacked(ref), stacked(estimate)
+    svd = _svd_cross(s_ref, s_test)
+    sf = _align(s_ref, s_test, ref.sigma, estimate.sigma, 0.0, svd)
+    obs = _align(s_ref, s_test, ref.sigma, estimate.sigma, eta, svd)
     est_rf = to_reduced_form(estimate)
     phi_gate = gated_pearson(truth.phi, est_rf.phi)
     sigma_gate = gated_pearson(truth.sigma_u, est_rf.sigma_u)

@@ -327,8 +327,9 @@ def _sample(
     ``e_t ~ N(0, diag(noise_sd)^2)``, with ``noise_sd`` one standard deviation
     shared by all nodes or a length-p vector of per-node ones. The initial
     state is one draw from the stationary law, the shocks follow it in the
-    same stream, and ``burn_in`` leading samples are discarded. No
-    admissibility gate.
+    same stream, and ``burn_in`` leading samples are discarded. The driven
+    shocks ``B^{-1} e_t`` fill one row per step, and each state is written in
+    place into its row. No admissibility gate.
     """
     phi, sigma_u = _reduced_form(b, a1, noise_sd**2)
     sigma_x = stationary_covariance(ReducedForm(phi=phi, sigma_u=sigma_u)).sigma_x
@@ -342,12 +343,12 @@ def _sample(
     x = chol @ rng.standard_normal(p)
     shocks = np.reshape(noise_sd, (-1, 1)) * rng.standard_normal((p, burn_in + t_len))
     b_inv = np.linalg.solve(b, np.eye(p))
-    trans, driven = b_inv @ a1, b_inv @ shocks
-    path = np.empty(shocks.shape)
-    for t in range(shocks.shape[1]):
-        x = trans @ x + driven[:, t]
-        path[:, t] = x
-    return TimeSeries(values=path[:, burn_in:], centered=False)
+    trans = b_inv @ a1
+    path = np.ascontiguousarray((b_inv @ shocks).T)
+    for row in path:
+        row += np.dot(trans, x)
+        x = row
+    return TimeSeries(values=path[burn_in:].T, centered=False)
 
 
 def simulate(m: StructuralModel, t_len: int, seed: int, burn_in: int = BURN_IN) -> TimeSeries:

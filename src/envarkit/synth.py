@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,9 @@ class GroundTruthInstance:
     """A generated model, its per-node noise scales, and one simulated episode.
 
     ``series`` is None for instances rebuilt from a persisted truth record in
-    score-only contexts; the generator always fills it.
+    score-only contexts; the generator always fills it. The generating law
+    ``(phi, sigma_u)`` is computed once per instance, on first read, and both
+    arrays are read-only.
     """
 
     model: StructuralModel
@@ -81,14 +84,21 @@ class GroundTruthInstance:
     def __post_init__(self):
         _freeze_fields(self)
 
+    @cached_property
+    def _law(self) -> tuple[np.ndarray, np.ndarray]:
+        law = _reduced_form(self.model.b, self.model.a1, self.per_node_sigmas**2)
+        for arr in law:
+            arr.setflags(write=False)
+        return law
+
     @property
     def phi(self) -> np.ndarray:
-        return _reduced_form(self.model.b, self.model.a1, self.per_node_sigmas**2)[0]
+        return self._law[0]
 
     @property
     def sigma_u(self) -> np.ndarray:
         """Residual covariance of the generating law (heteroscedastic-aware)."""
-        return _reduced_form(self.model.b, self.model.a1, self.per_node_sigmas**2)[1]
+        return self._law[1]
 
 
 def _draw_structure(cfg: GeneratorConfig, rng: np.random.Generator) -> StructuralModel | None:

@@ -8,10 +8,10 @@ sampling-error oracle evaluates the Gaussian fourth-moment formula, the
 greedy-baseline oracle runs one least-squares regression per candidate node,
 the file-format oracles write, read and convert one value at a time, and the
 reduced-form and series oracles keep the separate scalar-noise and per-node
-formulas and the generator's own sampling loop. The ENVAR step oracles keep
-the descent's earlier arithmetic: fresh temporaries for the objective, a
-concatenated ``(K, log c)`` gradient checked entry by entry, and an Adam
-update that allocates each intermediate.
+formulas and the sampler's earlier loop, one fresh state per step. The ENVAR
+step oracles keep the descent's earlier arithmetic: fresh temporaries for the
+objective, a concatenated ``(K, log c)`` gradient checked entry by entry, and
+an Adam update that allocates each intermediate.
 """
 
 from __future__ import annotations
@@ -116,14 +116,28 @@ def reference_instance_series(
     """Per-node noise scales and series of a generated instance, drawn step by step.
 
     Replays the generator's noise stream of the first structure attempt: the
-    per-node scales, a stationary start from the per-node ``sigma_u`` of
-    ``reference_reduced_form``, the scaled shocks, and the recursion
-    ``x_t = B^{-1}(a1 x_{t-1} + e_t)`` with ``burn_in`` leading steps dropped.
+    per-node scales, then the series of ``reference_series``.
     """
     p = a0.shape[0]
     rng = sub_rng(seed, 0x6E6F69, episode, 0)
     sigmas = np.maximum(sigma_nom + sigma_std * rng.standard_normal(p), 0.05 * sigma_nom)
-    b = np.eye(p) - a0
+    return sigmas, reference_series(np.eye(p) - a0, a1, sigmas, rng, t_len, burn_in)
+
+
+def reference_simulate(m: StructuralModel, t_len: int, seed: int, burn_in: int) -> np.ndarray:
+    """``simulate``'s series drawn step by step, its one noise scale given to every node."""
+    sigmas = np.full(m.p, m.sigma)
+    return reference_series(m.b, m.a1, sigmas, np.random.default_rng(seed), t_len, burn_in)
+
+
+def reference_series(
+    b: np.ndarray, a1: np.ndarray, sigmas: np.ndarray, rng: np.random.Generator,
+    t_len: int, burn_in: int,
+) -> np.ndarray:
+    """A stationary start from the per-node ``sigma_u`` of ``reference_reduced_form``,
+    the scaled shocks, and the recursion ``x_t = B^{-1}(a1 x_{t-1} + e_t)`` one
+    step at a time into a fresh state, with ``burn_in`` leading steps dropped."""
+    p = b.shape[0]
     phi, sigma_u = reference_reduced_form(b, a1, sigmas)
     sigma_x = stationary_covariance(ReducedForm(phi=phi, sigma_u=sigma_u)).sigma_x
     x = np.linalg.cholesky(sigma_x) @ rng.standard_normal(p)
@@ -134,7 +148,7 @@ def reference_instance_series(
     for t in range(burn_in + t_len):
         x = trans @ x + driven[:, t]
         out[:, t] = x
-    return sigmas, out[:, burn_in:]
+    return out[:, burn_in:]
 
 
 def _conditional_variance(target: np.ndarray, predictors: np.ndarray | None) -> float:

@@ -10,8 +10,11 @@ from scipy.special import stdtr
 from envarkit import (
     OrbitElement,
     StructuralModel,
+    align_obs,
+    align_sf,
     binarize_cumulative,
     centralities,
+    is_admissible,
     orbit_transform,
     score,
 )
@@ -20,6 +23,7 @@ from envarkit.eval_metrics import gated_pearson
 from envarkit.synth import GeneratorConfig, GroundTruthInstance, generate_instance
 
 from conftest import random_admissible, random_orthogonal
+from test_equivalence import _alignment_pairs
 
 
 def make_truth(seed: int = 0, p: int = 4, sigma_std: float = 0.0) -> GroundTruthInstance:
@@ -68,6 +72,21 @@ class TestScore:
         truth = make_truth(seed=6, p=3)
         with pytest.raises(DimensionError, match="^eta must be"):
             score(truth.model, truth, eta=np.nan)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("m_ref, m_test", [
+        pytest.param(*param.values, id=param.id) for param in _alignment_pairs()
+        if all(is_admissible(m) for m in param.values)
+    ])
+    def test_discrepancies_are_the_alignments_bitwise(self, m_ref, m_test, eta):
+        truth = GroundTruthInstance(
+            model=m_ref, per_node_sigmas=np.full(m_ref.p, m_ref.sigma), series=None,
+            episode_index=0,
+        )
+        report = score(m_test, truth, eta=eta)
+        sf, obs = align_sf(m_ref, m_test), align_obs(m_ref, m_test, eta=eta)
+        assert np.float64(report.sf_oad).tobytes() == np.float64(sf.value).tobytes()
+        assert np.float64(report.obs_oad).tobytes() == np.float64(obs.value).tobytes()
 
     def test_heteroscedastic_truth_uses_generating_law(self):
         truth = make_truth(seed=8, p=3, sigma_std=0.2)

@@ -42,10 +42,12 @@ from envarkit.errors import (
 )
 from envarkit.envar_optimizer import NormConstants, RestartOutcome
 from envarkit.formats import MetricsConfig
-from envarkit.model_core import _reduced_form
+from envarkit.model_core import BURN_IN, _reduced_form
 
 from conftest import random_admissible, random_orthogonal
-from oracles import kron_lyapunov, reference_reduced_form, truncated_lyapunov
+from oracles import (
+    kron_lyapunov, reference_reduced_form, reference_simulate, truncated_lyapunov,
+)
 
 
 class TestSpectralRadius:
@@ -257,6 +259,16 @@ class TestSimulate:
         assert a.values.tobytes() == b.values.tobytes()
         c = simulate(m, 200, seed=43, burn_in=50)
         assert a.values.tobytes() != c.values.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 5])
+    @pytest.mark.parametrize("burn_in", [0, BURN_IN])
+    def test_matches_step_by_step_reference_bitwise(self, p, burn_in):
+        m = random_admissible(p, np.random.default_rng(30 + p))
+        ts = simulate(m, 120, seed=9, burn_in=burn_in)
+        assert ts.values.flags.c_contiguous
+        assert ts.values.tobytes() == reference_simulate(m, 120, 9, burn_in).tobytes()
+        if burn_in == BURN_IN:
+            assert simulate(m, 120, seed=9).values.tobytes() == ts.values.tobytes()
 
     def test_rejects_short_series(self):
         m = StructuralModel(a0=np.zeros((2, 2)), a1=np.zeros((2, 2)), sigma=1.0)

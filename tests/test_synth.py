@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from envarkit import (
     is_admissible,
     spectral_radius,
 )
+from envarkit import synth
 from envarkit.errors import DimensionError
 from envarkit.formats import load_manifest
+from envarkit.model_core import _reduced_form
 
 from oracles import reference_instance_series, reference_reduced_form
 
@@ -112,7 +115,7 @@ class TestGenerateInstance:
             n_at_floor += int(np.count_nonzero(inst.per_node_sigmas == floor))
         assert n_at_floor == 0  # ~6.3 sigma event per draw
 
-    @pytest.mark.parametrize("p", [2, 5, 50])
+    @pytest.mark.parametrize("p", [1, 2, 5, 50])
     @pytest.mark.parametrize("sigma_std", [0.0, 0.075])
     def test_matches_per_node_reference_bitwise(self, p, sigma_std):
         cfg = GeneratorConfig(p=p, t_len=200, sigma_std=sigma_std, seed=12)
@@ -126,6 +129,28 @@ class TestGenerateInstance:
         )
         assert np.array_equal(inst.per_node_sigmas, sigmas)
         assert inst.series.values.tobytes() == series.tobytes()
+
+    def test_law_is_computed_once_and_read_only(self, monkeypatch):
+        inst = generate_instance(GeneratorConfig(p=4, t_len=20, sigma_std=0.1, seed=3), 0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _reduced_form(*args)
+
+        monkeypatch.setattr(synth, "_reduced_form", counted)
+        phi, sigma_u = inst.phi, inst.sigma_u
+        for _ in range(3):
+            assert inst.phi is phi and inst.sigma_u is sigma_u
+        assert len(calls) == 1
+        assert not phi.flags.writeable and not sigma_u.flags.writeable
+        b = np.eye(4) - inst.model.a0
+        expected = reference_reduced_form(b, inst.model.a1, inst.per_node_sigmas)
+        assert phi.tobytes() == expected[0].tobytes()
+        assert sigma_u.tobytes() == expected[1].tobytes()
+        # a replaced instance computes its own law
+        assert replace(inst, series=None).sigma_u is not sigma_u
+        assert len(calls) == 2
 
     def test_invalid_config(self):
         with pytest.raises(DimensionError):
