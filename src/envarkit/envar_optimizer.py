@@ -27,14 +27,14 @@ the ``Q`` with determinant +1; a fit descends one restart by default.
 
 All restarts descend together as one ``(R, p, p)`` batch, which a restart
 leaves when it stops. Every per-restart array, the iterates and their Adam
-moments as well as the record (step size, budget, trace, best iterate,
-counters), is kept in live order and compacted together at a stop, where each
-stopped restart's record becomes its ``RestartOutcome``. Each row carries its
-own fixed matrices, weights and step budget, so one batch can hold the restarts
-of several fits of one dimension (``envar_descents``). Every per-restart
-quantity is computed slice by slice (per-matrix LAPACK/BLAS calls, elementwise
-updates, row-wise reductions), so a restart's iterates are bitwise the same
-alone or in any batch. Because every iterate is an orbit member, every
+moments as well as the record (step size, trace, best iterate, counters), is
+kept in live order and compacted together at a stop, where each stopped
+restart's record becomes its ``RestartOutcome``. Each row carries its own fixed
+matrices and weights under one shared step budget, so one batch can hold the
+restarts of several fits of one ``p``, ``max_steps`` and ``restarts``
+(``envar_descents``). Every per-restart quantity is computed slice by slice
+(per-matrix LAPACK/BLAS calls, elementwise updates, row-wise reductions), so a
+restart's iterates are bitwise the same alone or in any batch. Because every iterate is an orbit member, every
 candidate (and the returned solution) induces the fitted reduced form exactly.
 
 A step makes only the calls its arithmetic needs. The objective evaluates into
@@ -42,7 +42,7 @@ a workspace of ``(R, p, 2p)`` buffers; the Cayley transform, its adjoint and
 Adam write into buffers that are made, with their views, once per compaction;
 the ``(K, log c)`` gradient fills one array, whose one squared norm per row
 serves the stop tests, the clip and the stop record. Scalar tests guard the
-masks: the per-row stop tests run only when a budget ends, a restart may have
+masks: the per-row stop tests run only when the budget ends, a restart may have
 stalled ``PATIENCE`` steps, or a value or norm is not finite; the anneal mask
 only when a restart may have stalled ``ANNEAL_EVERY`` steps; the clip only when
 a norm exceeds ``GRAD_CLIP``. Each operation keeps the operands and order of
@@ -351,13 +351,13 @@ def minimize_orbit_objective(
     objective: OrbitObjective,
     k0: np.ndarray,
     *,
-    max_steps: np.ndarray,
+    max_steps: int,
 ) -> list[RestartOutcome]:
     """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
 
     ``k0`` is an ``(R, p, p)`` stack of skew starts, ``objective`` holds the
-    matching rows and ``max_steps`` is the ``(R,)`` array of step budgets;
-    results come back in restart order. A restart stops after its budget or
+    matching rows and ``max_steps`` is the step budget every restart shares;
+    results come back in restart order. A restart stops after the budget or
     once its best objective has not improved by ``CONVERGENCE_TOL`` over
     ``PATIENCE`` consecutive steps. During a plateau its step size decays
     every ``ANNEAL_EVERY`` stalled steps so the iterate can settle below the
@@ -369,13 +369,13 @@ def minimize_orbit_objective(
 
     Every per-restart array is kept in live order, row ``i`` for the restart
     ``live[i]``: the iterates and their Adam moments, and the record (step
-    size, budget, trace, best iterate, counters). A stop moves each stopped
-    restart's record into its ``RestartOutcome`` and compacts the rest
-    together. A step tests scalars before masks: the per-row stop tests run
-    only when a budget ends, some restart may have stalled ``PATIENCE`` steps,
-    or a value or gradient norm is not finite; the anneal mask only when some
-    restart may have stalled ``ANNEAL_EVERY`` steps; and the clip only when
-    some norm exceeds ``GRAD_CLIP``, since below it the factor is exactly 1.
+    size, trace, best iterate, counters). A stop moves each stopped restart's
+    record into its ``RestartOutcome`` and compacts the rest together. A step
+    tests scalars before masks: the per-row stop tests run only when the
+    budget ends, some restart may have stalled ``PATIENCE`` steps, or a value
+    or gradient norm is not finite; the anneal mask only when some restart may
+    have stalled ``ANNEAL_EVERY`` steps; and the clip only when some norm
+    exceeds ``GRAD_CLIP``, since below it the factor is exactly 1.
     """
     # the descent steps its own view of the caller's rows, so what it caches
     # on the full batch ([G | H], its transpose, the weights, the workspace) is
@@ -385,10 +385,8 @@ def minimize_orbit_objective(
     n_restarts, p = k0.shape[0], k0.shape[-1]
     outcomes = [None] * n_restarts
     live = np.arange(n_restarts)
-    budget = np.array(max_steps)
-    last_step = int(budget.max())
     lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
-    trace = np.empty((n_restarts, last_step))
+    trace = np.empty((n_restarts, max_steps))
     best_obj = np.full(n_restarts, np.inf)
     # NaN until a finite objective is seen, which a restart may never see
     best_q = np.full((n_restarts, p, p), np.nan)
@@ -405,13 +403,12 @@ def minimize_orbit_objective(
     grad = np.empty_like(theta)
     k, log_c, grad_k, grad_log_c, lr_col, cay, adj_t, update, better, better_q = (
         _step_buffers(theta, grad, lr, p))
-    min_budget = int(budget.min())
     # a lower bound of min(last_improve), refreshed once a restart may have
     # stalled ANNEAL_EVERY steps, so exact wherever the anneal or patience
     # tests read it
     floor = 0
 
-    for step in range(1, last_step + 1):
+    for step in range(1, max_steps + 1):
         q, a_inv = cayley(k, cay)
         c = np.exp(log_c)
         values, grad_q, grad_c = objective.value_and_grads(q, c)
@@ -434,15 +431,15 @@ def minimize_orbit_objective(
 
         # a Python sum of finite values is finite or overflows to inf, without
         # a warning; a NaN or infinite value or norm makes it non-finite
-        if (step >= min_budget or step - floor >= PATIENCE
+        if (step == max_steps or step - floor >= PATIENCE
                 or not math.isfinite(sum(values.tolist()) + float(norm2_max))):
             # a finite gradient's square can overflow, so then read the entries
             bad_grad = ~np.isfinite(norm2)
             if bad_grad.any():
                 bad_grad = ~np.isfinite(grad).all(axis=-1)
             # the rows each reason stops, in STOP_REASONS order
-            hits = (~np.isfinite(values), step - last_improve >= PATIENCE, step == budget,
-                    bad_grad)
+            hits = (~np.isfinite(values), step - last_improve >= PATIENCE,
+                    np.full(len(values), step == max_steps), bad_grad)
             stop = reduce(np.logical_or, hits)
             if stop.any():
                 # each stopped row's first reason
@@ -457,15 +454,14 @@ def minimize_orbit_objective(
                 if stop.all():
                     break
                 keep = ~stop
-                (live, budget, lr, trace, best_obj, best_q, best_c, best_step, last_improve,
-                 anneals, theta, m_theta, v_theta, grad, norm2) = (
-                    a[keep] for a in (live, budget, lr, trace, best_obj, best_q, best_c,
-                                      best_step, last_improve, anneals, theta, m_theta,
-                                      v_theta, grad, norm2))
+                (live, lr, trace, best_obj, best_q, best_c, best_step, last_improve, anneals,
+                 theta, m_theta, v_theta, grad, norm2) = (
+                    a[keep] for a in (live, lr, trace, best_obj, best_q, best_c, best_step,
+                                      last_improve, anneals, theta, m_theta, v_theta, grad,
+                                      norm2))
                 objective = objective.take(keep)
                 k, log_c, grad_k, grad_log_c, lr_col, cay, adj_t, update, better, better_q = (
                     _step_buffers(theta, grad, lr, p))
-                min_budget = int(budget.min())
 
         if step - floor >= ANNEAL_EVERY:
             stalled = step - last_improve
@@ -548,8 +544,10 @@ def _batch(problems):
 
 
 def envar_descents(problems) -> list[tuple[RestartOutcome, ...]]:
-    """Descend the restarts of several ``(cr, cfg)`` fits of one dimension as one batch.
+    """Descend the restarts of several ``(cr, cfg)`` fits of one shape as one batch.
 
+    The fits share ``p``, ``cfg.max_steps`` and ``cfg.restarts`` (or a
+    ``DimensionError`` is raised) and may differ in data, seed and weights.
     Returns one entry per problem, in order: its ``RestartOutcome``s in restart
     order. A diverged restart keeps its non-finite ``stop_reason`` and finite
     trace; its fit's ``solve_envar`` raises. A restart's iterates are bitwise
@@ -559,14 +557,12 @@ def envar_descents(problems) -> list[tuple[RestartOutcome, ...]]:
     problems = list(problems)
     if not problems:
         return []
-    if len({cr.p for cr, _ in problems}) > 1:
-        raise DimensionError("envar_descents needs fits of one dimension p")
-    batch, starts = _batch(problems)
-    counts = [cfg.restarts for _, cfg in problems]
-    results = minimize_orbit_objective(
-        batch, starts, max_steps=np.repeat([cfg.max_steps for _, cfg in problems], counts))
+    if len({(cr.p, cfg.max_steps, cfg.restarts) for cr, cfg in problems}) > 1:
+        raise DimensionError("envar_descents needs fits of one p, max_steps and restarts")
+    _, cfg = problems[0]
+    results = minimize_orbit_objective(*_batch(problems), max_steps=cfg.max_steps)
     # a fit's restarts are contiguous in the batch
-    return [tuple(results[end - count:end]) for end, count in zip(np.cumsum(counts), counts)]
+    return [tuple(results[i:i + cfg.restarts]) for i in range(0, len(results), cfg.restarts)]
 
 
 def solve_envar(

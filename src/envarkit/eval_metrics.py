@@ -76,10 +76,10 @@ def gated_pearson(x: np.ndarray, y: np.ndarray) -> PearsonGate:
     m = x.size
     if m != y.size:
         raise DimensionError(f"size mismatch: {x.size} vs {y.size}")
-    if m < 3 or np.std(x) == 0.0 or np.std(y) == 0.0:
+    if m < 3 or (c := np.cov(x, y))[0, 0] == 0.0 or c[1, 1] == 0.0:
         return PearsonGate(r=None, p_value=float("nan"))
-    r = float(np.corrcoef(x, y)[0, 1])
-    r = max(-1.0, min(1.0, r))
+    # np.corrcoef's arithmetic: divide by the row's deviation, then the column's
+    r = max(-1.0, min(1.0, float(c[0, 1] / np.sqrt(c[0, 0]) / np.sqrt(c[1, 1]))))
     df = m - 2
     if abs(r) >= 1.0:
         p_value = 0.0

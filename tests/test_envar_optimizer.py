@@ -363,8 +363,8 @@ def _batch_problem(p, rng):
 
 
 def _descend(objective, k0, steps=PATIENCE + 100):
-    """The descent of the restarts of ``objective``, each with a budget of ``steps``."""
-    return minimize_orbit_objective(objective, k0, max_steps=np.full(len(k0), steps))
+    """The descent of the restarts of ``objective`` with a budget of ``steps``."""
+    return minimize_orbit_objective(objective, k0, max_steps=steps)
 
 
 def _assert_same_outcome(x, y):
@@ -521,23 +521,27 @@ class TestGradientFiniteness:
         assert np.isfinite(batch[1].trace).all()
 
 
+# The step budget of ``_mixed_batch``: past PATIENCE, so a restart may stop on
+# patience before it
+MIXED_STEPS = 700
+
+
 def _mixed_batch(p):
-    """Ten restarts of three fits at dimension ``p``, with budgets 700, 300
-    and 800; fit 2's first restart starts at an exact minimum, so it stops on
-    patience. Returns the objective, starts and budgets."""
-    base = default_config(p)
+    """Nine restarts of three fits at dimension ``p`` that differ in data, seed
+    and weights, three restarts each; fit 2's first restart (row 6) starts at
+    an exact minimum, so it stops on patience while others run to the
+    budget. Returns the objective and the starts."""
+    base = replace(default_config(p), restarts=3, max_steps=MIXED_STEPS)
     problems = [
-        (make_fitted_representative(p, seed=30)[0],
-         replace(base, seed=1, restarts=4, max_steps=700)),
+        (make_fitted_representative(p, seed=30)[0], replace(base, seed=1)),
         (make_fitted_representative(p, seed=31)[0],
-         replace(base, seed=2, restarts=3, max_steps=300, lambda0=1.25, mu=3.0)),
+         replace(base, seed=2, lambda0=1.25, mu=3.0)),
         (canonical_from_reduced(np.zeros((p, p)), np.eye(p)),
-         replace(base, seed=4, restarts=3, max_steps=800, lambda1=0.5)),
+         replace(base, seed=4, lambda1=0.5)),
     ]
     objective, starts = _batch(problems)
-    starts[7] = 0.0
-    counts = [cfg.restarts for _, cfg in problems]
-    return objective, starts, np.repeat([cfg.max_steps for _, cfg in problems], counts)
+    starts[6] = 0.0
+    return objective, starts
 
 
 def _bits(x):
@@ -550,7 +554,8 @@ def _matches_reference(make_objective, starts, max_steps):
     """The outcomes of the descent of ``make_objective()``, each field
     asserted bitwise equal to those of the allocating reference descent."""
     got = minimize_orbit_objective(make_objective(), starts, max_steps=max_steps)
-    want = reference_minimize_orbit_objective(make_objective(), starts, max_steps=max_steps)
+    want = reference_minimize_orbit_objective(make_objective(), starts,
+                                              max_steps=np.full(len(starts), max_steps))
     assert len(got) == len(want) == len(starts)
     for x, y in zip(got, want):
         for name in ("q", "trace", "c", "objective", "final_grad_norm"):
@@ -586,64 +591,68 @@ class TestStepMatchesReference:
 
     @pytest.mark.parametrize("p", [1, 3, 25])
     def test_every_outcome_field(self, p):
-        """Restart 5's objective is NaN from step 41 and restart 6's gradient
+        """Restart 4's objective is NaN from step 41 and restart 5's gradient
         from step 61; the others stop by budget or patience, and some anneal."""
-        objective, starts, max_steps = _mixed_batch(p)
+        objective, starts = _mixed_batch(p)
         rows = np.arange(len(starts))
 
         def poisoned():
-            return _NanGradAfter(**vars(objective), flagged=rows == 5, after=40,
-                                 grad_flagged=rows == 6, grad_after=60)
+            return _NanGradAfter(**vars(objective), flagged=rows == 4, after=40,
+                                 grad_flagged=rows == 5, grad_after=60)
 
-        got = _matches_reference(poisoned, starts, max_steps)
+        got = _matches_reference(poisoned, starts, MIXED_STEPS)
         assert {o.stop_reason for o in got} == set(STOP_REASONS)
         assert any(o.anneals for o in got)
 
     def test_every_outcome_field_when_one_row_clips(self):
         """At the first step restart 0's gradient norm is above GRAD_CLIP and
         the others' below it, so one row of the step is clipped."""
-        objective, starts, _ = _mixed_batch(3)
-        objective, starts = objective.take([0, 1, 4]), starts[[0, 1, 4]]
+        objective, starts = _mixed_batch(3)
+        objective, starts = objective.take([0, 1, 3]), starts[[0, 1, 3]]
         scale = np.array([3.0, 1e-3, 1e-3])
         objective = replace(objective, w_off=objective.w_off * scale,
                             w_lag=objective.w_lag * scale, w_diag=objective.w_diag * scale)
         norms = _start_grad_norms(objective, starts)
         assert norms[0] > GRAD_CLIP > norms[1:].max()
-        got = _matches_reference(lambda: objective, starts, np.array([40, 300, 300]))
-        assert [o.steps for o in got] == [40, 300, 300]
+        got = _matches_reference(lambda: objective, starts, 300)
+        assert [o.steps for o in got] == [300, 300, 300]
 
     def test_every_outcome_field_when_a_row_anneals_as_another_stops(self):
-        """The second row anneals at the step the first row's budget ends, so
-        it is annealed in the row that the first row's stop compacts it into."""
-        objective, starts, _ = _mixed_batch(3)
-        (alone,) = _descend(objective.take([0]), starts[:1], 700)
+        """The second row anneals at the step the first row's objective turns
+        NaN, so it is annealed in the row that the first row's stop compacts
+        it into."""
+        objective, starts = _mixed_batch(3)
+        (alone,) = _descend(objective.take([0]), starts[:1], MIXED_STEPS)
         first_anneal = _anneal_steps(alone.trace)[0]
         assert first_anneal < alone.steps
-        got = _matches_reference(lambda: objective.take([1, 0]), starts[[1, 0]],
-                                 np.array([first_anneal, 700]))
-        assert (got[0].steps, got[0].stop_reason) == (first_anneal, "budget")
+
+        def poisoned():
+            return _NanAfter(**vars(objective.take([1, 0])), flagged=np.array([True, False]),
+                             after=first_anneal - 1)
+
+        got = _matches_reference(poisoned, starts[[1, 0]], MIXED_STEPS)
+        assert (got[0].steps, got[0].stop_reason) == (first_anneal, NONFINITE_OBJECTIVE)
         assert _anneal_steps(got[1].trace)[0] == first_anneal
         _assert_same_outcome(got[1], alone)
 
     def test_every_outcome_field_with_a_one_step_budget(self):
-        objective, starts, _ = _mixed_batch(3)
-        got = _matches_reference(lambda: objective.take([0, 1, 4]), starts[[0, 1, 4]],
-                                 np.array([60, 1, 30]))
+        objective, starts = _mixed_batch(3)
+        got = _matches_reference(lambda: objective, starts, 1)
         assert [(o.steps, len(o.trace), o.stop_reason) for o in got] == [
-            (60, 60, "budget"), (1, 1, "budget"), (30, 30, "budget")]
+            (1, 1, "budget")] * len(starts)
 
     def test_every_outcome_field_when_finite_values_sum_to_infinity(self):
         """From step 31, restarts 0 and 2 report 1e308: each value is finite,
         but their sum is not, so a step runs the per-row stop tests, which
         stop no one before the budget."""
-        objective, starts, _ = _mixed_batch(3)
-        objective, starts = objective.take([0, 1, 4]), starts[[0, 1, 4]]
+        objective, starts = _mixed_batch(3)
+        objective, starts = objective.take([0, 1, 3]), starts[[0, 1, 3]]
 
         def huge():
             return _NanAfter(**vars(objective), flagged=np.array([True, False, True]),
                              after=30, value=1e308)
 
-        got = _matches_reference(huge, starts, np.full(3, 80))
+        got = _matches_reference(huge, starts, 80)
         assert [(o.steps, o.stop_reason) for o in got] == [(80, "budget")] * 3
         for o in (got[0], got[2]):
             assert (o.trace[30:] == 1e308).all() and o.best_step <= 30
@@ -652,8 +661,8 @@ class TestStepMatchesReference:
     def test_value_and_grads(self, p):
         """Rows with a zero weight and an exact zero of ``Q G`` included."""
         rng = np.random.default_rng(400 + p)
-        objective, starts, _ = _mixed_batch(p)
-        objective = replace(objective, w_lag=np.where(np.arange(10) == 3, 0.0, objective.w_lag))
+        objective, starts = _mixed_batch(p)
+        objective = replace(objective, w_lag=np.where(np.arange(9) == 2, 0.0, objective.w_lag))
         q, _ = cayley(starts)
         c = np.exp(rng.normal(0.0, 0.3, size=len(q)))
         for _ in range(2):  # the second call reuses the first's workspace
@@ -688,18 +697,16 @@ class TestWorkspace:
 
 
 def _descent_problems():
-    """Four p = 3 fits that differ in data, seed, weights, restart count and
-    step budget; restarts stop by patience and by budget."""
-    base = default_config(3)
+    """Four p = 3 fits of three restarts and one step budget that differ in
+    data, seed and weights; restarts stop by patience and by budget."""
+    base = replace(default_config(3), restarts=3, max_steps=2500)
     return [
-        (make_fitted_representative(3, seed=30)[0],
-         replace(base, seed=1, restarts=4, max_steps=3000)),
+        (make_fitted_representative(3, seed=30)[0], replace(base, seed=1)),
         (make_fitted_representative(3, seed=31)[0],
-         replace(base, seed=2, restarts=2, max_steps=3000, lambda0=1.25, mu=3.0)),
-        (make_fitted_representative(3, seed=32)[0], replace(base, seed=3, restarts=1,
-                                                            max_steps=700)),
+         replace(base, seed=2, lambda0=1.25, mu=3.0)),
+        (make_fitted_representative(3, seed=32)[0], replace(base, seed=3)),
         (canonical_from_reduced(np.zeros((3, 3)), np.eye(3)),
-         replace(base, seed=4, restarts=3, max_steps=3000, lambda1=0.5)),
+         replace(base, seed=4, lambda1=0.5)),
     ]
 
 
@@ -719,12 +726,14 @@ class TestEnvarDescents:
     bitwise the one of its own descent."""
 
     def test_batch_reproduces_each_lone_solve(self):
-        """Restarts leave the batch out of restart order (a 700-step budget,
-        patience stops, 3000-step budgets); each one's record is still the one
+        """Restarts leave the batch out of restart order (patience stops at
+        different steps, then the budget); each one's record is still the one
         its trace implies."""
         problems = _descent_problems()
         batched = envar_descents(problems)
         assert len(batched) == len(problems)
+        steps = [r.steps for outcomes in batched for r in outcomes]
+        assert steps != sorted(steps)
         reasons = set()
         for (cr, cfg), outcomes in zip(problems, batched):
             solution = solve_envar(cr, cfg, outcomes=outcomes)
@@ -762,10 +771,16 @@ class TestEnvarDescents:
         assert not {"gh", "gh_t", "weights", "w_diag2", "workspace"} & vars(objective).keys()
 
     def test_mixed_dimensions_are_refused(self):
-        problems = [(make_fitted_representative(p, seed=33)[0], default_config(p))
-                    for p in (3, 4)]
-        with pytest.raises(DimensionError, match="one dimension"):
-            envar_descents(problems)
+        """Fits that differ in ``p``, ``max_steps`` or ``restarts`` are refused."""
+        for field in ("p", "max_steps", "restarts"):
+            shapes = [{"p": 3, "max_steps": 300, "restarts": 2} for _ in range(2)]
+            shapes[1][field] += 1
+            problems = [(make_fitted_representative(shape["p"], seed=33)[0],
+                         replace(default_config(shape["p"]), max_steps=shape["max_steps"],
+                                 restarts=shape["restarts"]))
+                        for shape in shapes]
+            with pytest.raises(DimensionError, match="one p, max_steps and restarts"):
+                envar_descents(problems)
         assert envar_descents([]) == []
 
     def test_divergence_stays_with_its_problem(self, monkeypatch):
@@ -950,7 +965,7 @@ class TestSolveEnvar:
         solution = solve_envar(cr, cfg)
         for r, outcome in enumerate(solution.restarts):
             (alone,) = minimize_orbit_objective(objective.take([r]), starts[r:r + 1],
-                                                max_steps=np.array([cfg.max_steps]))
+                                                max_steps=cfg.max_steps)
             _assert_same_outcome(outcome, alone)
             assert np.linalg.det(outcome.q) > 0.0
         objectives = [o.objective for o in solution.restarts]

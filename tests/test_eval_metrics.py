@@ -128,6 +128,32 @@ class TestGatedPearson:
             t = r * np.sqrt((m - 2) / (1 - r * r))
             assert gate.p_value == float(2 * stats.t.sf(abs(t), m - 2))
 
+    def test_bitwise_the_corrcoef_gate(self):
+        """The gate is the one built on ``np.std`` and ``np.corrcoef``, bit for
+        bit: the same degenerate verdict, r and p-value. The inputs include
+        constant sides, a constant 0.1 whose mean has roundoff, mostly-zero
+        sides and scales from 1e-8 to 1e8."""
+        rng = np.random.default_rng(12)
+        cases = [(np.ones(5), np.arange(5.0)), (np.arange(4.0), np.zeros(4)),
+                 (np.zeros(3), np.zeros(3)), (np.full(3, 0.1), np.arange(3.0)),
+                 (np.full(7, 1e-8), rng.standard_normal(7))]
+        for m in (3, 4, 25, 300):
+            for scale in (1e-8, 1.0, 1e8):
+                x = rng.standard_normal(m) * scale
+                y = 0.3 * x + rng.standard_normal(m) * scale
+                cases += [(x, y), (x, np.where(rng.random(m) < 0.7, 0.0, y))]
+        for x, y in cases:
+            gate = gated_pearson(x, y)
+            if np.std(x) == 0.0 or np.std(y) == 0.0:
+                assert gate.r is None and np.isnan(gate.p_value)
+                continue
+            r = max(-1.0, min(1.0, float(np.corrcoef(x, y)[0, 1])))
+            df = len(x) - 2
+            p_value = 0.0 if abs(r) >= 1.0 else float(
+                2.0 * stdtr(df, -abs(r * np.sqrt(df / (1.0 - r * r)))))
+            # repr tells -0.0 from 0.0 and prints every bit of a float
+            assert repr((gate.r, gate.p_value)) == repr((r if p_value < 0.05 else None, p_value))
+
 
 class TestStudentTail:
     """``stdtr(df, -x)`` is the whole of ``scipy.stats.t.sf(x, df)``."""
