@@ -64,8 +64,8 @@ _METRIC_COLUMNS = (
     "sf_oad", "obs_oad", "pearson_phi", "pearson_sigma_u", "pearson_a0", "pearson_a1",
 )
 SUMMARY_COLUMNS = ("p", "sigma_std", "method", "episode", *_METRIC_COLUMNS, "error")
-# a restart's entry in fit_report.json: every RestartOutcome field but its best
-# iterate and its trace
+# the descent's record in fit_report.json: every RestartOutcome field but its
+# best iterate and its trace
 _RESTART_REPORT_FIELDS = tuple(f.name for f in fields(RestartOutcome)
                                if f.name not in ("q", "c", "objective", "trace"))
 # per (p, sigma_std, method): each metric's mean, standard error and count
@@ -148,7 +148,6 @@ def _fit_method(
         report.update(
             objective=solution.objective,
             diag_residual=solution.diag_residual,
-            restart_index=solution.restart_index,
             c_hat=solution.c_hat,
             objective_trace=solution.objective_trace,
             restarts=[{name: getattr(r, name) for name in _RESTART_REPORT_FIELDS}
@@ -267,10 +266,10 @@ def cmd_evaluate(args) -> int:
 # ----------------------------------------------------------------- benchmark
 
 
-# The most restart·p² entries in the descent batch of one benchmark task. At
-# small p a descent step costs mostly per-call overhead, paid once per batch
-# step however wide the batch, and the saving fades as p grows: two fits of one
-# restart as one batch took 0.55x the time of one after the other at p = 5,
+# The most entries in the descent batch of one benchmark task, where each fit
+# holds p². At small p a descent step costs mostly per-call overhead, paid once
+# per batch step however wide the batch, and the saving fades as p grows: two
+# fits as one batch took 0.55x the time of one after the other at p = 5,
 # 0.69x at p = 25, 0.85x at p = 50 and 0.99-1.04x at p = 75 and 100 (2 vCPUs,
 # one BLAS thread). So a task batches 4 fits at p = 50 and one from p = 75 up.
 BATCH_ENTRIES = 10_000
@@ -278,7 +277,7 @@ BATCH_ENTRIES = 10_000
 
 def _benchmark_tasks(manifest: ExperimentManifest, out_root: Path, jobs: int) -> list[tuple]:
     """The manifest's cells as benchmark tasks: runs of consecutive cells of one
-    p, in grid order. A task holds at most ``BATCH_ENTRIES`` restart·p² entries
+    p, in grid order. A task holds at most ``BATCH_ENTRIES`` // p² cells
     (but at least one cell) and at most ⌈cells of that p / jobs⌉ cells, so
     ``jobs`` workers share the cells of every p."""
     by_p: dict[int, list] = {}
@@ -286,8 +285,7 @@ def _benchmark_tasks(manifest: ExperimentManifest, out_root: Path, jobs: int) ->
         by_p.setdefault(cell.generator.p, []).append(cell)
     tasks = []
     for p, cells in by_p.items():
-        # every cell has the manifest's restart count
-        under_cap = BATCH_ENTRIES // (cells[0].envar.restarts * p * p)
+        under_cap = BATCH_ENTRIES // (p * p)
         per_worker = -(-len(cells) // jobs)  # the ceiling
         size = max(1, min(under_cap, per_worker))
         tasks += [(cells[i:i + size], manifest.method_metrics, out_root)
@@ -330,7 +328,7 @@ def _benchmark_task(task: tuple) -> list[dict]:
 
     Each cell's series is generated, centered and fit by OLS once, and every
     baseline runs from that fit; only the cell's canonical representative and
-    truth are kept for ENVAR. The ENVAR restarts of all the chunk's cells then
+    truth are kept for ENVAR. The ENVAR fits of all the chunk's cells then
     descend as one batch. A row's ``wall_ms`` is its method's own work plus an
     equal share of its cell's generation and OLS fit and, for ENVAR, an equal
     share of the chunk's descent."""
@@ -371,7 +369,7 @@ def _benchmark_task(task: tuple) -> list[dict]:
         row["wall_ms"] += share
         with _timed([row]):
             # cfg positional: perfbench/spans.py reads it there
-            model = solve_envar(cr, cell.envar, outcomes=outcome).model
+            model = solve_envar(cr, cell.envar, outcome=outcome).model
             _write_run(row, out_root / "runs" / cell.name / "envar", "envar",
                        method_metrics["envar"], model, truth)
     return rows

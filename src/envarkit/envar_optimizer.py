@@ -17,37 +17,37 @@ and one for the ``Q``-gradient.
 
 ``Q`` is the Cayley transform ``(I - K/2)^{-1} (I + K/2)`` of a skew-symmetric
 ``K``, so every iterate is orthogonal; ``c`` is optimized in the log domain and
-clamped to ``C_BOUNDS``. Each step inverts ``I - K/2`` once per restart, in
+clamped to ``C_BOUNDS``. Each step inverts ``I - K/2`` once per descent, in
 place with LAPACK ``getrf``/``getri``, and reads from that inverse both ``Q``
 and the adjoint derivative that takes the ``Q``-gradient to the ``K``-gradient
-(Wen & Yin, *Math. Program.* 142, 2013). Each restart's ``(K, log c)`` is one
-row of one array, stepped by Adam with global gradient-norm clipping. The map
-reaches the rotations without eigenvalue -1 only, so the search stays among
-the ``Q`` with determinant +1; a fit descends one restart by default.
+(Wen & Yin, *Math. Program.* 142, 2013). A fit descends once, from a seeded
+random start, and its ``(K, log c)`` is one row of one array, stepped by Adam
+with global gradient-norm clipping. The map reaches the rotations without
+eigenvalue -1 only, so the search stays among the ``Q`` with determinant +1.
 
-All restarts descend together as one ``(R, p, p)`` batch, which a restart
-leaves when it stops. Every per-restart array, the iterates and their Adam
-moments as well as the record (step size, trace, best iterate, counters), is
-kept in live order and compacted together at a stop, where each stopped
-restart's record becomes its ``RestartOutcome``. Each row carries its own fixed
-matrices and weights under one shared step budget, so one batch can hold the
-restarts of several fits of one ``p``, ``max_steps`` and ``restarts``
-(``envar_descents``). Every per-restart quantity is computed slice by slice
-(per-matrix LAPACK/BLAS calls, elementwise updates, row-wise reductions), so a
-restart's iterates are bitwise the same alone or in any batch. Because every iterate is an orbit member, every
-candidate (and the returned solution) induces the fitted reduced form exactly.
+The descents of several fits of one ``p`` and ``max_steps``
+(``envar_descents``) step together as one ``(R, p, p)`` batch, which a row
+leaves when it stops. Every per-row array, the iterates and their Adam moments
+as well as the record (step size, trace, best iterate, counters), is kept in
+live order and compacted together at a stop, where each stopped row's record
+becomes its fit's ``RestartOutcome``. Each row carries its own fixed matrices
+and weights under one shared step budget. Every per-row quantity is computed
+slice by slice (per-matrix LAPACK/BLAS calls, elementwise updates, row-wise
+reductions), so a fit's iterates are bitwise the same alone or in any batch.
+Because every iterate is an orbit member, every candidate (and the returned
+solution) induces the fitted reduced form exactly.
 
 A step makes only the calls its arithmetic needs. The objective evaluates into
 a workspace of ``(R, p, 2p)`` buffers; the Cayley transform, its adjoint and
 Adam write into buffers that are made, with their views, once per compaction;
 the ``(K, log c)`` gradient fills one array, whose one squared norm per row
 serves the stop tests, the clip and the stop record. Scalar tests guard the
-masks: the per-row stop tests run only when the budget ends, a restart may have
+masks: the per-row stop tests run only when the budget ends, a row may have
 stalled ``PATIENCE`` steps, or a value or norm is not finite; the anneal mask
-only when a restart may have stalled ``ANNEAL_EVERY`` steps; the clip only when
-a norm exceeds ``GRAD_CLIP``. Each operation keeps the operands and order of
-the plain formulas, so outputs are bitwise those of an allocating step that
-runs every test.
+only when a row may have stalled ``ANNEAL_EVERY`` steps; the clip only when a
+norm exceeds ``GRAD_CLIP``. Each operation keeps the operands and order of the
+plain formulas, so outputs are bitwise those of an allocating step that runs
+every test.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ ADAM_EPS = 1e-8
 LEARN_RATE = 5e-3
 # Bound on the global norm of each step's (K, log c) gradient.
 GRAD_CLIP = 1.0
-# A restart stops once its best objective has not improved by CONVERGENCE_TOL
+# A descent stops once its best objective has not improved by CONVERGENCE_TOL
 # for PATIENCE consecutive steps.
 CONVERGENCE_TOL = 1e-9
 PATIENCE = 500
@@ -90,10 +90,10 @@ ANNEAL_FACTOR = 0.3
 
 _NORM_FLOOR = 1e-12
 
-# The stop reasons of a restart whose objective or gradient became non-finite.
+# The stop reasons of a descent whose objective or gradient became non-finite.
 NONFINITE_OBJECTIVE = "objective became non-finite"
 NONFINITE_GRADIENT = "gradient became non-finite"
-# Every stop reason, in the order a step checks them; a restart that meets
+# Every stop reason, in the order a step checks them; a descent that meets
 # several at one step stops for the first.
 STOP_REASONS = (NONFINITE_OBJECTIVE, "patience", "budget", NONFINITE_GRADIENT)
 
@@ -107,6 +107,7 @@ class EnvarConfig:
     mu: float = 7.5
     max_steps: int = 5000
     seed: int = 0
+    # a fit descends once; the field is kept, at 1 only, because perfbench sets it
     restarts: int = 1
 
     def __post_init__(self):
@@ -115,7 +116,7 @@ class EnvarConfig:
         # default budget
         _check_fields(self, {"lambda0": weight, "lambda1": weight, "mu": weight,
                              "max_steps": (lambda v: 1 <= v <= 10**6, "in [1, 1000000]"),
-                             "restarts": (lambda v: 1 <= v <= 1000, "in [1, 1000]")})
+                             "restarts": (lambda v: v == 1, "equal to 1")})
 
 
 def default_config(p: int, seed: int = 0) -> EnvarConfig:
@@ -146,7 +147,7 @@ class NormConstants:
 
 @dataclass(frozen=True)
 class RestartOutcome:
-    """Best iterate of one restart, with why and when its descent stopped.
+    """Best iterate of a fit's descent, with why and when it stopped.
 
     ``stop_reason`` is ``"patience"`` (no improvement by the tolerance for
     ``PATIENCE`` steps), ``"budget"`` (``max_steps`` reached), or
@@ -181,9 +182,8 @@ class EnvarSolution:
     objective: float
     objective_trace: np.ndarray
     diag_residual: float
-    restart_index: int
+    # the fit's one descent, as a one-entry tuple because perfbench reads it
     restarts: tuple[RestartOutcome, ...]
-    norms: NormConstants
 
     def __post_init__(self):
         _freeze_fields(self)
@@ -197,9 +197,9 @@ def _diagonal(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrbitObjective:
-    """Weights and fixed matrices defining the descent problem of each restart.
+    """Weights and fixed matrices defining the descent problem of each row.
 
-    Every field holds one entry per restart: ``g_mat`` and ``h_mat`` are
+    Every field holds one entry per row: ``g_mat`` and ``h_mat`` are
     ``(R, p, p)`` stacks and ``w_off``, ``w_lag`` and ``w_diag`` are ``(R,)``
     arrays.
     """
@@ -212,7 +212,7 @@ class OrbitObjective:
 
     @cached_property
     def gh(self) -> np.ndarray:
-        """``[G | H]``, one ``(p, 2p)`` block per restart."""
+        """``[G | H]``, one ``(p, 2p)`` block per row."""
         return np.concatenate((self.g_mat, self.h_mat), axis=-1)
 
     @cached_property
@@ -222,7 +222,7 @@ class OrbitObjective:
     @cached_property
     def weights(self) -> np.ndarray:
         """``[w_off (1 - I) | w_lag]``: the l1 weight of each entry of ``Q [G | H]``,
-        one ``(p, 2p)`` block per restart."""
+        one ``(p, 2p)`` block per row."""
         off = self.w_off[:, None, None] * (1.0 - np.eye(self.gh.shape[-2]))
         lag = np.broadcast_to(self.w_lag[:, None, None], off.shape)
         return np.concatenate((off, lag), axis=-1)
@@ -237,7 +237,7 @@ class OrbitObjective:
                 grad_mn, _diagonal(grad_mn))
 
     def take(self, rows) -> OrbitObjective:
-        """The objective of a subset of the restarts, with nothing cached."""
+        """The objective of a subset of the rows, with nothing cached."""
         return replace(self, **{f.name: getattr(self, f.name)[rows]
                                 for f in fields(OrbitObjective)})
 
@@ -245,7 +245,7 @@ class OrbitObjective:
         """Objective and its subgradients w.r.t. ``Q`` and ``c`` (sign(0) = 0).
 
         ``q`` is an ``(R, p, p)`` stack and ``c`` an ``(R,)`` array, one entry
-        per restart. Returns the ``(R,)`` values, the ``(R, p, p)``
+        per row. Returns the ``(R,)`` values, the ``(R, p, p)``
         ``Q``-gradient stack and the ``(R,)`` ``c``-gradients, all fresh arrays.
         A term whose weight is zero adds zero to the value and to the subgradients.
         """
@@ -353,27 +353,27 @@ def minimize_orbit_objective(
     *,
     max_steps: int,
 ) -> list[RestartOutcome]:
-    """Run Adam on a batch of ``(K, log c)`` restarts and return each one's best iterate.
+    """Run Adam on a batch of ``(K, log c)`` rows and return each one's best iterate.
 
     ``k0`` is an ``(R, p, p)`` stack of skew starts, ``objective`` holds the
-    matching rows and ``max_steps`` is the step budget every restart shares;
-    results come back in restart order. A restart stops after the budget or
+    matching rows and ``max_steps`` is the step budget every row shares;
+    results come back in row order. A row stops after the budget or
     once its best objective has not improved by ``CONVERGENCE_TOL`` over
     ``PATIENCE`` consecutive steps. During a plateau its step size decays
     every ``ANNEAL_EVERY`` stalled steps so the iterate can settle below the
     fixed-rate noise floor.
 
-    A restart also stops when its objective (``NONFINITE_OBJECTIVE``) or its
+    A row also stops when its objective (``NONFINITE_OBJECTIVE``) or its
     gradient (``NONFINITE_GRADIENT``) becomes non-finite; a step checks the
     reasons in ``STOP_REASONS`` order.
 
-    Every per-restart array is kept in live order, row ``i`` for the restart
+    Every per-row array is kept in live order, entry ``i`` for the row
     ``live[i]``: the iterates and their Adam moments, and the record (step
-    size, trace, best iterate, counters). A stop moves each stopped restart's
+    size, trace, best iterate, counters). A stop moves each stopped row's
     record into its ``RestartOutcome`` and compacts the rest together. A step
     tests scalars before masks: the per-row stop tests run only when the
-    budget ends, some restart may have stalled ``PATIENCE`` steps, or a value
-    or gradient norm is not finite; the anneal mask only when some restart may
+    budget ends, some row may have stalled ``PATIENCE`` steps, or a value
+    or gradient norm is not finite; the anneal mask only when some row may
     have stalled ``ANNEAL_EVERY`` steps; and the clip only when some norm
     exceeds ``GRAD_CLIP``, since below it the factor is exactly 1.
     """
@@ -382,28 +382,28 @@ def minimize_orbit_objective(
     # freed at the first compaction even while the caller still holds ``objective``
     objective = objective.take(slice(None))
     log_lo, log_hi = np.log(C_BOUNDS[0]), np.log(C_BOUNDS[1])
-    n_restarts, p = k0.shape[0], k0.shape[-1]
-    outcomes = [None] * n_restarts
-    live = np.arange(n_restarts)
-    lr = np.full(n_restarts, LEARN_RATE * (5.0 / p))
-    trace = np.empty((n_restarts, max_steps))
-    best_obj = np.full(n_restarts, np.inf)
-    # NaN until a finite objective is seen, which a restart may never see
-    best_q = np.full((n_restarts, p, p), np.nan)
-    best_c = np.full(n_restarts, np.nan)
-    best_step = np.zeros(n_restarts, dtype=int)
-    last_improve = np.zeros(n_restarts, dtype=int)
-    anneals = np.zeros(n_restarts, dtype=int)
+    n_rows, p = k0.shape[0], k0.shape[-1]
+    outcomes = [None] * n_rows
+    live = np.arange(n_rows)
+    lr = np.full(n_rows, LEARN_RATE * (5.0 / p))
+    trace = np.empty((n_rows, max_steps))
+    best_obj = np.full(n_rows, np.inf)
+    # NaN until a finite objective is seen, which a row may never see
+    best_q = np.full((n_rows, p, p), np.nan)
+    best_c = np.full(n_rows, np.nan)
+    best_step = np.zeros(n_rows, dtype=int)
+    last_improve = np.zeros(n_rows, dtype=int)
+    anneals = np.zeros(n_rows, dtype=int)
     # theta[i] is (K, log c), starting at c = 1; grad is its gradient, written
     # in place each step
-    theta = np.zeros((n_restarts, p * p + 1))
-    theta[:, :-1] = k0.reshape(n_restarts, -1)
+    theta = np.zeros((n_rows, p * p + 1))
+    theta[:, :-1] = k0.reshape(n_rows, -1)
     m_theta = np.zeros_like(theta)
     v_theta = np.zeros_like(theta)
     grad = np.empty_like(theta)
     k, log_c, grad_k, grad_log_c, lr_col, cay, adj_t, update, better, better_q = (
         _step_buffers(theta, grad, lr, p))
-    # a lower bound of min(last_improve), refreshed once a restart may have
+    # a lower bound of min(last_improve), refreshed once a row may have
     # stalled ANNEAL_EVERY steps, so exact wherever the anneal or patience
     # tests read it
     floor = 0
@@ -526,83 +526,69 @@ def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstan
 
 
 def _batch(problems):
-    """The objective and skew starts of the restarts of all ``problems``, as one
+    """The objective and skew starts of the descents of all ``problems``, as one
     batch in order.
 
-    Each restart draws its start from its own sub-seed and adds one row: its
-    fit's ``G``, ``H`` and three weights."""
+    Each fit adds one row: its ``G``, ``H`` and three weights, and a start
+    drawn from its own sub-seed."""
     rows = []
     for cr, cfg in problems:
         norms = norm_constants(cr, cfg)
-        weights = (cfg.lambda0 / norms.offdiag, cfg.lambda1 / norms.lag,
-                   0.5 * cfg.mu / norms.hollow)
-        rows += [(cr.b_can, cr.gamma_can, *weights,
-                  random_skew(cr.p, sub_rng(cfg.seed, 0x656E7672, r)))
-                 for r in range(cfg.restarts)]
+        # the trailing 0 is part of the start's key; another key would move
+        # every fit's answer
+        rows.append((cr.b_can, cr.gamma_can, cfg.lambda0 / norms.offdiag,
+                     cfg.lambda1 / norms.lag, 0.5 * cfg.mu / norms.hollow,
+                     random_skew(cr.p, sub_rng(cfg.seed, 0x656E7672, 0))))
     *columns, starts = (np.array(column) for column in zip(*rows))
     return OrbitObjective(*columns), starts
 
 
-def envar_descents(problems) -> list[tuple[RestartOutcome, ...]]:
-    """Descend the restarts of several ``(cr, cfg)`` fits of one shape as one batch.
+def envar_descents(problems) -> list[RestartOutcome]:
+    """Descend several ``(cr, cfg)`` fits of one shape as one batch, one row per fit.
 
-    The fits share ``p``, ``cfg.max_steps`` and ``cfg.restarts`` (or a
-    ``DimensionError`` is raised) and may differ in data, seed and weights.
-    Returns one entry per problem, in order: its ``RestartOutcome``s in restart
-    order. A diverged restart keeps its non-finite ``stop_reason`` and finite
-    trace; its fit's ``solve_envar`` raises. A restart's iterates are bitwise
-    the same in any batch, so each entry is what the problem's own descent
-    gives.
+    The fits share ``p`` and ``cfg.max_steps`` (or a ``DimensionError`` is
+    raised) and may differ in data, seed and weights. Returns each fit's
+    ``RestartOutcome``, in order. A diverged descent keeps its non-finite
+    ``stop_reason`` and finite trace; its fit's ``solve_envar`` raises. A row's
+    iterates are bitwise the same in any batch, so each outcome is what the
+    fit's own descent gives.
     """
     problems = list(problems)
     if not problems:
         return []
-    if len({(cr.p, cfg.max_steps, cfg.restarts) for cr, cfg in problems}) > 1:
-        raise DimensionError("envar_descents needs fits of one p, max_steps and restarts")
-    _, cfg = problems[0]
-    results = minimize_orbit_objective(*_batch(problems), max_steps=cfg.max_steps)
-    # a fit's restarts are contiguous in the batch
-    return [tuple(results[i:i + cfg.restarts]) for i in range(0, len(results), cfg.restarts)]
+    if len({(cr.p, cfg.max_steps) for cr, cfg in problems}) > 1:
+        raise DimensionError("envar_descents needs fits of one p and max_steps")
+    return minimize_orbit_objective(*_batch(problems), max_steps=problems[0][1].max_steps)
 
 
 def solve_envar(
-    cr: CanonicalRepresentative, cfg: EnvarConfig, *, outcomes=None
+    cr: CanonicalRepresentative, cfg: EnvarConfig, *, outcome=None
 ) -> EnvarSolution:
     """Minimize the penalized objective over the empirical orbit.
 
-    Runs ``cfg.restarts`` descents from random skew starts, each to its own
-    stop, and returns the lowest-objective solution, ties broken by restart
-    index. The assembled model is
-    ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)``.
+    Descends from a random skew start to its stop and assembles the model
+    ``(I - c_hat q_hat b_can, c_hat q_hat gamma_can, c_hat)`` from the best
+    iterate.
 
-    ``outcomes``, if given, is the entry of ``(cr, cfg)`` in what an
-    ``envar_descents`` call over it returned; the restarts then do not descend
-    again, and the solution is bitwise the one of a lone descent. Without
-    ``outcomes`` the restarts descend here, as one batch of their own. If a
-    restart diverged, raises an ``OptimizerDivergedError`` naming, with its
-    step and trace, the first to diverge: the earliest step, at one step an
-    objective fault before a gradient fault, then the lowest index.
+    ``outcome``, if given, is the entry of ``(cr, cfg)`` in what an
+    ``envar_descents`` call over it returned; the fit then does not descend
+    again, and the solution is bitwise the one of a lone descent. If the
+    descent diverged, raises an ``OptimizerDivergedError`` naming its stop
+    reason and step, with its trace.
     """
-    if outcomes is None:
-        (outcomes,) = envar_descents([(cr, cfg)])
-    diverged = [(r.steps, STOP_REASONS.index(r.stop_reason), i) for i, r in enumerate(outcomes)
-                if r.stop_reason in (NONFINITE_OBJECTIVE, NONFINITE_GRADIENT)]
-    if diverged:
-        step, _, i = min(diverged)
-        raise OptimizerDivergedError(f"restart {i}: {outcomes[i].stop_reason} at step {step}",
-                                     trace=outcomes[i].trace.tolist())
-    best_index = min(range(len(outcomes)), key=lambda i: (outcomes[i].objective, i))
-    best = outcomes[best_index]
+    if outcome is None:
+        (outcome,) = envar_descents([(cr, cfg)])
+    if outcome.stop_reason in (NONFINITE_OBJECTIVE, NONFINITE_GRADIENT):
+        raise OptimizerDivergedError(f"{outcome.stop_reason} at step {outcome.steps}",
+                                     trace=outcome.trace.tolist())
     # diag(a0) = 1 - diag(c Q b_can) exactly, so its norm is the diagonal residual
-    model = _orbit_member(cr.b_can, cr.gamma_can, 1.0, best.q, best.c)
+    model = _orbit_member(cr.b_can, cr.gamma_can, 1.0, outcome.q, outcome.c)
     return EnvarSolution(
         model=model,
-        q_hat=best.q,
-        c_hat=best.c,
-        objective=best.objective,
-        objective_trace=best.trace,
+        q_hat=outcome.q,
+        c_hat=outcome.c,
+        objective=outcome.objective,
+        objective_trace=outcome.trace,
         diag_residual=float(np.linalg.norm(np.diag(model.a0))),
-        restart_index=best_index,
-        restarts=tuple(outcomes),
-        norms=norm_constants(cr, cfg),
+        restarts=(outcome,),
     )

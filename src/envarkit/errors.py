@@ -48,8 +48,8 @@ class GenerationError(EnvarKitError, RuntimeError):
 
 
 class OptimizerDivergedError(EnvarKitError, RuntimeError):
-    """A restart of the optimizer met a non-finite objective or gradient; the
-    message names the restart and step, and ``trace`` holds its finite values."""
+    """An ENVAR descent met a non-finite objective or gradient; the message
+    names which and the step, and ``trace`` holds its finite values."""
 
     def __init__(self, message: str, trace=()):
         super().__init__(message)

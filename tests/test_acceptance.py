@@ -175,8 +175,8 @@ def test_criterion_5_envar_preserves_the_law():
         ]
         problems = [(canonical_representative(fit), default_config(p, seed=i))
                     for fit, i in zip(fits, seeds)]
-        for fit, (cr, cfg), outcomes in zip(fits, problems, envar_descents(problems)):
-            solution = solve_envar(cr, cfg, outcomes=outcomes)
+        for fit, (cr, cfg), outcome in zip(fits, problems, envar_descents(problems)):
+            solution = solve_envar(cr, cfg, outcome=outcome)
             rf = to_reduced_form(solution.model)
             scale_phi = 1.0 + float(np.max(np.abs(fit.phi_hat)))
             scale_su = 1.0 + float(np.max(np.abs(fit.sigma_u_hat)))
@@ -199,17 +199,17 @@ def test_criterion_5_envar_preserves_the_law():
 
 def _run_benchmark_cell(p, sigma_std, episodes, base_seed):
     """sf-discrepancies for the sparse selector and the greedy baseline. The
-    episodes' ENVAR restarts descend as one batch."""
+    episodes' ENVAR fits descend as one batch."""
     cfg = GeneratorConfig(p=p, t_len=1000, sigma_std=sigma_std, seed=base_seed)
     instances = [generate_instance(cfg, episode=ep) for ep in range(episodes)]
     fits = [fit_ols(center(inst.series)) for inst in instances]
     problems = [(canonical_representative(fit), default_config(p, seed=1000 + ep))
                 for ep, fit in enumerate(fits)]
     envar_vals, gds_vals, pearson_vals = [], [], []
-    for inst, fit, (cr, envar_cfg), outcomes in zip(
+    for inst, fit, (cr, envar_cfg), outcome in zip(
         instances, fits, problems, envar_descents(problems)
     ):
-        solution = solve_envar(cr, envar_cfg, outcomes=outcomes)
+        solution = solve_envar(cr, envar_cfg, outcome=outcome)
         envar_vals.append(score(solution.model, inst, method_name="envar").sf_oad)
         gds = fit_eqvar_gds(fit, alpha=0.05)
         gds_model = StructuralModel(gds.a0_hat, gds.a1_hat, 1.0)
@@ -319,7 +319,7 @@ def test_criterion_10_benchmark_determinism(tmp_path):
         "format_version": "envar-kit/1",
         "generator": {"p": 3, "t_len": 120, "seed": 7, "episodes": 2,
                       "edge_prob": 0.3},
-        "envar": {"max_steps": 300, "restarts": 2},
+        "envar": {"max_steps": 300},
         "baselines": [{"name": "eqvar-gds", "params": {}},
                       {"name": "ols-only", "params": {}}],
         "metrics": {"eta": 1.0, "binarize_mass": 0.85, "alpha": 0.05},

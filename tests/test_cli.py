@@ -55,7 +55,7 @@ def write_manifest(path: Path, output_dir: Path, **over) -> Path:
         "format_version": "envar-kit/1",
         "generator": {"p": 3, "t_len": 120, "seed": 7, "episodes": 2,
                       "edge_prob": 0.3},
-        "envar": {"max_steps": 300, "restarts": 2},
+        "envar": {"max_steps": 300},
         "baselines": [{"name": "eqvar-gds", "params": {}},
                       {"name": "ols-only", "params": {}}],
         "metrics": {"eta": 1.0, "binarize_mass": 0.85, "alpha": 0.05},
@@ -292,7 +292,8 @@ class TestFitCommand:
              "final_grad_norm": r.final_grad_norm}
             for r in solution.restarts
         ]
-        assert len(report["restarts"]) == default_config(3).restarts
+        assert len(report["restarts"]) == 1
+        assert "restart_index" not in report
 
     @pytest.mark.parametrize("method", ["envar", "eqvar-gds", "ols-only"])
     def test_report_carries_criterion_5_residuals(self, tmp_path, method):
@@ -324,7 +325,7 @@ class TestFitCommand:
         ])
         assert code == 3
         assert capsys.readouterr().err == ("numerical error: OptimizerDivergedError: "
-                                           "restart 0: objective became non-finite at step 31\n")
+                                           "objective became non-finite at step 31\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["envar", "eqvar-gds", "ols-only"])
@@ -614,18 +615,19 @@ class TestBenchmarkCommand:
     def test_tasks_are_chunks_of_one_p_within_the_batch_cap(self, tmp_path):
         manifest = load_manifest(write_manifest(
             tmp_path / "m.json", tmp_path / "o", grid={"p": [5, 50], "sigma_std": [0.0, 0.075]},
-            generator={"p": 5, "t_len": 120, "seed": 7, "episodes": 3}, envar={"restarts": 4},
+            generator={"p": 5, "t_len": 120, "seed": 7, "episodes": 3},
         ))
-        # 4 restarts x 50^2 fill the cap, so every p = 50 task is one cell
+        # 4 fits x 50^2 fill the cap, so a p = 50 task holds at most 4 cells
         assert cli.BATCH_ENTRIES == 4 * 50**2
-        for jobs, p5_sizes in ((1, [6]), (2, [3, 3]), (4, [2, 2, 2]), (8, [1] * 6)):
+        for jobs, p5_sizes, p50_sizes in ((1, [6], [4, 2]), (2, [3, 3], [3, 3]),
+                                          (4, [2, 2, 2], [2, 2, 2]), (8, [1] * 6, [1] * 6)):
             tasks = cli._benchmark_tasks(manifest, tmp_path, jobs)
             chunks = [cells for cells, _, _ in tasks]
             assert [c for cells in chunks for c in cells] == list(manifest.cells())
             assert all(len({c.generator.p for c in cells}) == 1 for cells in chunks)
             sizes = {p: [len(cells) for cells in chunks if cells[0].generator.p == p]
                      for p in (5, 50)}
-            assert sizes == {5: p5_sizes, 50: [1] * 6}
+            assert sizes == {5: p5_sizes, 50: p50_sizes}
 
     @pytest.mark.parametrize("jobs, workers", [(64, 6), (2, 2)])
     def test_pool_has_at_most_one_worker_per_task(self, tmp_path, monkeypatch, jobs, workers):
@@ -675,6 +677,13 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert "generator" in err
 
+    def test_a_second_restart_is_refused(self, tmp_path, capsys):
+        """A fit descends once, so a manifest may set ``envar.restarts`` to 1 only."""
+        manifest = write_manifest(tmp_path / "m.json", tmp_path / "o", envar={"restarts": 2})
+        assert main(["benchmark", "--manifest", str(manifest)]) == 2
+        assert "envar.restarts must be an integer equal to 1, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_baseline_rejected(self, tmp_path):
         manifest = write_manifest(
             tmp_path / "m.json", tmp_path / "o",
@@ -714,8 +723,8 @@ class TestBenchmarkCommand:
             out = tmp_path / str(poisoned)
             manifest = write_manifest(tmp_path / "m.json", out, generator=generator)
             if poisoned:
-                # 2 restarts per cell, in cell order
-                poison_descents(monkeypatch, lambda rows: rows // 2 == 1)
+                # one batch row per cell, in cell order
+                poison_descents(monkeypatch, lambda rows: rows == 1)
             assert main(["benchmark", "--manifest", str(manifest)]) == 0
             outputs[poisoned] = {str(f.relative_to(out)): f.read_bytes()
                                  for f in sorted(out.glob("runs/*/*/*.json"))}
@@ -723,7 +732,7 @@ class TestBenchmarkCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 9
         errors = {(r["method"], r["episode"]): r["error"] for r in rows if r["error"]}
-        assert errors == {("envar", "1"): "OptimizerDivergedError: restart 0: "
+        assert errors == {("envar", "1"): "OptimizerDivergedError: "
                                           "objective became non-finite at step 31"}
         clean = outputs[False]
         assert len(clean) == 2 * 9
@@ -736,7 +745,7 @@ class TestBenchmarkCommand:
         manifest = write_manifest(
             tmp_path / "m.json", tmp_path / "unused",
             grid={"p": [3, 4]},
-            envar={"max_steps": 50, "restarts": 2},
+            envar={"max_steps": 50},
             baselines=[{"name": "eqvar-gds", "params": {"alpha": 0.2}}, {"name": "ols-only"}],
             metrics={"eta": 0.5, "binarize_mass": 0.6, "ridge_tau": 1e-3},
         )

@@ -82,6 +82,8 @@ class TestDefaultConfig:
     @pytest.mark.parametrize("p", [1, 5, 25, 100])
     def test_one_restart_by_default(self, p):
         assert default_config(p).restarts == 1
+        # perfbench sets the field to its one legal value
+        assert replace(default_config(p), restarts=1) == default_config(p)
 
     def test_numpy_integer_p_accepted(self):
         assert default_config(np.int64(30), seed=np.int64(2)) == default_config(30, seed=2)
@@ -89,8 +91,8 @@ class TestDefaultConfig:
     def test_invalid_config_rejected(self):
         with pytest.raises(DimensionError, match="mu"):
             replace(default_config(5), mu=-1.0)
-        for restarts in (0, 1001):
-            with pytest.raises(DimensionError, match="restarts"):
+        for restarts in (0, 2, 1001):
+            with pytest.raises(DimensionError, match="^restarts must be an integer equal to 1"):
                 replace(default_config(5), restarts=restarts)
         for name, value in (("lambda0", np.nan), ("lambda1", np.nan), ("mu", np.inf)):
             with pytest.raises(DimensionError, match=f"^{name} must be a finite number"):
@@ -99,7 +101,7 @@ class TestDefaultConfig:
 
 def _objective_value(q, c, cr, cfg):
     """The selection objective at ``(Q, c)``, as the descent evaluates it."""
-    objective, _ = _batch([(cr, replace(cfg, restarts=1))])
+    objective, _ = _batch([(cr, cfg)])
     value, _, _ = objective.value_and_grads(np.asarray(q)[None], np.array([c]))
     return float(value[0])
 
@@ -448,13 +450,22 @@ class TestBatchedDescent:
                                    rtol=1e-13)
 
     def test_solve_envar_restart_zero_unchanged_by_batch_size(self):
+        """Four fits of one representative that differ in seed: each row
+        descends the fit's own ``[G | H]`` from the start keyed by its seed,
+        stays among the rotations, and the first is its lone descent."""
         cr, _ = make_fitted_representative(3, seed=22)
         cfg = replace(default_config(3, seed=2), max_steps=300)
-        alone = solve_envar(cr, cfg).restarts[0]
-        batched = solve_envar(cr, replace(cfg, restarts=4)).restarts[0]
-        assert np.array_equal(alone.trace, batched.trace)
-        assert np.array_equal(alone.q, batched.q)
-        assert alone.c == batched.c
+        problems = [(cr, replace(cfg, seed=seed)) for seed in (2, 3, 4, 5)]
+        objective, starts = _batch(problems)
+        for r, (_, fit_cfg) in enumerate(problems):
+            assert np.array_equal(objective.g_mat[r], cr.b_can)
+            assert np.array_equal(objective.h_mat[r], cr.gamma_can)
+            assert np.array_equal(starts[r],
+                                  random_skew(3, sub_rng(fit_cfg.seed, 0x656E7672, 0)))
+        batched = envar_descents(problems)
+        assert all(np.linalg.det(o.q) > 0.0 for o in batched)
+        (alone,) = solve_envar(cr, cfg).restarts
+        _assert_same_outcome(alone, batched[0])
 
     def test_divergence_names_restart_and_carries_its_trace(self):
         """Restart 3's objective is NaN from step 31: it stops there with the
@@ -527,18 +538,19 @@ MIXED_STEPS = 700
 
 
 def _mixed_batch(p):
-    """Nine restarts of three fits at dimension ``p`` that differ in data, seed
-    and weights, three restarts each; fit 2's first restart (row 6) starts at
-    an exact minimum, so it stops on patience while others run to the
-    budget. Returns the objective and the starts."""
-    base = replace(default_config(p), restarts=3, max_steps=MIXED_STEPS)
-    problems = [
+    """Nine fits at dimension ``p``: three problems that differ in data and
+    weights, each at three seeds. Problem 2's first fit (row 6) starts at an
+    exact minimum, so it stops on patience while others run to the budget.
+    Returns the objective and the starts."""
+    base = replace(default_config(p), max_steps=MIXED_STEPS)
+    fits = [
         (make_fitted_representative(p, seed=30)[0], replace(base, seed=1)),
         (make_fitted_representative(p, seed=31)[0],
          replace(base, seed=2, lambda0=1.25, mu=3.0)),
         (canonical_from_reduced(np.zeros((p, p)), np.eye(p)),
          replace(base, seed=4, lambda1=0.5)),
     ]
+    problems = [(cr, replace(cfg, seed=cfg.seed + 10 * r)) for cr, cfg in fits for r in range(3)]
     objective, starts = _batch(problems)
     starts[6] = 0.0
     return objective, starts
@@ -697,9 +709,9 @@ class TestWorkspace:
 
 
 def _descent_problems():
-    """Four p = 3 fits of three restarts and one step budget that differ in
-    data, seed and weights; restarts stop by patience and by budget."""
-    base = replace(default_config(3), restarts=3, max_steps=2500)
+    """Four p = 3 fits of one step budget that differ in data, seed and
+    weights; they stop by patience and by budget."""
+    base = replace(default_config(3), max_steps=2500)
     return [
         (make_fitted_representative(3, seed=30)[0], replace(base, seed=1)),
         (make_fitted_representative(3, seed=31)[0],
@@ -711,7 +723,6 @@ def _descent_problems():
 
 
 def _assert_same_solution(a, b):
-    assert a.restart_index == b.restart_index
     assert np.array_equal(a.model.a0, b.model.a0)
     assert np.array_equal(a.model.a1, b.model.a1)
     assert a.model.sigma == b.model.sigma
@@ -726,26 +737,22 @@ class TestEnvarDescents:
     bitwise the one of its own descent."""
 
     def test_batch_reproduces_each_lone_solve(self):
-        """Restarts leave the batch out of restart order (patience stops at
-        different steps, then the budget); each one's record is still the one
-        its trace implies."""
+        """Fits leave the batch out of order (patience stops at different
+        steps, then the budget); each one's record is still the one its trace
+        implies."""
         problems = _descent_problems()
         batched = envar_descents(problems)
         assert len(batched) == len(problems)
-        steps = [r.steps for outcomes in batched for r in outcomes]
+        steps = [r.steps for r in batched]
         assert steps != sorted(steps)
-        reasons = set()
-        for (cr, cfg), outcomes in zip(problems, batched):
-            solution = solve_envar(cr, cfg, outcomes=outcomes)
+        for (cr, cfg), r in zip(problems, batched):
+            solution = solve_envar(cr, cfg, outcome=r)
             _assert_same_solution(solution, solve_envar(cr, cfg))
-            assert len(solution.restarts) == cfg.restarts
-            assert [(r.stop_reason, r.best_step, r.anneals, r.steps) for r in outcomes] == (
-                _replay_stopping_rule([r.trace for r in outcomes], PATIENCE, CONVERGENCE_TOL,
-                                      cfg.max_steps))
-            for r in outcomes:
-                assert r.trace[r.best_step - 1] == r.objective
-            reasons.update(r.stop_reason for r in solution.restarts)
-        assert reasons == {"patience", "budget"}
+            assert len(solution.restarts) == 1 and solution.restarts[0] is r
+            assert [(r.stop_reason, r.best_step, r.anneals, r.steps)] == (
+                _replay_stopping_rule([r.trace], PATIENCE, CONVERGENCE_TOL, cfg.max_steps))
+            assert r.trace[r.best_step - 1] == r.objective
+        assert {r.stop_reason for r in batched} == {"patience", "budget"}
 
     def test_replaced_objectives_are_freed(self, monkeypatch):
         """A compaction frees the objective it replaces, with what was cached
@@ -771,20 +778,19 @@ class TestEnvarDescents:
         assert not {"gh", "gh_t", "weights", "w_diag2", "workspace"} & vars(objective).keys()
 
     def test_mixed_dimensions_are_refused(self):
-        """Fits that differ in ``p``, ``max_steps`` or ``restarts`` are refused."""
-        for field in ("p", "max_steps", "restarts"):
-            shapes = [{"p": 3, "max_steps": 300, "restarts": 2} for _ in range(2)]
+        """Fits that differ in ``p`` or ``max_steps`` are refused."""
+        for field in ("p", "max_steps"):
+            shapes = [{"p": 3, "max_steps": 300} for _ in range(2)]
             shapes[1][field] += 1
             problems = [(make_fitted_representative(shape["p"], seed=33)[0],
-                         replace(default_config(shape["p"]), max_steps=shape["max_steps"],
-                                 restarts=shape["restarts"]))
+                         replace(default_config(shape["p"]), max_steps=shape["max_steps"]))
                         for shape in shapes]
-            with pytest.raises(DimensionError, match="one p, max_steps and restarts"):
+            with pytest.raises(DimensionError, match="one p and max_steps"):
                 envar_descents(problems)
         assert envar_descents([]) == []
 
     def test_divergence_stays_with_its_problem(self, monkeypatch):
-        """Problem 1's restarts report NaN from their 31st step, in any batch."""
+        """Problem 1 reports NaN from its 31st step, in any batch."""
         problems = _descent_problems()
         alone = [solve_envar(cr, cfg) for cr, cfg in problems]
         cr, cfg = problems[1]
@@ -798,35 +804,15 @@ class TestEnvarDescents:
         monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
         with pytest.raises(OptimizerDivergedError) as lone:
             solve_envar(cr, cfg)
-        assert str(lone.value) == "restart 0: objective became non-finite at step 31"
+        assert str(lone.value) == "objective became non-finite at step 31"
         batched = envar_descents(problems)
-        assert (batched[1][0].stop_reason, batched[1][0].steps) == (NONFINITE_OBJECTIVE, 31)
+        assert (batched[1].stop_reason, batched[1].steps) == (NONFINITE_OBJECTIVE, 31)
         with pytest.raises(OptimizerDivergedError) as raised:
-            solve_envar(cr, cfg, outcomes=batched[1])
+            solve_envar(cr, cfg, outcome=batched[1])
         assert str(raised.value) == str(lone.value)
         assert np.array_equal(raised.value.trace, lone.value.trace)
         for i in (0, 2, 3):
-            _assert_same_solution(solve_envar(*problems[i], outcomes=batched[i]), alone[i])
-
-    def test_first_divergence_is_the_earliest_step(self, monkeypatch):
-        """Restart 2's gradient is NaN from step 30 and restart 0's objective
-        from step 31; both traces hold 30 values, and the error is the one
-        of step 30."""
-        cr, cfg = _descent_problems()[0]
-        real = envar_optimizer.minimize_orbit_objective
-
-        def poisoned(objective, k0, **kwargs):
-            rows = np.arange(len(k0))
-            return real(_NanGradAfter(**vars(objective), flagged=rows == 0, after=30,
-                                      grad_flagged=rows == 2, grad_after=29), k0, **kwargs)
-
-        monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
-        with pytest.raises(OptimizerDivergedError) as err:
-            solve_envar(cr, cfg)
-        assert str(err.value) == "restart 2: gradient became non-finite at step 30"
-        monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", real)
-        (clean,) = envar_descents([(cr, replace(cfg, max_steps=30))])
-        assert np.array_equal(err.value.trace, clean[2].trace)
+            _assert_same_solution(solve_envar(*problems[i], outcome=batched[i]), alone[i])
 
     def test_two_divergences_each_stay_with_their_problem(self, monkeypatch):
         """Problem 1's objective is NaN from step 31 and problem 3's gradient
@@ -845,19 +831,19 @@ class TestEnvarDescents:
         monkeypatch.setattr(envar_optimizer, "minimize_orbit_objective", poisoned)
         batched = envar_descents(problems)
         for i, reason, message in (
-            (1, NONFINITE_OBJECTIVE, "restart 0: objective became non-finite at step 31"),
-            (3, NONFINITE_GRADIENT, "restart 0: gradient became non-finite at step 41"),
+            (1, NONFINITE_OBJECTIVE, "objective became non-finite at step 31"),
+            (3, NONFINITE_GRADIENT, "gradient became non-finite at step 41"),
         ):
             with pytest.raises(OptimizerDivergedError) as lone:
                 solve_envar(*problems[i])
             assert str(lone.value) == message
-            assert batched[i][0].stop_reason == reason
+            assert batched[i].stop_reason == reason
             with pytest.raises(OptimizerDivergedError) as raised:
-                solve_envar(*problems[i], outcomes=batched[i])
+                solve_envar(*problems[i], outcome=batched[i])
             assert str(raised.value) == message
             assert raised.value.trace == lone.value.trace
         for i in (0, 2):
-            _assert_same_solution(solve_envar(*problems[i], outcomes=batched[i]), alone[i])
+            _assert_same_solution(solve_envar(*problems[i], outcome=batched[i]), alone[i])
 
 
 class TestZeroPivot:
@@ -940,8 +926,9 @@ class TestSolveEnvar:
         cr, _ = make_fitted_representative(3, seed=24)
         reasons = set()
         for max_steps in (300, 5000):
-            cfg = replace(default_config(3, seed=6), restarts=4, max_steps=max_steps)
-            outcomes = solve_envar(cr, cfg).restarts
+            outcomes = [solve_envar(cr, replace(default_config(3, seed=seed),
+                                                max_steps=max_steps)).restarts[0]
+                        for seed in (6, 7, 8, 9)]
             assert [(o.stop_reason, o.best_step, o.anneals, o.steps) for o in outcomes] == (
                 _replay_stopping_rule([o.trace for o in outcomes], PATIENCE, CONVERGENCE_TOL,
                                       max_steps))
@@ -949,32 +936,6 @@ class TestSolveEnvar:
                 assert outcome.trace[outcome.best_step - 1] == outcome.objective
                 reasons.add(outcome.stop_reason)
         assert reasons == {"patience", "budget"}
-
-    def test_restarts_are_unfolded_starts_and_the_winner_is_the_lowest(self):
-        """Each of a 3-restart fit's restarts descends the fit's own ``[G | H]``
-        from its own random start, to its own stop, and stays among the
-        rotations; the winner is the lowest (objective, restart index)."""
-        cr, _ = make_fitted_representative(4, seed=14)
-        cfg = replace(default_config(4, seed=7), restarts=3, max_steps=600)
-        objective, starts = _batch([(cr, cfg)])
-        for r in range(3):
-            assert np.array_equal(objective.g_mat[r], cr.b_can)
-            assert np.array_equal(objective.h_mat[r], cr.gamma_can)
-            assert np.array_equal(starts[r],
-                                  random_skew(4, sub_rng(cfg.seed, 0x656E7672, r)))
-        solution = solve_envar(cr, cfg)
-        for r, outcome in enumerate(solution.restarts):
-            (alone,) = minimize_orbit_objective(objective.take([r]), starts[r:r + 1],
-                                                max_steps=cfg.max_steps)
-            _assert_same_outcome(outcome, alone)
-            assert np.linalg.det(outcome.q) > 0.0
-        objectives = [o.objective for o in solution.restarts]
-        assert len(set(objectives)) == 3
-        assert solution.restart_index == int(np.argmin(objectives))
-        best = solution.restarts[solution.restart_index]
-        worst = solution.restarts[int(np.argmax(objectives))]
-        for outcomes, index in (((worst, best, best), 1), ((best, worst, best), 0)):
-            assert solve_envar(cr, cfg, outcomes=outcomes).restart_index == index
 
     def test_trivial_instance_reaches_zero(self):
         cr = canonical_from_reduced(np.zeros((4, 4)), np.eye(4))
@@ -994,7 +955,7 @@ class TestSolveEnvar:
     @pytest.mark.parametrize("p", [3, 20])
     def test_reduced_form_preserved_for_every_restart(self, p):
         cr, fit = make_fitted_representative(p, seed=6)
-        cfg = replace(default_config(p, seed=1), restarts=3, max_steps=800)
+        cfg = replace(default_config(p, seed=1), max_steps=800)
         solution = solve_envar(cr, cfg)
         for outcome in solution.restarts:
             member = StructuralModel(
@@ -1034,13 +995,12 @@ class TestSolveEnvar:
 
     def test_best_so_far_monotone_and_restart_dominance(self):
         cr, _ = make_fitted_representative(3, seed=8)
-        cfg = replace(default_config(3, seed=3), restarts=4, max_steps=500)
+        cfg = replace(default_config(3, seed=3), max_steps=500)
         solution = solve_envar(cr, cfg)
         running = np.minimum.accumulate(np.asarray(solution.objective_trace))
         assert np.all(np.diff(running) <= 0.0)
-        finals = [outcome.objective for outcome in solution.restarts]
-        assert solution.objective <= min(finals) + 1e-15
-        assert solution.restart_index == int(np.argmin(finals))
+        (outcome,) = solution.restarts
+        assert solution.objective == outcome.objective == running[-1]
 
     def test_smoothed_trace_nonincreasing(self):
         # 50-step moving average decreases up to Adam noise-ball wiggle
@@ -1055,7 +1015,6 @@ class TestSolveEnvar:
         cr, _ = make_fitted_representative(3, seed=12)
         cfg = replace(default_config(3, seed=5), max_steps=700)
         solution = solve_envar(cr, cfg)
-        assert solution.norms == norm_constants(cr, cfg)
         assert _objective_value(solution.q_hat, solution.c_hat, cr, cfg) == solution.objective
 
     def test_exact_class_instance_selects_sparse_member(self):

@@ -428,8 +428,8 @@ class TestManifestRejections:
              "grid.sigma_std values 0.1234567 and 0.1234568"),
             # a descent holds an (R, max_steps) trace
             ({"envar": {"max_steps": 10**12}}, "envar.max_steps"),
-            # and the batch holds one row per restart
-            ({"envar": {"restarts": 1001}}, "envar.restarts"),
+            # and a fit descends once
+            ({"envar": {"restarts": 2}}, "envar.restarts"),
             # a string would otherwise be read one character at a time
             ({"baselines": None}, "baselines must be a list"),
             ({"baselines": 5}, "baselines must be a list"),

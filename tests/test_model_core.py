@@ -40,7 +40,7 @@ from envarkit.errors import (
     NotPositiveDefiniteError,
     StabilityError,
 )
-from envarkit.envar_optimizer import NormConstants, RestartOutcome
+from envarkit.envar_optimizer import RestartOutcome
 from envarkit.formats import MetricsConfig
 from envarkit.model_core import BURN_IN, _reduced_form
 
@@ -401,9 +401,8 @@ _VALUE_TYPES = {
     RestartOutcome: _restart,
     EnvarSolution: lambda: dict(model=StructuralModel(**_model()), q_hat=np.eye(2), c_hat=1.0,
                                 objective=0.5, objective_trace=np.array([0.5]),
-                                diag_residual=0.0, restart_index=0,
-                                restarts=(RestartOutcome(**_restart()),),
-                                norms=NormConstants(1.0, 1.0, 1.0, ())),
+                                diag_residual=0.0,
+                                restarts=(RestartOutcome(**_restart()),)),
 }
 
 
