@@ -29,7 +29,6 @@ from .envar_optimizer import (
     envar_descents,
     solve_envar,
 )
-from .equivalence import OrbitElement
 from .eqvar_gds import fit_eqvar_gds
 from .errors import DataFormatError, DimensionError, EnvarKitError
 from .eval_metrics import binarize_cumulative, centralities, score
@@ -53,7 +52,6 @@ from .reduced_estimation import (
     OlsFit,
     canonical_representative,
     center,
-    empirical_orbit_member,
     fit_ols,
 )
 
@@ -121,7 +119,7 @@ def _baseline_model(
     ``metrics`` gives ``eqvar-gds`` its ``alpha``."""
     if method == "ols-only":
         cr = canonical_representative(fit)
-        return empirical_orbit_member(cr, OrbitElement(q=np.eye(cr.p), c=1.0)), {}
+        return StructuralModel(a0=np.eye(cr.p) - cr.b_can, a1=cr.gamma_can, sigma=1.0), {}
     if method == "eqvar-gds":
         gds = fit_eqvar_gds(fit, alpha=metrics.alpha)
         model = StructuralModel(a0=gds.a0_hat, a1=gds.a1_hat, sigma=1.0)
@@ -358,8 +356,8 @@ def _benchmark_task(task: tuple) -> list[dict]:
                                method, metrics, model, truth)
         with _timed([cell_rows["envar"]]):
             envar_runs.append((cell, canonical_representative(fit), truth, cell_rows["envar"]))
-        # the series and the OLS residuals would otherwise stay alive into the
-        # next cell and, for the last cell, through the chunk's descent
+        # the series would otherwise stay alive into the next cell and, for the
+        # last cell, through the chunk's descent
         del inst, fit
 
     started = time.perf_counter()

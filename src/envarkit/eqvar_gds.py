@@ -1,16 +1,17 @@
 """Greedy conditional-variance baseline for contemporaneous structure.
 
-Works on the reduced-form residuals: nodes are ordered greedily by minimal
-conditional variance given the already-selected nodes, each node's
-contemporaneous coefficients are estimated by regressing its residual on its
-predecessors and pruning insignificant coefficients, and the lagged matrix is
-recovered algebraically as ``a1_hat = (I - a0_hat) phi_hat``.
+Works on the fitted residual covariance ``sigma_u_hat``, at the ridge every
+other method sees: nodes are ordered greedily by minimal conditional variance
+given the already-selected nodes, each node's contemporaneous coefficients are
+estimated by regressing its residual on its predecessors and pruning
+insignificant coefficients, and the lagged matrix is recovered algebraically
+as ``a1_hat = (I - a0_hat) phi_hat``.
 
-The greedy order is a Cholesky factorisation of the residual covariance that
+The greedy order is a Cholesky factorisation of that covariance that
 pivots on the smallest remaining diagonal (the top-down equal-variance
 procedure of Chen, Drton and Wang, 2019), and every regression and its
 t-statistics are read from the inverse of that factor, so the whole baseline
-costs O(n p^2 + p^3)."""
+costs O(p^3) once the fit is made."""
 
 from __future__ import annotations
 
@@ -52,12 +53,12 @@ def fit_eqvar_gds(fit: OlsFit, alpha: float = 0.05) -> GdsResult:
     index, making the procedure deterministic.
     """
     alpha = _setting("alpha", alpha, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    u = np.asarray(fit.residuals)
-    p, n = u.shape
+    p, n = fit.p, fit.n_eff
 
-    # Pivoted Cholesky of S = u u^T / n: the Schur complement's diagonal holds
-    # each remaining node's variance given the nodes already eliminated.
-    schur = u @ u.T / n
+    # Pivoted Cholesky of S = sigma_u_hat (u u^T / n plus the fit's ridge): the
+    # Schur complement's diagonal holds each remaining node's variance given
+    # the nodes already eliminated.
+    schur = np.array(fit.sigma_u_hat)
     chol = np.zeros((p, p))
     ordering: list[int] = []
     remaining = list(range(p))

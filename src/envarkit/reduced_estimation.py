@@ -28,16 +28,17 @@ _GRAM_RANK_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares reduced-form estimate with its residuals.
+    """Least-squares reduced-form estimate.
 
-    ``ridge_tau`` records the diagonal regularization actually applied to the
-    residual covariance (possibly auto-selected).
+    ``sigma_u_hat`` is the residual covariance every method reads. It
+    includes ``ridge_tau``, the diagonal regularization actually applied
+    (possibly auto-selected); ``n_eff`` is the number of residual columns it
+    averages.
     """
 
     phi_hat: np.ndarray
     sigma_u_hat: np.ndarray
     n_eff: int
-    residuals: np.ndarray
     ridge_tau: float
 
     def __post_init__(self):
@@ -86,6 +87,8 @@ def fit_ols(ts: TimeSeries, ridge_tau: float = 0.0) -> OlsFit:
     The ridge applies only to the residual covariance, never to the Gram
     matrix; when ``ridge_tau`` is 0 and the plain covariance is not positive
     definite, a fallback of ``1e-8 * trace / p`` is applied with a warning.
+    The residuals are not kept: every method, ``fit_eqvar_gds`` included,
+    works on this one ridged covariance.
     """
     if not ts.centered:
         raise DimensionError("series must be centered before fitting (see center())")
@@ -126,13 +129,7 @@ def fit_ols(ts: TimeSeries, ridge_tau: float = 0.0) -> OlsFit:
                 "residual covariance is not positive definite even after "
                 f"ridge {applied_tau:.3e}; increase ridge_tau"
             )
-    return OlsFit(
-        phi_hat=phi_hat,
-        sigma_u_hat=sigma_u_hat,
-        n_eff=n,
-        residuals=residuals,
-        ridge_tau=applied_tau,
-    )
+    return OlsFit(phi_hat=phi_hat, sigma_u_hat=sigma_u_hat, n_eff=n, ridge_tau=applied_tau)
 
 
 def _is_pd(mat: np.ndarray) -> bool:

@@ -275,6 +275,21 @@ class TestFitCommand:
         assert np.array_equal(np.asarray(report["phi_hat"]), in_memory.phi_hat)
         assert np.array_equal(np.asarray(report["sigma_u_hat"]), in_memory.sigma_u_hat)
 
+    @pytest.mark.parametrize("p", [3, 25])
+    def test_ols_only_model_is_the_identity_orbit_member(self, p):
+        # (I - b_can, gamma_can, 1) is the member at (Q, c) = (I, 1) bit for
+        # bit: a product with the identity and a scale by 1.0 are exact
+        inst = generate_instance(GeneratorConfig(p=p, t_len=400, seed=5), episode=0)
+        fit = fit_ols(center(inst.series))
+        model, details = cli._baseline_model(fit, "ols-only", formats.MetricsConfig())
+        member = empirical_orbit_member(
+            canonical_representative(fit), OrbitElement(q=np.eye(p), c=1.0)
+        )
+        assert np.array_equal(model.a0, member.a0)
+        assert np.array_equal(model.a1, member.a1)
+        assert model.sigma == member.sigma
+        assert details == {}
+
     def test_envar_report_carries_restart_telemetry(self, tmp_path):
         inst = generate_instance(GeneratorConfig(p=3, t_len=200, seed=2), episode=0)
         write_series_csv(tmp_path / "series.csv", inst.series)

@@ -13,13 +13,18 @@ from oracles import regression_greedy
 
 
 def make_fit(residuals: np.ndarray, phi_hat: np.ndarray | None = None) -> OlsFit:
+    """A ridge-0 fit whose covariance is the plain residual Gram ``u u^T / n``."""
     p, n = residuals.shape
     if phi_hat is None:
         phi_hat = np.zeros((p, p))
-    sigma = residuals @ residuals.T / n + 1e-12 * np.eye(p)
     return OlsFit(
-        phi_hat=phi_hat, sigma_u_hat=sigma, n_eff=n, residuals=residuals, ridge_tau=0.0
+        phi_hat=phi_hat, sigma_u_hat=residuals @ residuals.T / n, n_eff=n, ridge_tau=0.0
     )
+
+
+def ols_residuals(ts, fit: OlsFit) -> np.ndarray:
+    """The residuals ``y - phi_hat z`` of a fit to the centered series ``ts``."""
+    return ts.values[:, 1:] - fit.phi_hat @ ts.values[:, :-1]
 
 
 class TestOrdering:
@@ -102,7 +107,7 @@ class TestOrdering:
         ts = center(inst.series)
         fit = fit_ols(ts)
         result = fit_eqvar_gds(fit, alpha=0.05)
-        ordering, a0_ref = regression_greedy(np.asarray(fit.residuals), alpha=0.05)
+        ordering, a0_ref = regression_greedy(ols_residuals(ts, fit), alpha=0.05)
         assert result.ordering == ordering
         np.testing.assert_array_equal(result.a0_hat != 0.0, a0_ref != 0.0)
         assert np.max(np.abs(result.a0_hat - a0_ref)) <= 1e-10
@@ -119,6 +124,31 @@ class TestOrdering:
             assert result.ordering == ordering
             np.testing.assert_array_equal(result.a0_hat != 0.0, a0_ref != 0.0)
             assert np.max(np.abs(result.a0_hat - a0_ref)) <= 1e-10
+
+
+class TestCovariancePath:
+    def test_ridge_reaches_gds(self):
+        # gds orders and prunes on the ridged covariance every method sees:
+        # a ridge as large as the covariance's trace washes out most edges
+        ts = center(generate_instance(GeneratorConfig(p=10, t_len=1000, seed=3), 0).series)
+        plain = fit_ols(ts)
+        ridged = fit_ols(ts, ridge_tau=float(np.trace(plain.sigma_u_hat)))
+        kept_plain = np.count_nonzero(fit_eqvar_gds(plain).a0_hat)
+        kept_ridged = np.count_nonzero(fit_eqvar_gds(ridged).a0_hat)
+        assert kept_ridged < kept_plain
+
+    @pytest.mark.parametrize("p", [5, 25])
+    def test_ridge_zero_fit_is_the_residual_gram(self, p):
+        # at ridge 0 the fitted covariance is bitwise the residual Gram, so gds
+        # on the fit equals gds on that Gram formed here from the series
+        ts = center(generate_instance(GeneratorConfig(p=p, t_len=400, seed=2), 0).series)
+        fit = fit_ols(ts)
+        gram_fit = make_fit(ols_residuals(ts, fit), fit.phi_hat)
+        assert np.array_equal(fit.sigma_u_hat, gram_fit.sigma_u_hat)
+        result, expected = fit_eqvar_gds(fit), fit_eqvar_gds(gram_fit)
+        assert result.ordering == expected.ordering
+        assert np.array_equal(result.a0_hat, expected.a0_hat)
+        assert np.array_equal(result.a1_hat, expected.a1_hat)
 
 
 class TestResultInvariants:

@@ -389,7 +389,7 @@ _VALUE_TYPES = {
     AlignmentResult: lambda: dict(value=0.0, q_star=np.eye(2), c_star=1.0, alpha=2.0,
                                   unique_q=True),
     OlsFit: lambda: dict(phi_hat=0.5 * np.eye(2), sigma_u_hat=np.eye(2), n_eff=3,
-                         residuals=np.ones((2, 3)), ridge_tau=0.0),
+                         ridge_tau=0.0),
     CanonicalRepresentative: lambda: dict(b_can=np.eye(2), gamma_can=0.5 * np.eye(2),
                                           omega_u_hat=np.eye(2)),
     GroundTruthInstance: lambda: dict(model=StructuralModel(**_model()),

@@ -108,7 +108,8 @@ class TestFitOls:
         m = random_admissible(2, rng)
         ts = center(simulate(m, 300, seed=6))
         fit = fit_ols(ts, ridge_tau=0.01)
-        recon = fit.residuals @ fit.residuals.T / fit.n_eff + 0.01 * np.eye(2)
+        residuals = ts.values[:, 1:] - fit.phi_hat @ ts.values[:, :-1]
+        recon = residuals @ residuals.T / fit.n_eff + 0.01 * np.eye(2)
         np.testing.assert_allclose(fit.sigma_u_hat, recon, atol=1e-12)
         assert np.max(np.abs(fit.sigma_u_hat - fit.sigma_u_hat.T)) <= 1e-12
 
