@@ -9,8 +9,9 @@ diagonal of ``cQ b_can`` is softly pulled to one:
             + (mu/2) ||diag(cQ b_can) - 1||_2^2 / norm_hollow
 
 over orthogonal ``Q`` and ``c`` in ``C_BOUNDS``. The three normalization
-constants are the raw term values at a fixed random orthogonal baseline and
-``c = 1``. Since ``||offdiag(I - cQG)||_1 == c ||offdiag(QG)||_1`` for
+constants are the raw terms' expectations over Haar-distributed ``Q`` at
+``c = 1``, in closed form (``norm_constants``), so the seed picks only the
+start. Since ``||offdiag(I - cQG)||_1 == c ||offdiag(QG)||_1`` for
 ``c > 0``, both l1 terms are one weighted sum over ``Q [G | H]`` with
 ``G = b_can`` and ``H = gamma_can``, so a step makes one product for the value
 and one for the ``Q``-gradient.
@@ -137,7 +138,7 @@ def default_config(p: int, seed: int = 0) -> EnvarConfig:
 
 @dataclass(frozen=True)
 class NormConstants:
-    """Per-term normalizations sampled at a fixed random orthogonal baseline."""
+    """Per-term normalizations: each raw term's expectation over Haar ``Q``."""
 
     offdiag: float
     lag: float
@@ -495,29 +496,23 @@ def random_skew(p: int, rng: np.random.Generator, scale: float = 0.1) -> np.ndar
     return _skew(rng.normal(0.0, scale, size=(p, p)))
 
 
-def _baseline_orthogonal(p: int, seed: int) -> np.ndarray:
-    """Fixed random orthogonal matrix from a sub-seed of the config seed."""
-    rng = sub_rng(seed, 0x6E6F726D)
-    mat = rng.standard_normal((p, p))
-    q, r = np.linalg.qr(mat)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+def norm_constants(cr: CanonicalRepresentative) -> NormConstants:
+    """Expected raw term values over Haar-distributed ``Q`` at ``c = 1``.
 
-
-def norm_constants(cr: CanonicalRepresentative, cfg: EnvarConfig) -> NormConstants:
-    """Raw term values at the baseline projection and ``c = 1``.
-
-    Terms that vanish at the baseline fall back to 1.0 and are flagged rather
-    than silently dividing by zero.
+    With ``G = b_can``, ``H = gamma_can`` and ``kappa_p = E|x_1|`` for ``x``
+    uniform on the unit sphere, ``Q g`` is uniform on the sphere of radius
+    ``||g||``, so ``E||offdiag(QG)||_1 = (p - 1) kappa_p sum_j ||g_j||``,
+    ``E||QH||_1 = p kappa_p sum_j ||h_j||`` and
+    ``E||diag(QG) - 1||^2 = ||G||_F^2 / p + p``. Terms that vanish (offdiag at
+    ``p = 1``, lag at ``H = 0``) fall back to 1.0 and are flagged rather than
+    silently dividing by zero.
     """
-    q0 = _baseline_orthogonal(cr.p, cfg.seed)
-    m = q0 @ cr.b_can
-    diag_m = np.diag(m)
+    p = cr.p
+    kappa = math.exp(math.lgamma(p / 2) - math.lgamma((p + 1) / 2)) / math.sqrt(math.pi)
     raw = {
-        "offdiag": float(np.abs(m - np.diag(diag_m)).sum()),
-        "lag": float(np.abs(q0 @ cr.gamma_can).sum()),
-        "hollow": float(np.sum((diag_m - 1.0) ** 2)),
+        "offdiag": (p - 1) * kappa * float(np.linalg.norm(cr.b_can, axis=0).sum()),
+        "lag": p * kappa * float(np.linalg.norm(cr.gamma_can, axis=0).sum()),
+        "hollow": float(np.sum(cr.b_can * cr.b_can)) / p + p,
     }
     return NormConstants(
         **{name: value if value >= _NORM_FLOOR else 1.0 for name, value in raw.items()},
@@ -533,7 +528,7 @@ def _batch(problems):
     drawn from its own sub-seed."""
     rows = []
     for cr, cfg in problems:
-        norms = norm_constants(cr, cfg)
+        norms = norm_constants(cr)
         # the trailing 0 is part of the start's key; another key would move
         # every fit's answer
         rows.append((cr.b_can, cr.gamma_can, cfg.lambda0 / norms.offdiag,

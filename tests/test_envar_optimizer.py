@@ -40,7 +40,7 @@ from envarkit.errors import DimensionError, OptimizerDivergedError
 from envarkit.reduced_estimation import canonical_representative, center, fit_ols
 from envarkit.synth import GeneratorConfig, generate_instance
 
-from conftest import random_admissible
+from conftest import random_admissible, random_orthogonal
 from oracles import reference_minimize_orbit_objective, reference_value_and_grads
 from envarkit.model_core import simulate
 
@@ -116,7 +116,7 @@ class TestObjective:
         p = 4
         cr = canonical_from_reduced(np.zeros((p, p)), np.eye(p))
         cfg = default_config(p)
-        norms = norm_constants(cr, cfg)
+        norms = norm_constants(cr)
         value = _objective_value(np.eye(p), 2.0, cr, cfg)
         assert value * norms.hollow == pytest.approx(cfg.mu * p / 2.0)
 
@@ -127,7 +127,7 @@ class TestObjective:
         k = random_skew(3, rng, 0.4)
         q = expm(k)
         c = 1.37
-        norms = norm_constants(cr, cfg)
+        norms = norm_constants(cr)
         value = _objective_value(q, c, cr, cfg)
         m = q @ cr.b_can
         off = m - np.diag(np.diag(m))
@@ -142,9 +142,47 @@ class TestObjective:
 
     def test_norm_fallback_flagged_for_zero_lag(self):
         cr = canonical_from_reduced(np.zeros((3, 3)), np.eye(3))
-        norms = norm_constants(cr, default_config(3))
+        norms = norm_constants(cr)
         assert "lag" in norms.fallbacks
         assert norms.lag == 1.0
+        # at p = 1 there is no off-diagonal entry, and Q = +-1
+        cr, _ = make_fitted_representative(1, seed=30)
+        norms = norm_constants(cr)
+        g, h = cr.b_can[0, 0], cr.gamma_can[0, 0]
+        assert norms.fallbacks == ("offdiag",)
+        assert norms.offdiag == 1.0
+        assert norms.lag == pytest.approx(abs(h), rel=1e-14)
+        assert norms.hollow == g * g + 1.0
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_norm_constants_are_haar_means(self, p):
+        """Each constant is its raw term's mean over Haar-distributed ``Q``: a
+        Monte Carlo mean is within four of its standard errors of it."""
+        cr, _ = make_fitted_representative(p, seed=40 + p)
+        rng = np.random.default_rng(50 + p)
+        draws = []
+        for _ in range(4000):
+            q = random_orthogonal(p, rng)
+            m = q @ cr.b_can
+            draws.append((np.abs(m).sum() - np.abs(np.diag(m)).sum(),
+                          np.abs(q @ cr.gamma_can).sum(), np.sum((np.diag(m) - 1.0) ** 2)))
+        draws = np.array(draws)
+        mean = draws.mean(axis=0)
+        sem = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        norms = norm_constants(cr)
+        assert norms.fallbacks == ()
+        expected = np.array([norms.offdiag, norms.lag, norms.hollow])
+        assert (np.abs(mean - expected) <= 4.0 * sem).all()
+        # the bound is tight enough to tell a constant 10% off
+        assert (4.0 * sem < 0.1 * expected).all()
+
+    def test_weights_do_not_depend_on_the_seed(self):
+        """The seed picks the start only."""
+        cr, _ = make_fitted_representative(4, seed=3)
+        (w1, s1), (w2, s2) = (_batch([(cr, default_config(4, seed=seed))]) for seed in (0, 1))
+        for name in ("w_off", "w_lag", "w_diag"):
+            assert _bits(getattr(w1, name)) == _bits(getattr(w2, name))
+        assert not np.array_equal(s1, s2)
 
     def test_scale_degeneracy_guard(self):
         # without the diagonal penalty the sparsity objective vanishes as c -> 0
@@ -350,7 +388,7 @@ def _batch_problem(p, rng):
     """Four restarts on one fitted representative; restart 2 starts at an exact
     minimum (value 0, zero gradient) so it stops on patience while the others run."""
     cr, _ = make_fitted_representative(p, seed=20)
-    norms = norm_constants(cr, default_config(p))
+    norms = norm_constants(cr)
     signs = np.array([np.ones(p), -np.ones(p), np.ones(p), np.r_[-1.0, np.ones(p - 1)]])
     g_mat = signs[:, :, None] * cr.b_can
     h_mat = signs[:, :, None] * cr.gamma_can
@@ -541,12 +579,15 @@ def _mixed_batch(p):
     """Nine fits at dimension ``p``: three problems that differ in data and
     weights, each at three seeds. Problem 2's first fit (row 6) starts at an
     exact minimum, so it stops on patience while others run to the budget.
+    At p = 1 only ``c`` moves, so a problem's three fits descend alike; there
+    problem 1's small ``mu`` puts its optimal ``c`` on the lower bound of
+    ``C_BOUNDS``, which the descent is still nearing when the budget ends.
     Returns the objective and the starts."""
     base = replace(default_config(p), max_steps=MIXED_STEPS)
     fits = [
         (make_fitted_representative(p, seed=30)[0], replace(base, seed=1)),
         (make_fitted_representative(p, seed=31)[0],
-         replace(base, seed=2, lambda0=1.25, mu=3.0)),
+         replace(base, seed=2, lambda0=1.25, mu=1.0)),
         (canonical_from_reduced(np.zeros((p, p)), np.eye(p)),
          replace(base, seed=4, lambda1=0.5)),
     ]
@@ -794,7 +835,7 @@ class TestEnvarDescents:
         problems = _descent_problems()
         alone = [solve_envar(cr, cfg) for cr, cfg in problems]
         cr, cfg = problems[1]
-        poisoned_w_off = cfg.lambda0 / norm_constants(cr, cfg).offdiag
+        poisoned_w_off = cfg.lambda0 / norm_constants(cr).offdiag
         real = envar_optimizer.minimize_orbit_objective
 
         def poisoned(objective, k0, **kwargs):
@@ -819,7 +860,7 @@ class TestEnvarDescents:
         from step 41, in any batch."""
         problems = _descent_problems()
         alone = [solve_envar(cr, cfg) for cr, cfg in problems]
-        w_obj, w_grad = (cfg.lambda0 / norm_constants(cr, cfg).offdiag
+        w_obj, w_grad = (cfg.lambda0 / norm_constants(cr).offdiag
                          for cr, cfg in (problems[1], problems[3]))
         real = envar_optimizer.minimize_orbit_objective
 
